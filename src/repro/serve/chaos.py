@@ -7,11 +7,12 @@ open-loop serving workload once fault-free and once under every plan
 with hedging and the circuit breaker enabled, and asserts invariants
 that must hold no matter what the faults did:
 
-* **no lost jobs** — every admitted job completes;
+* **no lost jobs** — ``lost == 0`` under every plan;
 * **digest invariance** — the faulty run's ``source -> digest`` map is
   *bit-identical* to the fault-free run's (hedging dedup, failover and
   stragglers may move work around, never change results);
-* **conservation** — admitted == completed + lost + deadline aborts;
+* **conservation** — admitted == completed + cancelled +
+  deadline_aborts + lost, exactly;
 * **bounded tail inflation** — faulty p99 latency stays within
   ``p99_inflation`` × clean p99 + ``p99_slack_s``;
 * **breaker sanity** — every recorded transition is a legal edge of the

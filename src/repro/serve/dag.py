@@ -275,6 +275,13 @@ class WorkflowEngine:
         self.bootstop_saved_s = 0.0
         self.fan_out_total = 0
         self._inflight = 0
+        # Fan-in memos, alive for this run only.  ``replicate_tree`` is
+        # pure in (workflow, seed, replicate) and the first two are fixed
+        # per run, so each tree is derived once and shared read-only by
+        # the bootstop monitors and every submission's consensus; a
+        # consensus depends only on its sorted replicate set.
+        self._trees: Dict[int, Tree] = {}
+        self._consensus: Dict[Tuple[int, ...], Dict[str, Any]] = {}
         self.metrics.counter(
             "serve.dag.workflows", help="workflows resolved end to end"
         )
@@ -342,16 +349,10 @@ class WorkflowEngine:
         # hit replays the cold run's set, so this stays digest-stable).
         consensus: Dict[str, Dict[str, Any]] = {}
         for stage_name, reps in sorted(ctx.replicates.items()):
-            if not reps:
-                continue
-            trees = [replicate_tree(spec, self.config.seed, r)
-                     for r, _digest in sorted(reps)]
-            tree, supports = majority_rule_consensus(trees)
-            consensus[stage_name] = {
-                "newick": tree.newick(),
-                "splits": len(supports),
-                "replicates_used": len(trees),
-            }
+            if reps:
+                used = tuple(sorted(r for r, _digest in reps))
+                # A copy: records are handed to callers, the memo is not.
+                consensus[stage_name] = dict(self._fan_in(used))
         order = spec.topo_order()
         final_digest = content_key(
             "workflow", spec.name,
@@ -385,6 +386,31 @@ class WorkflowEngine:
                 digest=final_digest[:16],
                 cache_hits=record["cache_hits"],
             )
+
+    # -- fan-in ------------------------------------------------------------
+    def _replicate_tree(self, r: int) -> Tree:
+        """Replicate ``r``'s tree, derived at most once per run."""
+        tree = self._trees.get(r)
+        if tree is None:
+            tree = self._trees[r] = replicate_tree(
+                self.config.workflow, self.config.seed, r
+            )
+        return tree
+
+    def _fan_in(self, used: Tuple[int, ...]) -> Dict[str, Any]:
+        """Majority-rule consensus over the sorted replicate set ``used``,
+        built once per distinct set per run."""
+        summary = self._consensus.get(used)
+        if summary is None:
+            tree, supports = majority_rule_consensus(
+                [self._replicate_tree(r) for r in used]
+            )
+            summary = self._consensus[used] = {
+                "newick": tree.newick(),
+                "splits": len(supports),
+                "replicates_used": len(used),
+            }
+        return summary
 
     # -- one stage ---------------------------------------------------------
     def _stage_key(self, spec: WorkflowSpec, stage: StageSpec,
@@ -494,8 +520,7 @@ class WorkflowEngine:
                     continue
                 completed.append((r, job.digest, job.service_time))
                 if monitor is not None and not monitor.converged:
-                    tree = replicate_tree(spec, self.config.seed, r)
-                    if monitor.add(tree):
+                    if monitor.add(self._replicate_tree(r)):
                         self._bootstop(stage, ctx, rec, monitor, pending)
 
         completed.sort()

@@ -35,6 +35,13 @@ from repro.obs.bench import (
 
 REPO_ROOT = pathlib.Path(__file__).parent.parent
 
+# The whole-gate tests below check that every deterministic field still
+# matches its baseline.  They run with a wide throughput-floor tolerance
+# so that a slow or busy host cannot fail them; only a >10x slowdown
+# trips a floor here.  TestPerfFloors covers the floor logic itself, and
+# CI's bench-gate job enforces the real floors.
+WHOLE_GATE_TOLERANCE = 0.9
+
 
 # -- committed baselines ------------------------------------------------------
 
@@ -200,11 +207,13 @@ class TestRegressionGate:
         )
 
     def test_check_baselines_passes(self, current):
-        ok, report = check_baselines(root=REPO_ROOT, current_core=current)
+        ok, report = check_baselines(root=REPO_ROOT, current_core=current,
+                                     perf_floor_tolerance=WHOLE_GATE_TOLERANCE)
         assert ok, report
         assert "bench: OK" in report
 
     def test_cli_bench_check_exits_zero(self, capsys):
-        assert main(["bench", "--check"]) == 0
+        assert main(["bench", "--check", "--perf-tolerance",
+                     str(WHOLE_GATE_TOLERANCE)]) == 0
         out = capsys.readouterr().out
         assert "bench: OK" in out

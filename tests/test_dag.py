@@ -10,10 +10,13 @@ for bit; blade kills during the fan-out lose nothing.
 
 import dataclasses
 import json
+from collections import Counter
 
 import pytest
 
+import repro.serve.dag as dag_module
 from repro.obs.metrics import MetricsRegistry
+from repro.phylo.consensus import majority_rule_consensus
 from repro.serve import (
     BladeKill,
     BootstopConfig,
@@ -23,6 +26,7 @@ from repro.serve import (
     JobTemplate,
     ResultCache,
     StageSpec,
+    WorkflowEngine,
     WorkflowSpec,
     content_key,
     raxml_workflow,
@@ -234,6 +238,108 @@ class TestResultCache:
         assert content_key("a", 1) == content_key("a", 1)
         assert content_key("a", 1) != content_key("a", 2)
         assert content_key("ab") != content_key("a", "b")
+
+
+# -- fan-in memos vs a slow reference -----------------------------------------
+
+class _FanInSpy:
+    """Counts the engine's replicate-tree and consensus calls through the
+    module globals, and records each submission's replicate sets."""
+
+    def __init__(self, monkeypatch):
+        self.trees = []      # (replicate, tree) per replicate_tree call
+        self.consensus = 0   # majority_rule_consensus calls
+        self.used = {}       # submission -> {stage: sorted replicates}
+        finalize = WorkflowEngine._finalize
+
+        def tree_spy(spec, seed, r):
+            tree = replicate_tree(spec, seed, r)
+            self.trees.append((r, tree))
+            return tree
+
+        def consensus_spy(trees):
+            self.consensus += 1
+            return majority_rule_consensus(trees)
+
+        def finalize_spy(engine, spec, ctx):
+            self.used[ctx.k] = {
+                name: tuple(sorted(r for r, _digest in reps))
+                for name, reps in ctx.replicates.items() if reps
+            }
+            finalize(engine, spec, ctx)
+
+        monkeypatch.setattr(dag_module, "replicate_tree", tree_spy)
+        monkeypatch.setattr(dag_module, "majority_rule_consensus",
+                            consensus_spy)
+        monkeypatch.setattr(WorkflowEngine, "_finalize", finalize_spy)
+
+
+def _fan_in_runs(name):
+    """(config, cache) per run; the last run is the one under test."""
+    wf = raxml_workflow(replicates=24)
+    if name == "cold":
+        return [(DagConfig(workflow=wf, submissions=3, interarrival_s=40.0,
+                           seed=0), None)]
+    if name == "warm":
+        cache = ResultCache()
+        cfg = DagConfig(workflow=wf, submissions=2, seed=0)
+        return [(cfg, cache), (cfg, cache)]
+    if name == "bootstopped":
+        return [(DagConfig(workflow=raxml_workflow(replicates=40),
+                           submissions=3, interarrival_s=30.0, seed=2,
+                           cache=False,
+                           bootstop=BootstopConfig(min_replicates=10,
+                                                   check_every=2)), None)]
+    assert name == "diverging"
+    return [(DagConfig(workflow=raxml_workflow(replicates=24, conflict=1.0),
+                       submissions=2, interarrival_s=40.0, seed=1,
+                       bootstop=BootstopConfig(min_replicates=10,
+                                               check_every=2)), None)]
+
+
+class TestFanInMemo:
+    @pytest.mark.parametrize(
+        "name", ["cold", "warm", "bootstopped", "diverging"]
+    )
+    def test_matches_fresh_trees_and_derives_each_once(self, name,
+                                                       monkeypatch):
+        runs = _fan_in_runs(name)
+        for cfg, cache in runs[:-1]:
+            run_dag(cfg, cache=cache)
+        cfg, cache = runs[-1]
+        spy = _FanInSpy(monkeypatch)
+        result = run_dag(cfg, cache=cache)
+        spec, seed = cfg.workflow, cfg.seed
+
+        # Each replicate's tree is derived at most once per run ...
+        per_replicate = Counter(r for r, _tree in spy.trees)
+        assert per_replicate and max(per_replicate.values()) == 1
+        # ... and each distinct replicate set folded once.
+        sets = {reps for used in spy.used.values() for reps in used.values()}
+        assert spy.consensus == len(sets)
+        if name == "bootstopped":
+            # Without the stage cache each submission bootstops on its
+            # own, so the memo must key on the set, not the stage.
+            assert result.bootstop_cancelled > 0 and len(sets) > 1
+
+        # Slow reference: every record rebuilt from freshly derived trees.
+        assert len(result.workflows) == cfg.submissions
+        for rec in result.workflows:
+            used = spy.used[rec["submission"]]
+            assert set(rec["consensus"]) == set(used)
+            for stage, reps in used.items():
+                tree, supports = majority_rule_consensus(
+                    [replicate_tree(spec, seed, r) for r in reps]
+                )
+                assert rec["consensus"][stage] == {
+                    "newick": tree.newick(),
+                    "splits": len(supports),
+                    "replicates_used": len(reps),
+                }
+
+        # The shared memoized trees were never mutated.
+        for r, tree in spy.trees:
+            assert tree.newick() == replicate_tree(spec, seed, r).newick()
 
 
 # -- faults during fan-out ----------------------------------------------------
