@@ -37,6 +37,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from ..cell.params import BladeParams
@@ -159,8 +160,12 @@ class BladeState:
         self.alive = True
         self.active = active
         # FIFO of queued units; deque so the head pop the blade loop
-        # performs per unit is O(1) at any backlog depth.
+        # performs per unit is O(1) at any backlog depth.  ``_queued_s``
+        # runs alongside it with each unit's service seconds, taken once
+        # at push; every queue mutation goes through the methods below,
+        # which keep the two in step.
         self.queue: Deque[DispatchUnit] = deque()
+        self._queued_s: Deque[float] = deque()
         self.running: Optional[DispatchUnit] = None
         self.busy_until = 0.0     # absolute time the running unit finishes
         self.units_run = 0
@@ -182,9 +187,17 @@ class BladeState:
 
     @property
     def backlog_s(self) -> float:
-        """Residual running time plus queued service seconds."""
+        """Residual running time plus queued service seconds.
+
+        ``sum`` folds the same floats in the same order as summing
+        ``u.service_time`` over the queue would, so the value is
+        bit-identical to that on any interpreter, whether its ``sum`` is
+        plain or compensated; only the per-unit re-derivation is gone.
+        A unit's service time cannot change while it is queued: its job
+        list is rewritten only after it leaves the queue.
+        """
         residual = max(0.0, self.busy_until - self.env.now)
-        return residual + sum(u.service_time for u in self.queue)
+        return residual + sum(self._queued_s)
 
     # -- busy accounting ---------------------------------------------------
     def mark_busy(self) -> None:
@@ -206,6 +219,7 @@ class BladeState:
     def push(self, unit: DispatchUnit) -> None:
         unit.blade = self.index
         self.queue.append(unit)
+        self._queued_s.append(unit.service_time)
         if self.tracer is not None:
             # Arrival-at-blade record: gives the windowed sampler an
             # exact per-blade queue-depth step function.
@@ -215,15 +229,32 @@ class BladeState:
             self.wake.succeed()
 
     def pop_next(self) -> Optional[DispatchUnit]:
-        return self.queue.popleft() if self.queue else None
+        if not self.queue:
+            return None
+        self._queued_s.popleft()
+        return self.queue.popleft()
 
     def steal_newest(self) -> Optional[DispatchUnit]:
-        return self.queue.pop() if self.queue else None
+        if not self.queue:
+            return None
+        self._queued_s.pop()
+        return self.queue.pop()
+
+    def remove(self, unit: DispatchUnit) -> bool:
+        """Take ``unit`` out of the queue; False when it is not queued."""
+        try:
+            i = self.queue.index(unit)
+        except ValueError:
+            return False
+        del self.queue[i]
+        del self._queued_s[i]
+        return True
 
     def drain(self) -> List[DispatchUnit]:
         """Take every queued unit (for failover / deactivation)."""
         units = list(self.queue)
         self.queue.clear()
+        self._queued_s.clear()
         return units
 
     def purge_cancelled(self) -> int:
@@ -235,17 +266,15 @@ class BladeState:
         out of the queue here.  Mixed units survive — the blade loop's
         per-job guards skip their dead members.
         """
-        if not self.queue:
-            return 0
-        keep = [
-            u for u in self.queue
-            if any(j.finish_time is None and not j.aborted and not j.cancelled
-                   for j in u.jobs)
+        live = [
+            any(j.finish_time is None and not j.aborted and not j.cancelled
+                for j in u.jobs)
+            for u in self.queue
         ]
-        removed = len(self.queue) - len(keep)
+        removed = live.count(False)
         if removed:
-            self.queue.clear()
-            self.queue.extend(keep)
+            self.queue = deque(compress(self.queue, live))
+            self._queued_s = deque(compress(self._queued_s, live))
         return removed
 
     def kill(self) -> None:

@@ -721,8 +721,7 @@ class Service:
         loser.twin = None
         loser.cancelled = True
         for blade in self.blades:
-            if loser in blade.queue:
-                blade.queue.remove(loser)
+            if blade.remove(loser):
                 break
         if self.tracer is not None:
             self.tracer.emit(
