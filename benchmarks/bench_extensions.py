@@ -63,7 +63,7 @@ def test_extension_alignment_length(benchmark, record_table):
 def test_extension_locality_aware(benchmark, record_table):
     """Locality-aware SPE selection on many interleaved working sets."""
     from repro.cell.machine import CellMachine
-    from repro.core.runtime import EDTLPRuntime, ProcContext
+    from repro.core.runtime import EDTLPPolicy, OffloadEngine, ProcContext
     from repro.mpi.master_worker import WorkDispenser
     from repro.mpi.process import mpi_worker
     from repro.sim.engine import Environment
@@ -74,7 +74,8 @@ def test_extension_locality_aware(benchmark, record_table):
         for aware in (False, True):
             env = Environment()
             machine = CellMachine(env)
-            rt = EDTLPRuntime(env, machine, locality_aware=aware)
+            rt = OffloadEngine(env, machine, locality_aware=aware,
+                               policy=EDTLPPolicy())
             wl = FixedTraceWorkload(
                 [interleaved_locality_trace(n_keys=8, tasks_per_key=60,
                                             working_set_kb=100)]

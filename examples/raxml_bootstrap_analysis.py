@@ -16,7 +16,8 @@ This example does actual science with the library's ML engine:
 import numpy as np
 
 from repro.cell.machine import CellMachine
-from repro.core.runtime import EDTLPRuntime, MGPSRuntime, ProcContext
+from repro.core import edtlp, mgps
+from repro.core.runtime import ProcContext
 from repro.mpi.master_worker import WorkDispenser
 from repro.mpi.process import mpi_worker
 from repro.phylo import (
@@ -42,10 +43,10 @@ class RecordedWorkload:
         return self._traces[index]
 
 
-def schedule(traces, runtime_cls):
+def schedule(traces, spec):
     env = Environment()
     machine = CellMachine(env)
-    runtime = runtime_cls(env, machine)
+    runtime = spec.build(env, machine)
     wl = RecordedWorkload(traces)
     n_procs = min(len(traces), machine.n_spes)
     dispenser = WorkDispenser(env, len(traces), n_procs)
@@ -102,8 +103,8 @@ def main() -> None:
     serial = sum(t.serial_estimate for t in traces)
     print(f"    {sum(t.n_tasks for t in traces)} recorded off-loads, "
           f"{serial * 1e3:.1f} ms serial work")
-    for name, cls in (("EDTLP", EDTLPRuntime), ("MGPS", MGPSRuntime)):
-        makespan, util, stats = schedule(traces, cls)
+    for name, spec in (("EDTLP", edtlp()), ("MGPS", mgps())):
+        makespan, util, stats = schedule(traces, spec)
         print(f"    {name:6s}: {makespan * 1e3:8.2f} ms  "
               f"(SPE util {util:.0%}, {stats.llp_invocations} LLP "
               f"invocations, speedup {serial / makespan:.2f}x over serial)")

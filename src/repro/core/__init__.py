@@ -7,15 +7,7 @@ from .llp import LLPConfig, LLPInvocation, LoopParallelModel, split_iterations
 from .oracle import OracleChoice, OracleSelector, default_candidates
 from .results import ScheduleResult
 from .runner import run_bsp_experiment, run_experiment, run_sweep
-from .runtime import (
-    EDTLPRuntime,
-    LinuxRuntime,
-    MGPSRuntime,
-    OffloadRuntime,
-    ProcContext,
-    RuntimeStats,
-    StaticHybridRuntime,
-)
+from .runtime import ProcContext, RuntimeStats
 from .schedulers import SchedulerSpec, edtlp, linux, mgps, static_hybrid
 
 __all__ = [
@@ -30,11 +22,6 @@ __all__ = [
     "run_cluster_experiment",
     "ClusterResult",
     "ScheduleResult",
-    "OffloadRuntime",
-    "LinuxRuntime",
-    "EDTLPRuntime",
-    "StaticHybridRuntime",
-    "MGPSRuntime",
     "ProcContext",
     "RuntimeStats",
     "GranularityGovernor",

@@ -140,7 +140,7 @@ def run_experiment(
 
     # A *pinned* policy (the Linux baseline and lookalikes) owns no SPE
     # pool: each process gets a per-CPU affinity and one pinned SPE.
-    pinned = bool(getattr(runtime.policy, "pinned", False))
+    pinned = runtime.policy.pinned
     n_procs = spec.default_processes(machine.n_spes, workload.bootstraps)
     if pinned and n_procs > machine.n_spes:
         raise ValueError(
@@ -279,7 +279,7 @@ def run_bsp_experiment(
         env, machine, tracer=tracer, metrics=metrics,
         faults=injector, tolerance=tolerance,
     )
-    pinned = bool(getattr(runtime.policy, "pinned", False))
+    pinned = runtime.policy.pinned
     if pinned and workload.n_processes > machine.n_spes:
         raise ValueError("the Linux baseline pins one SPE per process")
 

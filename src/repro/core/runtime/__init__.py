@@ -11,18 +11,8 @@ Three separable concerns, three layers:
   paper's four schedulers as thin policy objects;
 * loop schedules live one layer down in :mod:`repro.core.llp`
   (``LLPConfig.schedule`` selects static / dynamic / guided / adaptive).
-
-The pre-split class tower (``OffloadRuntime`` and friends) remains
-importable from this package via :mod:`~repro.core.runtime.compat`.
 """
 
-from .compat import (
-    EDTLPRuntime,
-    LinuxRuntime,
-    MGPSRuntime,
-    OffloadRuntime,
-    StaticHybridRuntime,
-)
 from .context import ProcContext, RuntimeStats
 from .engine import OffloadEngine
 from .policies import (
@@ -40,7 +30,6 @@ from .policy import (
 )
 
 __all__ = [
-    # layered API
     "OffloadEngine",
     "SchedulingPolicy",
     "PolicyInfo",
@@ -54,10 +43,4 @@ __all__ = [
     # shared context
     "ProcContext",
     "RuntimeStats",
-    # legacy facade
-    "OffloadRuntime",
-    "LinuxRuntime",
-    "EDTLPRuntime",
-    "StaticHybridRuntime",
-    "MGPSRuntime",
 ]

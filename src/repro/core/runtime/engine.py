@@ -19,9 +19,7 @@ off-load path per scheduler:
   the tolerant path needs no watchdog for it).
 
 The Linux baseline is ``pinned + spin``; EDTLP and everything built on
-it is ``pooled + blocking``.  Constructed without a policy, the engine
-is its own (inert) policy — the legacy ``OffloadRuntime`` subclass API
-in :mod:`repro.core.runtime.compat` builds on exactly that.
+it is ``pooled + blocking``.
 """
 
 from __future__ import annotations
@@ -53,12 +51,6 @@ __all__ = ["OffloadEngine"]
 class OffloadEngine:
     """Policy-agnostic off-load mechanics (dispatch, code, execute, signal)."""
 
-    name = "engine"
-    # Self-policy defaults (used when no policy object is bound; the
-    # legacy subclass API overrides these and the hook methods below).
-    pinned = False
-    spin = False
-
     def __init__(
         self,
         env: Environment,
@@ -72,7 +64,8 @@ class OffloadEngine:
         metrics: Optional[object] = None,
         faults: Optional["FaultInjector"] = None,
         tolerance: Optional[TolerancePolicy] = None,
-        policy: Optional["SchedulingPolicy"] = None,
+        *,
+        policy: "SchedulingPolicy",
     ) -> None:
         self.env = env
         self.machine = machine
@@ -159,15 +152,11 @@ class OffloadEngine:
         self._m_blacklists = m.counter(
             "runtime.spe_blacklists", "SPEs retired after consecutive failures"
         )
-        # Bind the decision layer last: a real policy may size windows
-        # off the machine/metrics created above.  Without one, the
-        # engine's own (inert) hook methods serve as the policy.
-        if policy is None:
-            self.policy: "SchedulingPolicy" = self  # type: ignore[assignment]
-        else:
-            self.policy = policy
-            policy.bind(self)
-            self.name = policy.name
+        # Bind the decision layer last: a policy may size windows off
+        # the machine/metrics created above.
+        self.policy = policy
+        policy.bind(self)
+        self.name = policy.name
 
     # -- bookkeeping hooks ----------------------------------------------------
     def note_bootstrap_start(self, ctx: ProcContext, index: int) -> None:
@@ -226,24 +215,6 @@ class OffloadEngine:
         if self._active_sources:
             t = min(max(t, 1), len(self._active_sources))
         return max(1, t)
-
-    # -- self-policy defaults (overridden by the legacy subclass API) --------
-    def llp_degree(self, ctx: ProcContext) -> int:
-        """Desired SPEs per off-loaded task (1 = no loop parallelism)."""
-        return 1
-
-    def on_dispatch(self, time: float) -> None:
-        """Called at every off-load dispatch."""
-
-    def on_departure(self, start: float, end: float) -> None:
-        """Called at every off-load completion."""
-
-    def on_capacity_change(self) -> None:
-        """Called after every SPE kill or blacklist (live set shrank)."""
-
-    def admit(self, ctx: ProcContext, task: TaskSpec, decision) -> bool:
-        """Last-look veto over an off-load the granularity test approved."""
-        return True
 
     def _notify_capacity_change(self) -> None:
         """Fault-listener shim: route capacity changes to the policy."""

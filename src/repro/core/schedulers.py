@@ -25,10 +25,6 @@ from .runtime import OffloadEngine, resolve_policy
 
 __all__ = ["SchedulerSpec", "linux", "edtlp", "static_hybrid", "mgps"]
 
-# Historical spelling of the registry key: the spec predates the policy
-# registry and called the fixed-degree hybrid "static".
-_ALIASES = {"static": "static_hybrid"}
-
 
 @dataclass(frozen=True)
 class SchedulerSpec:
@@ -53,7 +49,7 @@ class SchedulerSpec:
     label: Optional[str] = None
 
     def __post_init__(self) -> None:
-        resolve_policy(_ALIASES.get(self.kind, self.kind))  # unknown -> ValueError
+        resolve_policy(self.kind)  # unknown -> ValueError
         if self.llp_degree < 1:
             raise ValueError("llp_degree must be >= 1")
         if self.n_processes is not None and self.n_processes < 1:
@@ -63,14 +59,14 @@ class SchedulerSpec:
     def name(self) -> str:
         if self.label:
             return self.label
-        if self.kind == "static":
+        if self.kind == "static_hybrid":
             return f"edtlp-llp{self.llp_degree}"
         return self.kind
 
     def default_processes(self, total_spes: int, bootstraps: int) -> int:
         if self.n_processes is not None:
             return self.n_processes
-        if self.kind == "static":
+        if self.kind == "static_hybrid":
             per_machine = max(1, total_spes // self.llp_degree)
         else:
             per_machine = total_spes
@@ -92,11 +88,7 @@ class SchedulerSpec:
         fast path); ``tolerance`` a
         :class:`~repro.faults.TolerancePolicy` override.
         """
-        if tracer is None:
-            tracer = getattr(env, "tracer", None)
-        if metrics is None:
-            metrics = getattr(env, "metrics", None)
-        info = resolve_policy(_ALIASES.get(self.kind, self.kind))
+        info = resolve_policy(self.kind)
         return OffloadEngine(
             env, machine,
             granularity_enabled=self.granularity_enabled,
@@ -127,7 +119,7 @@ def edtlp(**kwargs) -> SchedulerSpec:
 
 def static_hybrid(degree: int, **kwargs) -> SchedulerSpec:
     """Static EDTLP-LLP with ``degree`` SPEs per parallel loop."""
-    return SchedulerSpec(kind="static", llp_degree=degree, **kwargs)
+    return SchedulerSpec(kind="static_hybrid", llp_degree=degree, **kwargs)
 
 
 def mgps(**kwargs) -> SchedulerSpec:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Generator
 
-from ..core.runtime import OffloadRuntime, ProcContext
+from ..core.runtime import OffloadEngine, ProcContext
 from ..sim.events import Event
 from ..sim.resources import Barrier
 from ..workloads.traces import Workload
@@ -26,7 +26,7 @@ __all__ = ["mpi_worker", "bsp_worker"]
 
 def mpi_worker(
     ctx: ProcContext,
-    runtime: OffloadRuntime,
+    runtime: OffloadEngine,
     dispenser: WorkDispenser,
     workload: Workload,
 ) -> Generator[Event, None, int]:
@@ -59,7 +59,7 @@ def mpi_worker(
 
 def bsp_worker(
     ctx: ProcContext,
-    runtime: OffloadRuntime,
+    runtime: OffloadEngine,
     workload,
     barrier: Barrier,
 ) -> Generator[Event, None, int]:

@@ -18,7 +18,7 @@ from repro.cell.machine import CellMachine
 from repro.cell.params import BladeParams, CellParams
 from repro.core.history import UtilizationHistory
 from repro.core.runner import run_experiment
-from repro.core.runtime import EDTLPRuntime, MGPSRuntime, ProcContext
+from repro.core.runtime import EDTLPPolicy, MGPSPolicy, OffloadEngine, ProcContext
 from repro.core.schedulers import edtlp, linux, mgps
 from repro.faults import FaultInjector, FaultPlan, SlowSPE, SPEKill, TolerancePolicy
 from repro.obs import MetricsRegistry
@@ -426,12 +426,14 @@ class TestDeterminism:
 # -- PPE fallback accounting (direct) -----------------------------------------
 
 class TestPPEFallbackAccounting:
-    @pytest.mark.parametrize("runtime_cls", [EDTLPRuntime, MGPSRuntime])
-    def test_fallback_updates_stats_metrics_and_trace(self, runtime_cls):
+    @pytest.mark.parametrize("policy_cls", [EDTLPPolicy, MGPSPolicy],
+                             ids=["edtlp", "mgps"])
+    def test_fallback_updates_stats_metrics_and_trace(self, policy_cls):
         env = Environment()
         machine = CellMachine(env, BladeParams())
         tracer, metrics = Tracer(enabled=True), MetricsRegistry()
-        rt = runtime_cls(env, machine, tracer=tracer, metrics=metrics)
+        rt = OffloadEngine(env, machine, tracer=tracer, metrics=metrics,
+                           policy=policy_cls())
         ctx = ProcContext(
             rank=0, cell_id=0, thread=machine.cores[0].thread("mpi0")
         )

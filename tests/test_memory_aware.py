@@ -85,7 +85,7 @@ class TestLocalityAwareScheduling:
 
     def test_locality_reduces_misses(self):
         from repro.cell.machine import CellMachine
-        from repro.core.runtime import EDTLPRuntime, ProcContext
+        from repro.core.runtime import EDTLPPolicy, OffloadEngine, ProcContext
         from repro.mpi.master_worker import WorkDispenser
         from repro.mpi.process import mpi_worker
         from repro.sim.engine import Environment
@@ -93,7 +93,8 @@ class TestLocalityAwareScheduling:
         def run(aware):
             env = Environment()
             machine = CellMachine(env)
-            rt = EDTLPRuntime(env, machine, locality_aware=aware)
+            rt = OffloadEngine(env, machine, locality_aware=aware,
+                               policy=EDTLPPolicy())
             wl = locality_workload()
             disp = WorkDispenser(env, 1, 1)
             ctx = ProcContext(rank=0, cell_id=0,

@@ -150,7 +150,7 @@ class TestSimulatorBridge:
         log, aln = self._recorded_log()
         trace = trace_from_kernel_log(log)
         from repro.cell.machine import CellMachine
-        from repro.core.runtime import EDTLPRuntime, ProcContext
+        from repro.core.runtime import EDTLPPolicy, OffloadEngine, ProcContext
         from repro.mpi.master_worker import WorkDispenser
         from repro.mpi.process import mpi_worker
         from repro.sim.engine import Environment
@@ -162,7 +162,7 @@ class TestSimulatorBridge:
 
         env = Environment()
         machine = CellMachine(env)
-        rt = EDTLPRuntime(env, machine)
+        rt = OffloadEngine(env, machine, policy=EDTLPPolicy())
         disp = WorkDispenser(env, 1, 1)
         ctx = ProcContext(rank=0, cell_id=0,
                           thread=machine.cores[0].thread("m0"))

@@ -10,8 +10,17 @@ from repro.core.runtime import (
     resolve_policy,
 )
 from repro.core.runtime.policy import _REGISTRY
-from repro.core.schedulers import SchedulerSpec, edtlp
+from repro.core.schedulers import SchedulerSpec, edtlp, linux, mgps, static_hybrid
 from repro.workloads import Workload
+
+
+# The convenience constructor for each built-in registry entry.
+_CONVENIENCE = {
+    "linux": linux,
+    "edtlp": edtlp,
+    "static_hybrid": lambda: static_hybrid(4),
+    "mgps": mgps,
+}
 
 
 @pytest.fixture
@@ -55,9 +64,25 @@ class TestRegistry:
         with pytest.raises(ValueError, match=r"known policies"):
             SchedulerSpec(kind="bogus")
 
+    def test_historical_static_spelling_rejected(self):
+        with pytest.raises(ValueError, match=r"known policies"):
+            SchedulerSpec(kind="static", llp_degree=4)
+
     def test_knobs_recorded(self):
         assert "llp_degree" in resolve_policy("static_hybrid").knobs
         assert "history_window" in resolve_policy("mgps").knobs
+
+
+@pytest.mark.parametrize("name", [info.name for info in available_policies()])
+def test_registry_name_builds_the_convenience_experiment(name):
+    helper = _CONVENIENCE[name]()
+    by_name = SchedulerSpec(kind=name, llp_degree=helper.llp_degree)
+    assert by_name.name == helper.name
+    assert by_name.default_processes(8, 16) == helper.default_processes(8, 16)
+    wl = Workload(bootstraps=3, tasks_per_bootstrap=60, seed=0)
+    got, want = run_experiment(by_name, wl), run_experiment(helper, wl)
+    assert got.result_digest == want.result_digest
+    assert got.makespan == want.makespan
 
 
 class TestCustomPolicyEndToEnd:

@@ -7,17 +7,20 @@ completion, conservation, resource hygiene, physical lower bounds and
 determinism.
 """
 
+from functools import partial
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cell.local_store import CodeImage
 from repro.cell.machine import CellMachine
 from repro.core.runtime import (
-    EDTLPRuntime,
-    LinuxRuntime,
-    MGPSRuntime,
+    EDTLPPolicy,
+    LinuxPolicy,
+    MGPSPolicy,
+    OffloadEngine,
     ProcContext,
-    StaticHybridRuntime,
+    StaticHybridPolicy,
 )
 from repro.mpi.master_worker import WorkDispenser
 from repro.mpi.process import mpi_worker
@@ -74,18 +77,19 @@ def workload_st(draw):
     return FixedTraceWorkload([draw(trace_st(index=i)) for i in range(n)])
 
 
-def run(runtime_cls, wl, n_procs, **kw):
+def run(make_policy, wl, n_procs, **kw):
     env = Environment()
     machine = CellMachine(env)
-    rt = runtime_cls(env, machine, **kw)
+    rt = OffloadEngine(env, machine, policy=make_policy(), **kw)
+    pinned = rt.policy.pinned
     disp = WorkDispenser(env, wl.bootstraps, n_procs)
     procs = []
     for rank in range(n_procs):
         core = machine.cores[0]
-        affinity = rank % core.n_contexts if runtime_cls is LinuxRuntime else None
+        affinity = rank % core.n_contexts if pinned else None
         ctx = ProcContext(rank=rank, cell_id=0,
                           thread=core.thread(f"m{rank}", affinity=affinity))
-        if runtime_cls is LinuxRuntime:
+        if pinned:
             ctx.pinned_spe = machine.spes[rank % machine.n_spes]
         procs.append(env.process(mpi_worker(ctx, rt, disp, wl)))
     env.run_until_complete(env.all_of(procs))
@@ -102,21 +106,21 @@ def best_case(task, n_spes):
 
 
 RUNTIMES = [
-    (EDTLPRuntime, {}),
-    (EDTLPRuntime, {"locality_aware": True}),
-    (LinuxRuntime, {}),
-    (StaticHybridRuntime, {"degree": 3}),
-    (MGPSRuntime, {}),
+    (EDTLPPolicy, {}),
+    (EDTLPPolicy, {"locality_aware": True}),
+    (LinuxPolicy, {}),
+    (partial(StaticHybridPolicy, degree=3), {}),
+    (MGPSPolicy, {}),
 ]
 
 
-@pytest.mark.parametrize("runtime_cls,kw", RUNTIMES,
+@pytest.mark.parametrize("make_policy,kw", RUNTIMES,
                          ids=["edtlp", "edtlp-loc", "linux", "hybrid3", "mgps"])
 @given(wl=workload_st(), n_procs=st.integers(min_value=1, max_value=4))
 @settings(max_examples=20, deadline=None)
-def test_runtime_invariants(runtime_cls, kw, wl, n_procs):
+def test_runtime_invariants(make_policy, kw, wl, n_procs):
     n_procs = min(n_procs, wl.bootstraps)
-    env, machine, rt = run(runtime_cls, wl, n_procs, **kw)
+    env, machine, rt = run(make_policy, wl, n_procs, **kw)
 
     total_tasks = sum(wl.trace(i).n_tasks for i in range(wl.bootstraps))
 
@@ -126,7 +130,7 @@ def test_runtime_invariants(runtime_cls, kw, wl, n_procs):
 
     # Resource hygiene: nothing busy, nothing leaked.
     assert all(not s.busy for s in machine.spes)
-    if runtime_cls is not LinuxRuntime:
+    if not rt.policy.pinned:
         assert machine.pool.n_free == machine.pool.n_total
     assert machine.pool.n_waiting == 0
 
@@ -168,7 +172,7 @@ def test_llp_split_may_beat_both_serial_times():
         code_image=CodeImage("stress", "serial", 64 * KB),
         llp_image=CodeImage("stress", "llp", 70 * KB),
     )])
-    env, machine, rt = run(StaticHybridRuntime, wl, 1, degree=3)
+    env, machine, rt = run(partial(StaticHybridPolicy, degree=3), wl, 1)
     assert env.now < min(task.spe_time, task.ppe_time)
     assert env.now >= best_case(task, machine.n_spes) - 1e-12
 
@@ -177,8 +181,8 @@ def test_llp_split_may_beat_both_serial_times():
 @settings(max_examples=10, deadline=None)
 def test_determinism_across_reruns(wl):
     n = min(2, wl.bootstraps)
-    t1 = run(MGPSRuntime, wl, n)[0].now
-    t2 = run(MGPSRuntime, wl, n)[0].now
+    t1 = run(MGPSPolicy, wl, n)[0].now
+    t2 = run(MGPSPolicy, wl, n)[0].now
     assert t1 == t2
 
 
@@ -192,8 +196,8 @@ def test_edtlp_never_slower_than_linux_by_much(wl):
     block/resume switches — but must never lose beyond a switch budget.
     """
     n = min(4, wl.bootstraps)
-    t_edtlp = run(EDTLPRuntime, wl, n, granularity_enabled=False)[0].now
-    t_linux = run(LinuxRuntime, wl, n, granularity_enabled=False)[0].now
+    t_edtlp = run(EDTLPPolicy, wl, n, granularity_enabled=False)[0].now
+    t_linux = run(LinuxPolicy, wl, n, granularity_enabled=False)[0].now
     total_tasks = sum(wl.trace(i).n_tasks for i in range(wl.bootstraps))
     switch_budget = total_tasks * 10e-6  # a few switch costs per task
     assert t_edtlp <= t_linux * 1.10 + switch_budget
