@@ -45,6 +45,7 @@ from ..sim.events import Event, URGENT
 __all__ = ["SMTCore", "CoreThread"]
 
 _EPS = 1e-12
+_INF = float("inf")
 
 # CoreThread.state values
 _IDLE = "idle"
@@ -147,6 +148,16 @@ class SMTCore:
         self.spin_contention = spin_contention
         self.quantum = quantum
         self.switch_cost = switch_cost
+        # Speed of a computing thread next to its one sibling, keyed by
+        # the sibling's request kind (a lingering sibling weighs like a
+        # spinning one).  Built with ``_speed`` itself, so these are the
+        # very floats the accumulated-weight loop yields for one sibling.
+        spin_speed = self._speed(spin_contention)
+        self._sibling_speed = {
+            _WORK: self._speed(1.0),
+            _SPIN: spin_speed,
+            None: spin_speed,
+        }
 
         self._ready: Deque[CoreThread] = deque()
         self._ready_aff: List[Deque[CoreThread]] = [
@@ -188,14 +199,19 @@ class SMTCore:
     # -- request submission -------------------------------------------------
     def _submit(self, thread: CoreThread, kind: str, work: float = 0.0,
                 target: Optional[Event] = None) -> Event:
+        # Validate everything before touching the thread or the clock: a
+        # rejected request must leave the thread exactly as it was.
         if thread.core is not self:
             raise ValueError(f"thread {thread.name!r} belongs to another core")
         if thread.state not in (_IDLE, _LINGER):
             raise RuntimeError(
                 f"thread {thread.name!r} submitted a request while {thread.state}"
             )
-        if kind == _WORK and work < 0:
-            raise ValueError("work must be non-negative")
+        if kind == _WORK:
+            if work < 0:
+                raise ValueError("work must be non-negative")
+        elif target is None:
+            raise ValueError("spin requires a target event")
 
         self._advance()
         done = Event(self.env)
@@ -205,8 +221,6 @@ class SMTCore:
         thread.spin_fired = False
         thread.spin_target = target
         if kind == _SPIN:
-            if target is None:
-                raise ValueError("spin requires a target event")
             # The callback receives the fired event itself, so the bound
             # method can re-check it against ``spin_target`` without a
             # closure allocation per spin.
@@ -229,38 +243,59 @@ class SMTCore:
             self._ready_aff[thread.affinity].append(thread)
 
     # -- engine ---------------------------------------------------------------
-    def _thread_speed(self, thread: CoreThread) -> float:
-        """Speed of a working thread given its current SMT siblings.
+    def _speed(self, w: float) -> float:
+        """Speed of a working thread whose SMT siblings weigh ``w``.
 
         Contention weight of siblings: 1.0 per computing thread,
-        ``spin_contention`` per spinning thread.  Speed interpolates from
-        1.0 (alone) down to ``smt_efficiency`` (one fully-computing
-        sibling); with more than one sibling (>2 contexts) the weights
-        accumulate.
+        ``spin_contention`` per spinning (or lingering) thread.  Speed
+        interpolates from 1.0 (alone) down to ``smt_efficiency`` (one
+        fully-computing sibling); with more than one sibling (>2
+        contexts) the weights accumulate.
+        """
+        if w <= 0.0:
+            return 1.0
+        return 1.0 / (1.0 + (1.0 / self.smt_efficiency - 1.0) * w)
+
+    def _thread_speed(self, thread: CoreThread) -> float:
+        """Speed of ``thread`` when more than two threads run.
+
+        With at most two running the hot paths read ``_sibling_speed``
+        instead; this accumulated-weight loop serves wider cores.
         """
         w = 0.0
         for other in self._running:
             if other is thread:
                 continue
             w += 1.0 if other.kind == _WORK else self.spin_contention
-        if w <= 0.0:
-            return 1.0
-        return 1.0 / (1.0 + (1.0 / self.smt_efficiency - 1.0) * w)
+        return self._speed(w)
 
     def _advance(self) -> None:
         """Account elapsed time onto running threads."""
-        now = self.env.now
+        now = self.env._now
         dt = now - self._last_ts
         self._last_ts = now
-        if dt <= 0 or not self._running:
+        running = self._running
+        if dt <= 0 or not running:
             return
-        self.busy_context_seconds += dt * len(self._running)
-        for t in self._running:
-            pen = min(t.penalty_left, dt)
+        n = len(running)
+        self.busy_context_seconds += dt * n
+        if n == 2:
+            a, b = running
+            sibling = self._sibling_speed
+        for t in running:
+            pen = t.penalty_left
+            if dt < pen:
+                pen = dt
             t.penalty_left -= pen
             eff = dt - pen
             if t.kind == _WORK and eff > 0:
-                progress = eff * self._thread_speed(t)
+                if n == 1:
+                    speed = 1.0
+                elif n == 2:
+                    speed = sibling[(b if t is a else a).kind]
+                else:
+                    speed = self._thread_speed(t)
+                progress = eff * speed
                 t.remaining -= progress
                 t.work_done += progress
             t.quantum_left -= dt
@@ -275,8 +310,8 @@ class SMTCore:
         # Linger expires after every same-timestamp callback has run; a
         # NORMAL-priority zero timeout sorts after the URGENT completion
         # exactly like a NORMAL succeed would, and is pool-recyclable.
-        expire = self.env.timeout(0.0, thread)
-        expire.add_callback(self._on_linger_expire)
+        # A fresh timeout has an empty first-callback slot.
+        self.env.timeout(0.0, thread)._cb0 = self._on_linger_expire
         done.succeed(None, priority=URGENT)
 
     def _on_linger_expire(self, ev: Event) -> None:
@@ -301,11 +336,13 @@ class SMTCore:
             return self._ready.popleft()
         return None
 
-    def _has_eligible(self, slot: int) -> bool:
-        return bool(self._ready_aff[slot]) or bool(self._ready)
-
     def _wake(self) -> None:
-        """Re-evaluate state after any change; reschedule the timer."""
+        """Re-evaluate state after any change and re-arm the timer.
+
+        One pass per wake: account elapsed time, reap completions, then
+        (only while threads wait) preempt expired quanta and fill free
+        contexts, and finally arm a timer for the soonest state change.
+        """
         self._version += 1
         self._advance()
         running = self._running
@@ -329,14 +366,18 @@ class SMTCore:
                 self._complete(t)
 
         # Quantum preemption and context fill both matter only while a
-        # ready thread is waiting for a slot.
-        if self._ready or any(self._ready_aff):
+        # ready thread is waiting for a slot.  A thread on ``slot`` has a
+        # successor when ``ready_aff[slot] or ready`` is non-empty.
+        ready = self._ready
+        ready_aff = self._ready_aff
+        waiting = bool(ready) or any(ready_aff)
+        if waiting:
             preempted = None
             for t in running:
                 if (
                     t.state == _RUNNING
                     and t.quantum_left <= _EPS
-                    and self._has_eligible(t.slot)
+                    and (ready_aff[t.slot] or ready)
                 ):
                     if preempted is None:
                         preempted = [t]
@@ -368,31 +409,47 @@ class SMTCore:
                     self._slot_last[slot] = t
                     running.append(t)
                     progressed = True
+            waiting = bool(ready) or any(ready_aff)
 
-        self._arm_timer()
-
-    def _arm_timer(self) -> None:
-        """Schedule the next state-change time, superseding older timers."""
-        running = self._running
-        if not running:
+        # Arm the timer at the soonest state change: a work completion, a
+        # noticed spin target, or (while a successor waits) quantum expiry.
+        n = len(running)
+        if not n:
             return
-        horizon = float("inf")
-        waiters = bool(self._ready) or any(self._ready_aff)
+        if n == 2:
+            a, b = running
+            sibling = self._sibling_speed
+        horizon = _INF
         for t in running:
-            if t.kind == _WORK:
-                speed = self._thread_speed(t)
-                horizon = min(horizon, t.penalty_left + t.remaining / speed)
-            elif t.kind == _SPIN and t.spin_fired:
-                horizon = min(horizon, t.penalty_left)
-            if waiters and self._has_eligible(t.slot):
-                horizon = min(horizon, max(t.quantum_left, 0.0))
-        if horizon == float("inf"):
+            kind = t.kind
+            if kind == _WORK:
+                if n == 1:
+                    speed = 1.0
+                elif n == 2:
+                    speed = sibling[(b if t is a else a).kind]
+                else:
+                    speed = self._thread_speed(t)
+                h = t.penalty_left + t.remaining / speed
+                if h < horizon:
+                    horizon = h
+            elif kind == _SPIN and t.spin_fired:
+                h = t.penalty_left
+                if h < horizon:
+                    horizon = h
+            if waiting and (ready_aff[t.slot] or ready):
+                h = t.quantum_left
+                if h < 0.0:
+                    h = 0.0
+                if h < horizon:
+                    horizon = h
+        if horizon == _INF:
             return
+        if horizon < 0.0:
+            horizon = 0.0
         # The timer carries its arming version; a superseded timer fires
         # into a no-op.  Carrying it as the timeout value (instead of a
         # closure) keeps the timer pool-recyclable.
-        timer = self.env.timeout(max(horizon, 0.0), self._version)
-        timer.add_callback(self._on_timer)
+        self.env.timeout(horizon, self._version)._cb0 = self._on_timer
 
     def _on_timer(self, ev: Event) -> None:
         if ev._value == self._version:

@@ -47,7 +47,7 @@ class ResultLedger:
         h.update(f"bootstrap:{bootstrap}".encode())
         self._open[key] = h
 
-    def record(self, rank: int, bootstrap: int, payload: str) -> None:
+    def record(self, rank: int, bootstrap: int, payload: bytes) -> None:
         """Fold one completed task's content into its bootstrap chain."""
         key = (rank, bootstrap)
         h = self._open.get(key)
@@ -55,7 +55,7 @@ class ResultLedger:
             raise RuntimeError(
                 f"task recorded for bootstrap {key} which is not open"
             )
-        h.update(payload.encode())
+        h.update(payload)
 
     def finish(self, rank: int, bootstrap: int) -> str:
         key = (rank, bootstrap)

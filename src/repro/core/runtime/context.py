@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from ...cell.smt import CoreThread
@@ -23,12 +23,15 @@ class ProcContext:
     # f-string per off-load on the hot path.
     owner: str = ""       # SPE-ownership label ("p<rank>")
     actor: str = ""       # trace-actor label ("mpi<rank>")
+    # Off-load executor process name ("exec.p<rank>").
+    exec_name: str = field(init=False, default="")
 
     def __post_init__(self) -> None:
         if not self.owner:
             self.owner = f"p{self.rank}"
         if not self.actor:
             self.actor = f"mpi{self.rank}"
+        self.exec_name = f"exec.p{self.rank}"
 
 
 @dataclass

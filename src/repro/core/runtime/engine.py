@@ -190,11 +190,7 @@ class OffloadEngine:
         index = self._current_bootstrap.get(ctx.rank)
         if index is None:
             return  # task outside a bootstrap (direct runtime tests)
-        self.ledger.record(
-            ctx.rank, index,
-            f"{task.function}|{task.spe_time!r}|{task.ppe_time!r}"
-            f"|{task.naive_spe_time!r}|{task.working_set}|{task.data_key}",
-        )
+        self.ledger.record(ctx.rank, index, task.ledger_payload)
 
     @property
     def active_sources(self) -> int:
@@ -446,7 +442,7 @@ class OffloadEngine:
             done = self.env.process(
                 self._spe_exec(ctx, spe, workers, task, trace,
                                release=release),
-                name=f"exec.p{ctx.rank}",
+                name=ctx.exec_name,
             )
             if self.policy.spin:
                 # Busy-wait: the MPI process holds its PPE context while
@@ -767,7 +763,7 @@ class OffloadEngine:
                     self._spe_exec_faulty(
                         ctx, spe, workers, task, trace, release=release
                     ),
-                    name=f"exec.p{ctx.rank}",
+                    name=ctx.exec_name,
                 )
                 if self.policy.spin:
                     yield ctx.thread.spin_until(done)

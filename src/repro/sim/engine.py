@@ -156,7 +156,11 @@ class Environment:
         which depends only on ``(time, priority, seq)``.
         """
         pool = self._timeout_pool
-        for _ in range(3 if len(pool) > 3 else len(pool)):
+        tries = len(pool)
+        if tries > 3:
+            tries = 3
+        while tries:
+            tries -= 1
             t = pool.popleft()
             if getrefcount(t) == 2:
                 if delay < 0:
@@ -165,12 +169,23 @@ class Environment:
                 t.delay = delay
                 t._value = value
                 t._ok = True
-                t._scheduled = False
+                t._scheduled = True
                 t._processed = False
                 t._cb0 = None
                 t.callbacks = None
                 self._pool_hits += 1
-                self._schedule(t, NORMAL, delay)
+                # Inlined ``_schedule(t, NORMAL, delay)``.
+                self._seq += 1
+                if delay == 0.0:
+                    self._deferred.append((self._seq, t))
+                else:
+                    at = self._now + delay
+                    if at <= self._horizon:
+                        heappush(self._near, (at, NORMAL, self._seq, t))
+                    else:
+                        heappush(self._far, (at, NORMAL, self._seq, t))
+                if self.profiler is not None:
+                    self.profiler.heap_pushes += 1
                 return t
             # Still referenced from a previous life (e.g. a pending
             # composite holds it) — retry once the reference drops.

@@ -109,7 +109,11 @@ class Process(Event):
         if result.env is not self.env:
             raise ValueError("yielded event belongs to a different environment")
         self._target = result
-        result.add_callback(self._resume)
+        # ``add_callback`` inlined for the common single-waiter case.
+        if result._cb0 is None and not result._processed:
+            result._cb0 = self._resume
+        else:
+            result.add_callback(self._resume)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Process {self.name!r} {'alive' if self.is_alive else 'done'}>"

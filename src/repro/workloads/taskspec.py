@@ -10,7 +10,7 @@ compute gaps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from ..cell.local_store import CodeImage
@@ -54,11 +54,19 @@ class TaskSpec:
     working_set: int = 0       # local-store bytes of input data
     data_key: Optional[str] = None
 
+    # The task's content as the result ledger hashes it, encoded once
+    # here rather than once per completed off-load.
+    ledger_payload: bytes = field(init=False, repr=False, compare=False)
+
     def __post_init__(self) -> None:
         if self.spe_time <= 0 or self.ppe_time <= 0 or self.naive_spe_time <= 0:
             raise ValueError("task durations must be positive")
         if self.working_set < 0:
             raise ValueError("working_set must be non-negative")
+        object.__setattr__(self, "ledger_payload", (
+            f"{self.function}|{self.spe_time!r}|{self.ppe_time!r}"
+            f"|{self.naive_spe_time!r}|{self.working_set}|{self.data_key}"
+        ).encode())
 
     @property
     def parallelizable(self) -> bool:

@@ -4,6 +4,9 @@ import pytest
 
 from repro.sim import Environment
 from repro.cell.smt import SMTCore
+from repro.core.runner import run_experiment
+from repro.core.schedulers import edtlp, linux
+from repro.workloads import Workload
 
 
 def make_core(**kw):
@@ -304,6 +307,39 @@ def test_spin_without_target_rejected():
         t.spin_until(None)
 
 
+def _thread_fields(t):
+    return {name: getattr(t, name) for name in type(t).__slots__}
+
+
+def test_rejected_request_leaves_lingering_thread_untouched():
+    # A request rejected while the thread lingers on its context must
+    # not leave a request kind or a dangling done event behind, neither
+    # while it lingers nor after it goes idle.
+    env, core = make_core()
+    t = core.thread("a")
+    seen = {}
+
+    def proc():
+        yield t.run(1e-3)
+        assert t.state == "linger"
+        before = _thread_fields(t)
+        with pytest.raises(ValueError):
+            t.spin_until(None)
+        with pytest.raises(ValueError):
+            t.run(-1.0)
+        seen["lingering"] = _thread_fields(t) == before
+        yield env.timeout(1e-3)
+        seen["idle"] = (t.state, t.kind, t.done_event, t.spin_target)
+        yield t.run(2e-3)
+        seen["finish"] = env.now
+
+    env.run_until_complete(env.process(proc()))
+    assert seen["lingering"]
+    assert seen["idle"] == ("idle", None, None, None)
+    assert seen["finish"] == pytest.approx(4e-3)
+    assert t.kind is None and t.done_event is None
+
+
 def test_edtlp_vs_linux_shape_microbenchmark():
     """The core alone reproduces the qualitative Table 1 effect.
 
@@ -336,3 +372,26 @@ def test_edtlp_vs_linux_shape_microbenchmark():
     t_spin = run_mode(spin=True)
     # Spinning wastes the contexts: at least ~1.7x slower for 4 threads.
     assert t_spin > 1.7 * t_block
+
+
+# Table 1's event stream, recorded before the single-pass wake: any change
+# to the SMT core or the kernel that moves one event, one context switch
+# or one float of the makespan fails here.
+TABLE1_EVENT_STREAM = {
+    ("edtlp", 1): (28.46592959116027, 4210, 0),
+    ("linux", 1): (28.46592959116027, 4810, 0),
+    ("edtlp", 3): (30.216186304709826, 13350, 671),
+    ("linux", 3): (57.674206896128815, 18719, 7),
+    ("edtlp", 8): (39.42198956977871, 40243, 2392),
+    ("linux", 8): (118.33844965280936, 49761, 30),
+}
+
+
+@pytest.mark.parametrize("scheduler,workers", sorted(TABLE1_EVENT_STREAM))
+def test_table1_event_stream_is_pinned(scheduler, workers):
+    spec = {"edtlp": edtlp, "linux": linux}[scheduler](n_processes=workers)
+    wl = Workload(bootstraps=workers, tasks_per_bootstrap=300, seed=0)
+    r = run_experiment(spec, wl, seed=0)
+    assert (r.makespan, r.events_processed, r.ppe_context_switches) == (
+        TABLE1_EVENT_STREAM[scheduler, workers]
+    )
