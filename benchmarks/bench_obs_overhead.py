@@ -7,8 +7,8 @@ emit site and no allocation, so leaving the instrumentation compiled-in
 does not tax normal experiment runs.
 
 This benchmark times the same Figure-8-style MGPS run four ways —
-observability off, tracer+metrics on, metrics only, and wall-clock
-profiler on — takes the minimum of several repetitions each, and
+observability off, tracer+metrics on, metrics only, and under the
+wall-time layer ledger — takes the minimum of several repetitions each, and
 records the summary to the *tracked* repo-root ``BENCH_obs.json``
 baseline (raw per-repetition wall times go to gitignored
 ``benchmarks/out/BENCH_obs_raw.json``).  ``repro bench --check``
@@ -17,10 +17,11 @@ core ladder.  The acceptance bar is that the disabled path stays
 within 2% of a fully stripped run; since the instrumentation cannot be
 stripped at runtime, we assert the off path against the on path (off
 must be meaningfully cheaper or equal) and record the absolute numbers
-for cross-PR comparison.  The profiler leg additionally proves the
-``profiler=None`` gate: attaching a :class:`repro.obs.Profiler` must
-leave the schedule — makespan, off-load count and the per-bootstrap
-digest map — bit-identical.
+for cross-PR comparison.  The ledger leg additionally proves that
+measuring from outside never perturbs: a run under a
+:class:`repro.obs.Ledger` must leave the schedule — makespan, off-load
+count, the digest maps and the kernel event count — bit-identical, and
+its wall cost stays within ``LEDGER_CEILING`` of the plain run.
 
 A fifth, *causal* leg runs with the tracer attached and then folds the
 trace into off-load span trees plus an aggregate critical-path
@@ -37,21 +38,31 @@ from conftest import run_once
 from repro.cell.params import BladeParams
 from repro.core.runner import run_experiment
 from repro.core.schedulers import mgps
-from repro.obs import MetricsRegistry, Profiler, build_offload_trees, critical_path
+from repro.obs import Ledger, MetricsRegistry, build_offload_trees, critical_path
 from repro.sim.trace import Tracer
 from repro.workloads.traces import Workload
 
 BOOTSTRAPS = 3
 TASKS = 200
 REPS = 3
+# Wall-time ceiling of the ledger leg over the plain run.
+LEDGER_CEILING = 1.20
 
 
-def _run(tracer=None, metrics=None, profiler=None):
+def _run(tracer=None, metrics=None):
     wl = Workload(bootstraps=BOOTSTRAPS, tasks_per_bootstrap=TASKS, seed=0)
     return run_experiment(
         mgps(), wl, blade=BladeParams(), seed=0,
-        tracer=tracer, metrics=metrics, profiler=profiler,
+        tracer=tracer, metrics=metrics,
     )
+
+
+def _ledger_run():
+    """Plain run recorded under the wall-time layer ledger."""
+    ledger = Ledger()
+    with ledger.run("fig8"):
+        result = _run()
+    return result, ledger.report()
 
 
 def _causal_run():
@@ -85,22 +96,20 @@ def test_obs_overhead(benchmark, record_json):
         metrics_wall, metrics_raw, _ = _best_of(
             REPS, lambda: _run(metrics=MetricsRegistry())
         )
-        prof_wall, prof_raw, prof = _best_of(
-            REPS, lambda: _run(profiler=Profiler())
-        )
+        ledger_wall, ledger_raw, ledger = _best_of(REPS, _ledger_run)
         causal_wall, causal_raw, causal = _best_of(REPS, _causal_run)
         raw = {
             "off": off_raw,
             "on": on_raw,
             "metrics_only": metrics_raw,
-            "profiler": prof_raw,
+            "ledger": ledger_raw,
             "causal": causal_raw,
         }
-        return (off_wall, on_wall, metrics_wall, prof_wall, causal_wall,
-                off, on, prof, causal, raw)
+        return (off_wall, on_wall, metrics_wall, ledger_wall, causal_wall,
+                off, on, ledger, causal, raw)
 
-    (off_wall, on_wall, metrics_wall, prof_wall, causal_wall,
-     off, on, prof, causal, raw) = run_once(benchmark, measure)
+    (off_wall, on_wall, metrics_wall, ledger_wall, causal_wall,
+     off, on, ledger, causal, raw) = run_once(benchmark, measure)
 
     # Observability must not perturb the simulation...
     assert off.makespan == on.makespan
@@ -110,15 +119,17 @@ def test_obs_overhead(benchmark, record_json):
     # (2% slack for timer noise on an already-fast run).
     assert off_wall <= on_wall * 1.02
 
-    # The profiler gate: timing the hot path must not change the
-    # schedule.  Digest maps are bit-identical, and the profiler-off run
-    # stays within 2% of the profiler-on run (off can never be slower).
-    assert off.makespan == prof.makespan
-    assert off.offloads == prof.offloads
-    assert off.result_digest == prof.result_digest
-    assert off.bootstrap_digests == prof.bootstrap_digests
-    assert off.events_processed == prof.events_processed
-    assert off_wall <= prof_wall * 1.02
+    # The ledger gate: timing the layers from outside must not change
+    # the schedule.  Digest maps are bit-identical, the ledger saw every
+    # kernel event, and its wall cost stays under the ceiling.
+    ledger_result, ledger_report = ledger
+    assert off.makespan == ledger_result.makespan
+    assert off.offloads == ledger_result.offloads
+    assert off.result_digest == ledger_result.result_digest
+    assert off.bootstrap_digests == ledger_result.bootstrap_digests
+    assert off.events_processed == ledger_result.events_processed
+    assert ledger_report["counters"]["sim.events"] == off.events_processed
+    assert ledger_wall <= off_wall * LEDGER_CEILING
 
     # The causal fold is post-hoc: tracing + tree assembly must leave
     # every deterministic outcome bit-identical to the stripped run,
@@ -147,11 +158,11 @@ def test_obs_overhead(benchmark, record_json):
             "off_seconds_wall": off_wall,
             "on_seconds_wall": on_wall,
             "metrics_only_seconds_wall": metrics_wall,
-            "profiler_seconds_wall": prof_wall,
+            "ledger_seconds_wall": ledger_wall,
             "causal_seconds_wall": causal_wall,
             "on_over_off_ratio_wall": on_wall / off_wall,
             "metrics_over_off_ratio_wall": metrics_wall / off_wall,
-            "profiler_over_off_ratio_wall": prof_wall / off_wall,
+            "ledger_over_off_ratio_wall": ledger_wall / off_wall,
             "causal_over_off_ratio_wall": causal_wall / off_wall,
         },
         root=True,

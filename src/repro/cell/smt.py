@@ -220,12 +220,6 @@ class SMTCore:
         thread.done_event = done
         thread.spin_fired = False
         thread.spin_target = target
-        if kind == _SPIN:
-            # The callback receives the fired event itself, so the bound
-            # method can re-check it against ``spin_target`` without a
-            # closure allocation per spin.
-            target.add_callback(thread._spin_notice)
-
         if thread.state == _LINGER:
             # Continue on the same context: no switch cost, quantum keeps
             # ticking.  This is the back-to-back fast path.
@@ -233,6 +227,13 @@ class SMTCore:
         else:
             thread.state = _READY
             self._enqueue(thread)
+        if kind == _SPIN:
+            # Registered only once the thread is queued or running: a
+            # target that has already fired runs the notice (and its
+            # wake) right here.  The callback receives the fired event
+            # itself, so the bound method can re-check it against
+            # ``spin_target`` without a closure allocation per spin.
+            target.add_callback(thread._spin_notice)
         self._wake()
         return done
 

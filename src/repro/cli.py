@@ -293,14 +293,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "profile",
-        help="wall-clock profile of one scenario run",
+        help="wall-time layer ledger of one scenario run",
         description=(
             "Run one representative simulation of the named scenario (or "
-            "scheduler) with the wall-clock profiler attached and print "
-            "per-section exclusive/inclusive times, call counts, per-call "
-            "p50/p95 and kernel events per wall-second.  The section "
-            "tree and all counts are deterministic; only wall times vary "
-            "between runs."
+            "scheduler) under the wall-time layer ledger, which wraps "
+            "each public layer boundary (kernel run loop, off-load "
+            "decision, LLP model, compile, admission, dispatch, tracer "
+            "emit, ...) from outside for the run.  Prints per-layer call "
+            "counts, inclusive and self times, per-call p50/p95, kernel "
+            "events per second and the unattributed remainder; self "
+            "times plus unattributed time add up to wall time.  Layer "
+            "names and all counts are deterministic; only wall times "
+            "vary between runs."
         ),
     )
     p.add_argument("--scenario", choices=_OBSERVABLE, default="fig8")
@@ -310,16 +314,17 @@ def build_parser() -> argparse.ArgumentParser:
     add_llp_schedule_flag(p)
     p.add_argument("--sort", choices=("self", "total", "calls"),
                    default="self",
-                   help="section ordering in the text table (default: "
-                        "exclusive time)")
+                   help="layer ordering in the text table (default: "
+                        "self time)")
     p.add_argument("--top", type=int, default=20,
-                   help="sections shown in the text table (default 20)")
+                   help="layers shown in the text table (default 20)")
     p.add_argument("--json", action="store_true",
-                   help="emit the full profile report as JSON instead of "
+                   help="emit the full ledger report as JSON instead of "
                         "text")
     p.add_argument("--perfetto", metavar="PATH", default=None,
                    help="write a Chrome trace combining the run's "
-                        "sim-time records with wall-clock profile spans")
+                        "sim-time records with the ledger's wall-time "
+                        "spans")
 
     p = sub.add_parser(
         "faults",
@@ -609,7 +614,7 @@ def _apply_llp_schedule(
 
 def _run_observed(
     scenario: str, bootstraps: int, tasks: int, seed: int = 0,
-    llp_schedule: Optional[str] = None, profiler=None,
+    llp_schedule: Optional[str] = None,
 ):
     """One representative run of ``scenario`` with tracer + metrics on."""
     from .cell.params import BladeParams
@@ -624,8 +629,7 @@ def _run_observed(
         tracer = Tracer(enabled=True)
         metrics = MetricsRegistry()
         cfg = ServeConfig(tenants=default_tenants(), seed=seed)
-        res = run_service(cfg, tracer=tracer, metrics=metrics,
-                          profiler=profiler)
+        res = run_service(cfg, tracer=tracer, metrics=metrics)
         util = (sum(b["utilization"] for b in res.per_blade)
                 / max(1, len(res.per_blade)))
         shim = SimpleNamespace(
@@ -645,7 +649,7 @@ def _run_observed(
     wl = Workload(bootstraps=bootstraps, tasks_per_bootstrap=tasks, seed=seed)
     result = run_experiment(
         spec, wl, blade=BladeParams(n_cells=n_cells),
-        seed=seed, tracer=tracer, metrics=metrics, profiler=profiler,
+        seed=seed, tracer=tracer, metrics=metrics,
     )
     return tracer, metrics, result
 
@@ -831,24 +835,25 @@ def main(argv: Optional[List[str]] = None) -> int:
     elif args.command == "report":
         import pathlib
 
-        from .obs import Profiler, analyze_run, write_report
+        from .obs import Ledger, analyze_run, write_report
 
         if not pathlib.Path(args.out).parent.is_dir():
             print(f"repro report: error: directory of {args.out!r} does "
                   f"not exist", file=sys.stderr)
             return 2
-        profiler = Profiler()
-        tracer, metrics, result = _run_observed(
-            args.scenario, args.bootstraps, args.tasks, args.seed,
-            llp_schedule=args.llp_schedule, profiler=profiler,
-        )
+        ledger = Ledger()
+        with ledger.run(args.scenario):
+            tracer, metrics, result = _run_observed(
+                args.scenario, args.bootstraps, args.tasks, args.seed,
+                llp_schedule=args.llp_schedule,
+            )
         findings = analyze_run(tracer, metrics)
         write_report(
             args.out, tracer, metrics, findings,
             title=f"{args.scenario}: {result.scheduler} scheduler run",
             subtitle=f"{args.bootstraps} bootstraps x {args.tasks} tasks, "
                      f"seed {args.seed} — makespan {result.makespan:.2f} s",
-            profile=profiler.report(),
+            profile=ledger.report(),
         )
         print(f"wrote report to {args.out} ({len(findings)} finding(s); "
               f"self-contained, open in any browser)")
@@ -918,27 +923,25 @@ def main(argv: Optional[List[str]] = None) -> int:
     elif args.command == "profile":
         import json as _json
 
-        from .obs import Profiler
-        from .obs.profile import render_profile, write_profile_trace
+        from .obs import Ledger, render_ledger, write_ledger_trace
 
-        profiler = Profiler(keep_spans=bool(args.perfetto))
-        tracer, metrics, result = _run_observed(
-            args.scenario, args.bootstraps, args.tasks, args.seed,
-            llp_schedule=args.llp_schedule, profiler=profiler,
-        )
-        # The registry's aggregate read-out cost, timed where it happens.
-        profiler.call("obs.metrics.snapshot", metrics.snapshot)
-        report = profiler.report()
+        ledger = Ledger()
+        with ledger.run(args.scenario):
+            tracer, metrics, result = _run_observed(
+                args.scenario, args.bootstraps, args.tasks, args.seed,
+                llp_schedule=args.llp_schedule,
+            )
+        report = ledger.report()
         if args.json:
             print(_json.dumps(report, indent=2, sort_keys=True))
         else:
-            print(render_profile(
+            print(render_ledger(
                 report, sort=args.sort, top=args.top,
                 title=f"{args.scenario}: {result.scheduler} — "
-                      f"wall-clock profile",
+                      f"wall-time layer ledger",
             ))
         if args.perfetto:
-            write_profile_trace(tracer, profiler, args.perfetto)
+            write_ledger_trace(tracer, ledger, args.perfetto)
             print(f"wrote sim-time + wall-clock trace to {args.perfetto} "
                   f"(open at https://ui.perfetto.dev)")
     elif args.command == "faults":

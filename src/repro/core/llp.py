@@ -333,13 +333,11 @@ class LoopParallelModel:
         params: CellParams,
         config: Optional[LLPConfig] = None,
         metrics: Optional[object] = None,
-        profiler: Optional[object] = None,
         tracer: Optional[object] = None,
         clock: Optional[object] = None,
     ) -> None:
         self.params = params
         self.config = config or LLPConfig()
-        self.profiler = profiler
         # Optional trace sink for per-invocation chunk fan-out detail
         # (``llp_fanout`` events).  ``clock`` supplies the simulated
         # timestamp (the model itself is a synchronous closed form); a
@@ -401,32 +399,6 @@ class LoopParallelModel:
             self._ratios[key] = [1.0 / k] * k
         return self._ratios[key]
 
-    # -- invocation timing --------------------------------------------------
-    def invoke(
-        self,
-        task: TaskSpec,
-        k: int,
-        cross_cell_workers: int = 0,
-        actor: str = "",
-    ) -> LLPInvocation:
-        """Timing of ``task`` executed with work-sharing over ``k`` SPEs.
-
-        ``cross_cell_workers`` counts workers on the other Cell of a
-        blade, whose signals pay the inter-chip penalty.  ``actor``
-        names the master SPE in emitted ``llp_fanout`` trace events so
-        the causal layer can attribute concurrent invocations.
-        """
-        prof = self.profiler
-        if prof is None:
-            return self._invoke(task, k, cross_cell_workers, actor)
-        # The invocation model is a synchronous closed form (plus the
-        # chunk-queue loop for non-static schedules) — safe to wall-time.
-        with prof.section("llp.invoke"):
-            inv = self._invoke(task, k, cross_cell_workers, actor)
-        prof.count("llp.invocations")
-        prof.count("llp.chunks", len(inv.chunks))
-        return inv
-
     def _emit_fanout(
         self,
         task: TaskSpec,
@@ -455,13 +427,21 @@ class LoopParallelModel:
             duration=inv.duration,
         )
 
-    def _invoke(
+    # -- invocation timing --------------------------------------------------
+    def invoke(
         self,
         task: TaskSpec,
         k: int,
         cross_cell_workers: int = 0,
         actor: str = "",
     ) -> LLPInvocation:
+        """Timing of ``task`` executed with work-sharing over ``k`` SPEs.
+
+        ``cross_cell_workers`` counts workers on the other Cell of a
+        blade, whose signals pay the inter-chip penalty.  ``actor``
+        names the master SPE in emitted ``llp_fanout`` trace events so
+        the causal layer can attribute concurrent invocations.
+        """
         if k < 1:
             raise ValueError("k must be >= 1")
         loop = task.loop

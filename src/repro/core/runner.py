@@ -109,7 +109,6 @@ def run_experiment(
     metrics=None,
     faults=None,
     tolerance=None,
-    profiler=None,
 ) -> ScheduleResult:
     """Execute ``workload`` under ``spec`` on a fresh simulated blade.
 
@@ -118,19 +117,13 @@ def run_experiment(
     :class:`~repro.obs.metrics.MetricsRegistry` to collect scheduler
     decision metrics.  Neither affects scheduling decisions.
 
-    Pass a :class:`~repro.obs.profile.Profiler` to measure the run's
-    *wall-clock* hot path (event loop, off-load decisions, LLP model);
-    profiling never changes simulated results or digests.
-
     ``faults`` accepts a :class:`~repro.faults.FaultPlan` (or an
     un-installed :class:`~repro.faults.FaultInjector`) to perturb the run;
     ``tolerance`` overrides the default
     :class:`~repro.faults.TolerancePolicy`.  With ``faults=None`` the
     fault machinery is entirely bypassed.
     """
-    env = Environment(tracer=tracer, metrics=metrics, profiler=profiler)
-    if profiler is not None and tracer is not None:
-        tracer.profiler = profiler
+    env = Environment(tracer=tracer, metrics=metrics)
     machine = CellMachine(env, blade)
     injector = _build_injector(env, machine, faults, tracer, metrics)
     runtime = spec.build(
@@ -177,12 +170,7 @@ def run_experiment(
         )
 
     wall_start = time.perf_counter()
-    if profiler is None:
-        env.run_until_complete(env.all_of(procs))
-    else:
-        with profiler.section("run.simulate"):
-            env.run_until_complete(env.all_of(procs))
-        profiler.set_count("sim.events_processed", env.events_processed)
+    env.run_until_complete(env.all_of(procs))
     sim_wall = time.perf_counter() - wall_start
     raw = env.now
     scale = workload.scale
@@ -196,16 +184,9 @@ def run_experiment(
     )
     st = runtime.stats
     if metrics is not None:
-        if profiler is None:
-            _publish_run_metrics(
-                metrics, env, machine, raw, scale, occupancy, sim_wall
-            )
-        else:
-            # Registry emit cost, measured where it actually happens.
-            profiler.call(
-                "obs.metrics.publish", _publish_run_metrics,
-                metrics, env, machine, raw, scale, occupancy, sim_wall,
-            )
+        _publish_run_metrics(
+            metrics, env, machine, raw, scale, occupancy, sim_wall
+        )
         metrics.gauge(
             "run.live_spes", "SPEs still in service at run end"
         ).set(machine.pool.n_live)
@@ -259,7 +240,6 @@ def run_bsp_experiment(
     metrics=None,
     faults=None,
     tolerance=None,
-    profiler=None,
 ) -> ScheduleResult:
     """Execute a :class:`~repro.workloads.coupled.BSPWorkload`.
 
@@ -270,9 +250,7 @@ def run_bsp_experiment(
     from ..mpi.process import bsp_worker
     from ..sim.resources import Barrier
 
-    env = Environment(tracer=tracer, metrics=metrics, profiler=profiler)
-    if profiler is not None and tracer is not None:
-        tracer.profiler = profiler
+    env = Environment(tracer=tracer, metrics=metrics)
     machine = CellMachine(env, blade)
     injector = _build_injector(env, machine, faults, tracer, metrics)
     runtime = spec.build(
@@ -308,12 +286,7 @@ def run_bsp_experiment(
         )
 
     wall_start = time.perf_counter()
-    if profiler is None:
-        env.run_until_complete(env.all_of(procs))
-    else:
-        with profiler.section("run.simulate"):
-            env.run_until_complete(env.all_of(procs))
-        profiler.set_count("sim.events_processed", env.events_processed)
+    env.run_until_complete(env.all_of(procs))
     sim_wall = time.perf_counter() - wall_start
     raw = env.now
     scale = workload.scale

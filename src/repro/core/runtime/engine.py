@@ -79,18 +79,12 @@ class OffloadEngine:
         if metrics is None:
             metrics = getattr(env, "metrics", None)
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        # Wall-clock profiler rides on the environment like the other
-        # sinks; None keeps the off-load hot path branch-free beyond one
-        # ``is None`` check per decision.
-        self.profiler = getattr(env, "profiler", None)
-        # One flag for the whole sink fan-out (tracer, metrics,
-        # profiler): when every sink is off — the benchmarking
-        # configuration — the off-load hot path skips all recording
-        # calls and allocates nothing for them.
+        # One flag for the whole sink fan-out (tracer, metrics): when
+        # every sink is off — the benchmarking configuration — the
+        # off-load hot path skips all recording calls and allocates
+        # nothing for them.
         self.sinks_enabled = (
-            self.tracer.enabled
-            or self.metrics is not NULL_REGISTRY
-            or self.profiler is not None
+            self.tracer.enabled or self.metrics is not NULL_REGISTRY
         )
         self.spans = SpanRecorder(self.tracer, env)
         self.granularity = GranularityGovernor(
@@ -99,7 +93,6 @@ class OffloadEngine:
         )
         self.llp_model = LoopParallelModel(
             self.cell, llp_config, metrics=self.metrics,
-            profiler=self.profiler,
             tracer=self.tracer, clock=lambda: env.now,
         )
         self.stats = RuntimeStats()
@@ -376,8 +369,6 @@ class OffloadEngine:
         self.stats.ppe_fallbacks += 1
         if self.sinks_enabled:
             self._m_fallbacks.inc()
-            if self.profiler is not None:
-                self.profiler.count("runtime.ppe_fallbacks")
             if self.tracer.enabled:
                 self.tracer.emit(
                     self.env.now, "ppe", ctx.actor, "ppe_fallback",
@@ -400,14 +391,7 @@ class OffloadEngine:
         pinned = self.policy.pinned
         if pinned and ctx.pinned_spe is None:
             raise RuntimeError(f"process {ctx.rank} has no pinned SPE")
-        prof = self.profiler
-        if prof is None:
-            decision = self.granularity.decide(task)
-        else:
-            # Synchronous call — safe to wall-time (no simulation yield).
-            decision = prof.call(
-                "runtime.granularity.decide", self.granularity.decide, task
-            )
+        decision = self.granularity.decide(task)
         if (
             not self.offload_enabled
             or not decision.offload
@@ -435,8 +419,6 @@ class OffloadEngine:
             self.stats.offloads += 1
             if self.sinks_enabled:
                 self._m_offloads.inc()
-                if prof is not None:
-                    prof.count("runtime.offloads")
             start = self.env.now
             self.policy.on_dispatch(start)
             done = self.env.process(
@@ -755,8 +737,6 @@ class OffloadEngine:
                 self.stats.offloads += 1
                 if self.sinks_enabled:
                     self._m_offloads.inc()
-                    if self.profiler is not None:
-                        self.profiler.count("runtime.offloads")
                 start = env.now
                 self.policy.on_dispatch(start)
                 done = env.process(

@@ -16,8 +16,9 @@ package makes those decisions observable without perturbing them:
   per run (inline SVG, no network);
 * :mod:`repro.obs.bench` — the tracked benchmark trajectory and its
   regression gate over the committed ``BENCH_*.json`` baselines;
-* :mod:`repro.obs.profile` — low-overhead wall-clock profiling of the
-  simulation hot path (scoped timers, heap tallies, events/sec);
+* :mod:`repro.obs.ledger` — the wall-time layer ledger: per-layer spans
+  recorded by wrapping public layer boundaries from outside for one
+  run (calls, inclusive/self time, p50/p95, kernel events/sec);
 * :mod:`repro.obs.causal` — post-hoc causal span trees (per-job serve
   lifecycles, off-load attempt/backoff/fallback/LLP-fan-out trees);
 * :mod:`repro.obs.attribution` — critical-path extraction and
@@ -80,12 +81,7 @@ from .monitor import (
     render_findings,
     resolve_metric,
 )
-from .profile import (
-    Profiler,
-    profile_chrome_events,
-    render_profile,
-    write_profile_trace,
-)
+from .ledger import Ledger, render_ledger, write_ledger_trace
 from .report import render_report, write_report
 from .spans import NULL_SPAN, Span, SpanRecorder
 from .timeseries import TimeSeries, sample_timeseries
@@ -117,10 +113,9 @@ __all__ = [
     "resolve_metric",
     "render_report",
     "write_report",
-    "Profiler",
-    "profile_chrome_events",
-    "render_profile",
-    "write_profile_trace",
+    "Ledger",
+    "render_ledger",
+    "write_ledger_trace",
     "measure_core",
     "measure_faults",
     "measure_serve",

@@ -122,7 +122,7 @@ REQUIRED_OBS_KEYS = (
     "offloads",
     "on_over_off_ratio_wall",
     "metrics_over_off_ratio_wall",
-    "profiler_over_off_ratio_wall",
+    "ledger_over_off_ratio_wall",
     "causal_over_off_ratio_wall",
 )
 REQUIRED_SERVE_KEYS = (

@@ -19,10 +19,10 @@ decade later.  Sections (each with a stable anchor, asserted by tests):
   goodput, rejection and deadline-miss rates), job sojourn histogram
   and fleet lifecycle events; present only when the run carried
   ``serve.*`` metrics (``repro serve``);
-* ``#perf`` — the wall-clock profile lane: top sections by exclusive
-  time as self-vs-child bars, kernel events/sec and heap tallies
-  (empty state when no :class:`~repro.obs.profile.Profiler` was
-  attached to the run);
+* ``#perf`` — the wall-time lane: top layers of the
+  :class:`~repro.obs.ledger.Ledger` by self time as self-vs-child bars,
+  kernel events/sec and the unattributed remainder (empty state when
+  the run was not recorded under a ledger);
 * ``#faults`` — injected faults and the runtime's recovery actions as a
   time-ordered event table (empty state when the run was fault-free).
 
@@ -903,9 +903,6 @@ def _kernel_note(registry) -> str:
     batch = _value(registry, "run.kernel.batch_advance_fraction")
     occ = _value(registry, "run.kernel.near_occupancy_p95")
     pool_chip = "good" if pool >= 0.9 else "warning"
-    # Batch advance is honestly 0 under a profiler (the profiled loop
-    # steps one event at a time), so it renders as plain text, not a
-    # health verdict.
     return (
         '<p class="chart-note">event kernel &#183; '
         f'<span class="chip {pool_chip}">pool hit {pool:.1%}</span> '
@@ -915,34 +912,32 @@ def _kernel_note(registry) -> str:
 
 
 def _perf_html(profile: Optional[Dict[str, Any]], registry=None) -> str:
-    """The ``#perf`` lane: wall-clock profile of the run's hot path.
+    """The ``#perf`` lane: where the run's wall time went, per layer.
 
+    ``profile`` is a :meth:`~repro.obs.ledger.Ledger.report` dict.
     Always rendered (stable anchor); shows an empty-state note when the
-    run had no profiler attached.  ``registry`` additionally feeds the
-    kernel-health chips (``run.kernel.*`` gauges).
+    run was not recorded under a ledger.  ``registry`` additionally
+    feeds the kernel-health chips (``run.kernel.*`` gauges).
     """
     kernel = _kernel_note(registry)
-    if not profile or not profile.get("sections"):
+    if not profile or not profile.get("layers"):
         return kernel + (
-                '<p class="empty">No wall-clock profile attached &#8212; '
+                '<p class="empty">No wall-time ledger recorded &#8212; '
                 'run <span class="mono">repro profile</span> or '
-                '<span class="mono">repro report</span> (which attaches '
-                'the profiler automatically) to populate this lane.</p>')
-    sections = profile["sections"]
-    counters = profile.get("counters", {})
-    rates = profile.get("rates", {})
-    events = counters.get("sim.events_processed",
-                          counters.get("sim.heap_pops", 0))
-    note = (f'wall {profile.get("wall_s", 0.0):.3f} s &#183; '
-            f'{_fmt(events)} kernel events &#183; '
-            f'{_fmt(rates.get("events_per_wall_second", 0.0))} events/s '
-            f'&#183; heap {_fmt(counters.get("sim.heap_pushes", 0))} pushes '
-            f'/ {_fmt(counters.get("sim.heap_pops", 0))} pops')
+                '<span class="mono">repro report</span> (which records '
+                'the layer ledger automatically) to populate this '
+                'lane.</p>')
+    layers = profile["layers"]
+    note = (f'wall {profile["wall_s"]:.3f} s &#183; '
+            f'{_fmt(profile["counters"]["sim.events"])} kernel events '
+            f'&#183; {_fmt(profile["rates"]["events_per_wall_second"])} '
+            f'events/s &#183; unattributed '
+            f'{profile["unattributed_s"] * 1e3:.2f} ms')
     top = sorted(
-        sections.items(), key=lambda kv: kv[1]["self_s"], reverse=True
+        layers.items(), key=lambda kv: kv[1]["self_s"], reverse=True
     )[:12]
-    # Self-vs-child horizontal bars: exclusive time in series-1, time
-    # spent in nested sections in series-3, scaled to the widest total.
+    # Self-vs-child horizontal bars: self time in series-1, time spent
+    # in nested layers in series-3, scaled to the widest total.
     row_h, gap = 20, 6
     label_w = 220
     bar_max = _W - label_w - _PAD_R - 70
@@ -971,7 +966,7 @@ def _perf_html(profile: Optional[Dict[str, Any]], registry=None) -> str:
         )
     height = len(top) * (row_h + gap)
     svg = (f'<svg viewBox="0 0 {_W} {height}" role="img" '
-           f'aria-label="Top wall-clock sections">{"".join(parts)}</svg>')
+           f'aria-label="Top wall-time layers">{"".join(parts)}</svg>')
     rows = []
     for name, row in top:
         rows.append(
@@ -983,14 +978,14 @@ def _perf_html(profile: Optional[Dict[str, Any]], registry=None) -> str:
             f'<td class="mono">{row["p95_us"]:.1f}</td></tr>'
         )
     table = (
-        '<table><thead><tr><th>section</th><th>calls</th>'
+        '<table><thead><tr><th>layer</th><th>calls</th>'
         '<th>total [ms]</th><th>self [ms]</th><th>p50 [us]</th>'
         '<th>p95 [us]</th></tr></thead>'
         f'<tbody>{"".join(rows)}</tbody></table>'
     )
     legend = _legend([
         ("s1", "self (exclusive) time"),
-        ("s3", "time in nested sections"),
+        ("s3", "time in nested layers"),
     ])
     return f'{kernel}<p class="chart-note">{note}</p>{legend}{svg}{table}'
 
@@ -1122,7 +1117,7 @@ def render_report(
 ) -> str:
     """One self-contained HTML page for a finished run.
 
-    ``profile`` is an optional :meth:`repro.obs.profile.Profiler.report`
+    ``profile`` is an optional :meth:`repro.obs.ledger.Ledger.report`
     dict; the ``#perf`` lane renders it (and shows an empty state when
     absent, keeping the section anchors stable).
     """
@@ -1167,7 +1162,7 @@ def render_report(
     if workflows is not None:
         sections.append(("workflows", "Workflow DAG", workflows))
     sections.append(
-        ("perf", "Wall-clock profile", _perf_html(profile, registry))
+        ("perf", "Wall-time ledger", _perf_html(profile, registry))
     )
     sections.append(
         ("faults", "Faults and recovery", _faults_html(tracer, registry))

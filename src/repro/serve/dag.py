@@ -750,7 +750,6 @@ def run_dag(
     config: DagConfig,
     tracer=None,
     metrics=None,
-    profiler=None,
     cache: Optional[ResultCache] = None,
 ) -> DagResult:
     """Execute one workflow-serving run to full drain.
@@ -779,17 +778,10 @@ def run_dag(
         dispatch_overhead_s=config.dispatch_overhead_s,
         faults=config.faults,
     )
-    env = Environment(tracer=tracer, metrics=metrics, profiler=profiler)
-    if profiler is not None and tracer is not None:
-        tracer.profiler = profiler
+    env = Environment(tracer=tracer, metrics=metrics)
     service = Service(env, serve_cfg, tracer=tracer, metrics=metrics)
     service.start(arrivals=False)
     engine = WorkflowEngine(env, service, config, cache=cache)
     engine.start()
-    if profiler is None:
-        env.run_until_complete(service._main)
-    else:
-        with profiler.section("run.simulate"):
-            env.run_until_complete(service._main)
-        profiler.set_count("sim.events_processed", env.events_processed)
+    env.run_until_complete(service._main)
     return engine.result()

@@ -226,7 +226,6 @@ class Service:
             tracer = None
         self.tracer = tracer
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        self.profiler = getattr(env, "profiler", None)
         self.stats = ServeStats(self.metrics)
         self.streams = RngStreams(config.seed).spawn("serve")
         self.compiler = JobCompiler(
@@ -268,25 +267,12 @@ class Service:
         self._main = None
 
     # -- construction helpers ---------------------------------------------
-    def _compile(self, template: JobTemplate, variant: int):
-        """Compile via the memoizing compiler, wall-timed when profiling.
-
-        Compilation is synchronous (a real :func:`run_experiment` on a
-        miss, a dict hit otherwise) so it is safe to wall-time.
-        """
-        prof = self.profiler
-        if prof is None:
-            return self.compiler.compile(template, variant)
-        return prof.call(
-            "serve.compile", self.compiler.compile, template, variant
-        )
-
     def _make_job(
         self, tenant: TenantSpec, variant: int, source: str = "",
         template: Optional[JobTemplate] = None,
     ) -> Job:
         tpl = template if template is not None else tenant.template
-        compiled = self._compile(tpl, variant)
+        compiled = self.compiler.compile(tpl, variant)
         job = Job(
             job_id=self._job_seq,
             tenant=tenant.name,
@@ -460,8 +446,6 @@ class Service:
             b.queue_depth for b in self.blades
         )
         self.stats.note_dispatch(queued)
-        if self.profiler is not None:
-            self.profiler.count("serve.dispatches")
         if self.tracer is not None:
             self.tracer.emit(
                 now, "serve", "dispatcher", "dispatch",
@@ -732,13 +716,11 @@ class Service:
     def _complete(self, job: Job, b: BladeState) -> None:
         if job.finish_time is not None or job.aborted:
             return
-        compiled = self._compile(job.template, job.variant)
+        compiled = self.compiler.compile(job.template, job.variant)
         job.finish_time = self.env.now
         job.digest = compiled.digest
         b.jobs_run += 1
         self.stats.note_completed(job)
-        if self.profiler is not None:
-            self.profiler.count("serve.jobs_completed")
         self.frontend.job_finished()
         if self.tracer is not None:
             self.tracer.emit(
@@ -1010,23 +992,10 @@ def run_service(
     config: ServeConfig,
     tracer=None,
     metrics=None,
-    profiler=None,
 ) -> ServeResult:
-    """Execute one serving run to full drain; deterministic per config.
-
-    Pass a :class:`~repro.obs.profile.Profiler` to wall-time the fleet
-    loop (dispatch counts, compile cost, kernel event dispatch);
-    profiling never changes the simulated outcome.
-    """
-    env = Environment(tracer=tracer, metrics=metrics, profiler=profiler)
-    if profiler is not None and tracer is not None:
-        tracer.profiler = profiler
+    """Execute one serving run to full drain; deterministic per config."""
+    env = Environment(tracer=tracer, metrics=metrics)
     service = Service(env, config, tracer=tracer, metrics=metrics)
     service.start()
-    if profiler is None:
-        env.run_until_complete(service._main)
-    else:
-        with profiler.section("run.simulate"):
-            env.run_until_complete(service._main)
-        profiler.set_count("sim.events_processed", env.events_processed)
+    env.run_until_complete(service._main)
     return service.result()

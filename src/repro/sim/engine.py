@@ -24,11 +24,10 @@ removing a shared counter burn cannot change the relative order of the
 remaining entries.
 
 The run loops (``run`` / ``run_until_complete``) inline event dispatch
-when no profiler is attached and recycle processed :class:`Timeout`
-objects through a free list (see :meth:`Environment.timeout`); a
-``sys.getrefcount`` guard means an instance is only reincarnated once
-nothing else references it, so pooling can never change an observable
-value.  Both loops share one ``peek()``-guarded drain
+and recycle processed :class:`Timeout` objects through a free list (see
+:meth:`Environment.timeout`); a ``sys.getrefcount`` guard means an
+instance is only reincarnated once nothing else references it, so
+pooling can never change an observable value.  Both loops share one ``peek()``-guarded drain
 (:meth:`Environment._advance_until`) for same-timestamp completion.
 """
 
@@ -79,17 +78,11 @@ class Environment:
         :class:`~repro.obs.metrics.MetricsRegistry` without threading
         them through each constructor.  Both default to ``None``
         (observability off); neither influences event ordering.
-    profiler:
-        Optional :class:`~repro.obs.profile.Profiler` measuring the
-        *wall-clock* cost of the event loop: heap push/pop tallies and
-        per-event-type dispatch timing.  Defaults to ``None``; the fast
-        path then runs a fully inlined dispatch loop.  Profiling never
-        influences event ordering or simulated results.
     """
 
     __slots__ = (
         "_now", "_seq", "_active_process", "strict", "tracer", "metrics",
-        "profiler", "events_processed",
+        "events_processed",
         "_immediate", "_deferred", "_near", "_far", "_horizon",
         "_timeout_pool", "_pool_hits", "_pool_misses",
         "_immediate_pops", "_deferred_pops", "_refills", "_occupancy",
@@ -103,7 +96,6 @@ class Environment:
         *,
         tracer: Optional[Any] = None,
         metrics: Optional[Any] = None,
-        profiler: Optional[Any] = None,
     ) -> None:
         self._now = float(initial_time)
         self._seq = 0
@@ -111,7 +103,6 @@ class Environment:
         self.strict = strict
         self.tracer = tracer
         self.metrics = metrics
-        self.profiler = profiler
         self.events_processed = 0
         # Calendar tiers.
         self._immediate: deque = deque()
@@ -184,8 +175,6 @@ class Environment:
                         heappush(self._near, (at, NORMAL, self._seq, t))
                     else:
                         heappush(self._far, (at, NORMAL, self._seq, t))
-                if self.profiler is not None:
-                    self.profiler.heap_pushes += 1
                 return t
             # Still referenced from a previous life (e.g. a pending
             # composite holds it) — retry once the reference drops.
@@ -224,8 +213,6 @@ class Environment:
                 heappush(self._near, entry)
             else:
                 heappush(self._far, entry)
-        if self.profiler is not None:
-            self.profiler.heap_pushes += 1
 
     def _refill(self) -> None:
         """Promote the soonest far-heap batch into the empty near heap.
@@ -297,15 +284,8 @@ class Environment:
         """Process exactly one event, advancing the clock to it."""
         event = self._pop_next()
         self.events_processed += 1
-        prof = self.profiler
-        if prof is None:
-            event._process()
-        else:
-            prof.heap_pops += 1
-            with prof.section(prof.event_section(event.__class__)):
-                event._process()
-        # Recycle like the inlined loops do, so profiled runs keep the
-        # Timeout free list (and its hit-rate gauge) alive.
+        event._process()
+        # Recycle like the inlined loops do.
         if type(event) is Timeout and len(self._timeout_pool) < _POOL_CAP:
             self._timeout_pool.append(event)
 
@@ -314,13 +294,9 @@ class Environment:
         """Process every event due at or before ``limit``.
 
         The single ``peek()``-guarded loop shared by :meth:`run` and
-        :meth:`run_until_complete`'s same-timestamp drain.  Inlines
-        dispatch and Timeout recycling when no profiler is attached.
+        :meth:`run_until_complete`'s same-timestamp drain, with dispatch
+        and Timeout recycling inlined.
         """
-        if self.profiler is not None:
-            while self.peek() <= limit:
-                self.step()
-            return
         imm = self._immediate
         dfr = self._deferred
         pool = self._timeout_pool
@@ -399,23 +375,9 @@ class Environment:
 
         Raises the process's exception if it failed (requires
         ``strict=False`` for the failure to be captured as an event).
+        The dispatch loop is the one in :meth:`_advance_until` with a
+        completion stop check in place of the time limit.
         """
-        if self.profiler is not None:
-            while process._value is _PENDING:
-                if not self._has_events():
-                    self._deadlock(process)
-                self.step()
-        else:
-            self._run_to_completion(process)
-        # Drain same-timestamp bookkeeping so callbacks fire — the same
-        # peek()-guarded loop run(until=...) uses.
-        self._advance_until(self._now)
-        if not process._ok:
-            raise process._value
-        return process._value
-
-    def _run_to_completion(self, process: Process) -> None:
-        """Inlined profiler-off event loop with a completion stop check."""
         imm = self._immediate
         dfr = self._deferred
         pool = self._timeout_pool
@@ -469,6 +431,12 @@ class Environment:
             self._batched_events += processed
             if gc_was_enabled:
                 gc.enable()
+        # Drain same-timestamp bookkeeping so callbacks fire — the same
+        # peek()-guarded loop run(until=...) uses.
+        self._advance_until(self._now)
+        if not process._ok:
+            raise process._value
+        return process._value
 
     def _deadlock(self, process: Any) -> None:
         name = getattr(process, "name", type(process).__name__)

@@ -132,9 +132,11 @@ class Event:
         """Detach ``fn`` if attached; returns whether it was removed.
 
         Keeps the invariant that ``_cb0`` is filled whenever any callback
-        remains, so ordering is preserved across removals.
+        remains, so ordering is preserved across removals.  Compares with
+        ``==`` like ``list.remove``: each ``obj.method`` access builds a
+        new bound-method object, so identity would never match one.
         """
-        if self._cb0 is fn:
+        if self._cb0 == fn:
             cbs = self.callbacks
             self._cb0 = cbs.pop(0) if cbs else None
             return True

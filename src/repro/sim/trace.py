@@ -38,17 +38,11 @@ class Tracer:
 
     Tracing can be disabled (``enabled=False``) for large sweeps; the
     emit call then degenerates to a single attribute check.
-
-    Attaching a :class:`~repro.obs.profile.Profiler` (``tracer.profiler
-    = prof``) accounts each emit's wall-clock cost under the
-    ``obs.tracer.emit`` section; left at ``None``, emits pay only one
-    extra ``is None`` check.
     """
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self.records: List[TraceRecord] = []
-        self.profiler: Optional[Any] = None
 
     def emit(
         self,
@@ -69,8 +63,6 @@ class Tracer:
         """
         if not self.enabled:
             return
-        prof = self.profiler
-        start = prof.clock() if prof is not None else 0.0
         if data is None:
             payload = tuple(kw.items())
         else:
@@ -83,8 +75,6 @@ class Tracer:
         self.records.append(
             TraceRecord(time, category, actor, event, payload)
         )
-        if prof is not None:
-            prof.account("obs.tracer.emit", prof.clock() - start)
 
     def filter(
         self,

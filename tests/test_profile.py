@@ -1,37 +1,37 @@
-"""Tests for the wall-clock profiling layer.
+"""Tests for the wall-time layer ledger (:mod:`repro.obs.ledger`).
 
 Tier-1 guarantees:
 
-* **Determinism** — the same seeded workload profiled twice yields the
-  identical section tree (names, call counts) and counters; only the
-  wall-time fields differ between runs.
-* **Zero overhead off** — running with ``profiler=None`` leaves the
-  schedule bit-identical to a profiled run: same makespan, same
-  digests, same event counts.  The profiler observes, never perturbs.
-* The :class:`~repro.obs.profile.Profiler` primitive itself: exclusive
-  vs inclusive time under nesting, instantaneous ``account`` leaves,
-  counters, the deterministic report shape, and the exporters
-  (text table, Chrome trace-event spans).
-* The three surfaces: ``repro profile`` (table and ``--json``), the
-  ``#perf`` report lane, and the :func:`measure_throughput` grid.
+* **Determinism** — the same seeded workload recorded twice yields the
+  identical layer names, call counts and counters; only the wall-time
+  fields differ between runs.
+* **Never perturbs** — a run under a ledger is bit-identical to a plain
+  run: same makespan, same digests, same event counts.  The ledger
+  wraps boundaries from outside and restores them on exit.
+* **Tiling** — layer self times plus the unattributed remainder equal
+  the wall time, and no self time is negative.
+* The span arithmetic itself (self vs total under nesting, p50/p95),
+  the report shape and the exporters (text table, Chrome trace-event
+  spans).
+* The three surfaces: ``repro profile`` (table, ``--json`` and
+  ``--perfetto``), the ``#perf`` report lane, and the
+  :func:`measure_throughput` grid.
 """
 
 import json
 
 import pytest
 
-from repro.cell.params import BladeParams
+import repro.obs.ledger
+from repro.cell.params import BladeParams, CellParams
 from repro.cli import main
+from repro.core.llp import LoopParallelModel
 from repro.core.runner import run_experiment
 from repro.core.schedulers import mgps
-from repro.obs import MetricsRegistry, Profiler, render_report
+from repro.obs import Ledger, MetricsRegistry, render_ledger, render_report
 from repro.obs.bench import measure_throughput
-from repro.obs.profile import (
-    events_per_second,
-    profile_chrome_events,
-    render_profile,
-    write_profile_trace,
-)
+from repro.obs.ledger import boundaries, events_per_second, write_ledger_trace
+from repro.sim.engine import Environment
 from repro.sim.trace import Tracer
 from repro.workloads.traces import Workload
 
@@ -40,165 +40,196 @@ def _small_workload():
     return Workload(bootstraps=2, tasks_per_bootstrap=40, seed=0)
 
 
-def _run(profiler=None, tracer=None, metrics=None):
+def _run(tracer=None, metrics=None):
     return run_experiment(
         mgps(), _small_workload(), blade=BladeParams(), seed=0,
-        tracer=tracer, metrics=metrics, profiler=profiler,
+        tracer=tracer, metrics=metrics,
     )
 
 
-# -- the Profiler primitive ---------------------------------------------------
+def _recorded(tracer=None, metrics=None):
+    ledger = Ledger()
+    with ledger.run("fig8"):
+        result = _run(tracer=tracer, metrics=metrics)
+    return ledger, result
+
+
+def _assert_tiles(report):
+    layers = report["layers"]
+    assert all(row["self_s"] >= 0.0 for row in layers.values())
+    assert report["unattributed_s"] >= 0.0
+    total = report["unattributed_s"] + sum(
+        row["self_s"] for row in layers.values())
+    assert abs(total - report["wall_s"]) <= 1e-9 * report["wall_s"]
+
+
+# -- span arithmetic ----------------------------------------------------------
 
 class TestProfiler:
     def test_section_nesting_splits_self_and_total(self):
-        # A fake clock makes wall time deterministic: each call returns
-        # the next value (first tick = profiler birth, last = report),
-        # so outer spans 0..10s with 2..5s in the child.
-        ticks = iter([0.0, 0.0, 2.0, 5.0, 10.0, 10.0])
-        prof = Profiler(time_source=lambda: next(ticks))
-        with prof.section("outer"):
-            with prof.section("inner"):
-                pass
-        report = prof.report()
-        outer = report["sections"]["outer"]
-        inner = report["sections"]["inner"]
-        assert outer["total_s"] == pytest.approx(10.0)
-        assert outer["self_s"] == pytest.approx(7.0)  # 10 - 3 in child
+        # Hand-written spans make wall time deterministic: the root runs
+        # 0..10 s, "outer" 1..9 s, and "inner" 2..5 s inside it.
+        ledger = Ledger()
+        ledger.spans[:] = [
+            (3, 2, "inner", 2.0, 5.0, 0),
+            (2, 1, "outer", 1.0, 9.0, 0),
+            (1, 0, "fig8", 0.0, 10.0, 0),
+        ]
+        report = ledger.report()
+        outer = report["layers"]["outer"]
+        inner = report["layers"]["inner"]
+        assert outer["total_s"] == pytest.approx(8.0)
+        assert outer["self_s"] == pytest.approx(5.0)  # 8 - 3 in child
         assert inner["total_s"] == pytest.approx(3.0)
         assert inner["self_s"] == pytest.approx(3.0)
         assert outer["calls"] == inner["calls"] == 1
+        assert report["wall_s"] == pytest.approx(10.0)
+        assert report["unattributed_s"] == pytest.approx(2.0)
+        _assert_tiles(report)
 
-    def test_account_credits_enclosing_section(self):
-        ticks = iter([0.0, 0.0, 10.0, 10.0])
-        prof = Profiler(time_source=lambda: next(ticks))
-        with prof.section("outer"):
-            prof.account("leaf", 4.0)
-        report = prof.report()
-        assert report["sections"]["leaf"]["total_s"] == pytest.approx(4.0)
-        # The leaf's time is subtracted from the enclosing section's
-        # exclusive time exactly once.
-        assert report["sections"]["outer"]["self_s"] == pytest.approx(6.0)
-
-    def test_counters_and_heap_tallies(self):
-        prof = Profiler()
-        prof.count("widgets")
-        prof.count("widgets", 2)
-        prof.set_count("gadgets", 7)
-        prof.heap_pushes += 3
-        prof.heap_pops += 2
-        counters = prof.report()["counters"]
-        assert counters["widgets"] == 3
-        assert counters["gadgets"] == 7
-        assert counters["sim.heap_pushes"] == 3
-        assert counters["sim.heap_pops"] == 2
+    def test_percentiles_from_span_durations(self):
+        ledger = Ledger()
+        ledger.spans[:] = [
+            (i + 2, 1, "leaf", 0.0, i * 1e-6, 0) for i in range(1, 101)
+        ] + [(1, 0, "fig8", 0.0, 1.0, 0)]
+        row = ledger.report()["layers"]["leaf"]
+        assert row["calls"] == 100
+        assert row["p50_us"] == pytest.approx(50.0)
+        assert row["p95_us"] == pytest.approx(95.0)
 
     def test_call_times_and_passes_through(self):
-        prof = Profiler()
-        assert prof.call("f", lambda x: x + 1, 41) == 42
-        assert prof.report()["sections"]["f"]["calls"] == 1
+        ledger = Ledger()
+        with ledger.run("unit"):
+            env = Environment()
+
+            def proc():
+                yield env.timeout(1.0)
+                return 42
+
+            assert env.run_until_complete(env.process(proc())) == 42
+            with pytest.raises(ValueError):
+                LoopParallelModel(CellParams()).invoke(None, 0)
+        report = ledger.report()
+        assert report["layers"]["sim"]["calls"] == 1
+        assert report["layers"]["llp.invoke"]["calls"] == 1
+        assert report["counters"]["sim.events"] == env.events_processed
+
+    def test_wrappers_restored_on_exit(self):
+        before = [getattr(owner, attr) for owner, attr, _ in boundaries()]
+        ledger = Ledger()
+        with pytest.raises(RuntimeError):
+            with ledger.run("boom"):
+                assert Environment.run_until_complete is not before[0]
+                raise RuntimeError("boom")
+        after = [getattr(owner, attr) for owner, attr, _ in boundaries()]
+        assert all(a is b for a, b in zip(before, after))
 
     def test_report_shape(self):
-        prof = Profiler()
-        with prof.section("s"):
-            pass
-        report = prof.report()
-        assert set(report) == {"wall_s", "sections", "counters", "rates"}
-        assert set(report["sections"]["s"]) == {
-            "calls", "total_s", "self_s", "mean_us", "p50_us", "p95_us",
+        ledger, _ = _recorded()
+        report = ledger.report()
+        assert set(report) == {
+            "wall_s", "unattributed_s", "layers", "counters", "rates",
+        }
+        assert set(report["layers"]["sim"]) == {
+            "calls", "total_s", "self_s", "p50_us", "p95_us",
         }
 
     def test_events_per_second_prefers_simulate_section(self):
-        sections = {"run.simulate": {"total_s": 2.0}}
-        assert events_per_second(100, sections, 50.0) == pytest.approx(50.0)
+        layers = {"sim": {"self_s": 2.0}}
+        assert events_per_second(100, layers, 50.0) == pytest.approx(50.0)
         assert events_per_second(100, {}, 50.0) == pytest.approx(2.0)
         assert events_per_second(100, {}, 0.0) == 0.0
 
-    def test_span_collection_is_bounded(self):
-        prof = Profiler(keep_spans=True, max_spans=3)
-        for _ in range(5):
-            with prof.section("s"):
-                pass
-        assert len(prof.spans()) == 3
+    def test_span_collection_is_bounded(self, monkeypatch):
+        ledger, _ = _recorded()
+        assert len(ledger.spans) > 3
+        monkeypatch.setattr(repro.obs.ledger, "_MAX_EXPORT_SPANS", 3)
+        events = ledger.chrome_events()
+        assert sum(e["ph"] == "X" for e in events) == 3
 
 
-# -- determinism and the profiler=None gate -----------------------------------
+# -- determinism and the never-perturbs gate ----------------------------------
 
 class TestDeterminism:
     def test_section_tree_and_counts_identical_across_runs(self):
-        prof_a, prof_b = Profiler(), Profiler()
-        _run(profiler=prof_a)
-        _run(profiler=prof_b)
-        rep_a, rep_b = prof_a.report(), prof_b.report()
-        # Identical tree: same section names, same call counts.
-        assert sorted(rep_a["sections"]) == sorted(rep_b["sections"])
-        calls_a = {k: v["calls"] for k, v in rep_a["sections"].items()}
-        calls_b = {k: v["calls"] for k, v in rep_b["sections"].items()}
+        rep_a, rep_b = _recorded()[0].report(), _recorded()[0].report()
+        # Identical tree: same layer names, same call counts.
+        assert sorted(rep_a["layers"]) == sorted(rep_b["layers"])
+        calls_a = {k: v["calls"] for k, v in rep_a["layers"].items()}
+        calls_b = {k: v["calls"] for k, v in rep_b["layers"].items()}
         assert calls_a == calls_b
-        # Identical counters, including the heap tallies.
+        # Identical counters, including the kernel gauges.
         assert rep_a["counters"] == rep_b["counters"]
         # Wall time is the only thing allowed to vary.
-        assert rep_a["counters"]["sim.events_processed"] > 0
+        assert rep_a["counters"]["sim.events"] > 0
 
     def test_profiler_off_leaves_run_bit_identical(self):
-        off = _run(profiler=None)
-        on = _run(profiler=Profiler())
+        off = _run()
+        _, on = _recorded()
         assert off.makespan == on.makespan
         assert off.offloads == on.offloads
         assert off.result_digest == on.result_digest
         assert off.bootstrap_digests == on.bootstrap_digests
         assert off.events_processed == on.events_processed
 
-    def test_events_processed_matches_heap_pops(self):
-        prof = Profiler()
-        result = _run(profiler=prof)
-        counters = prof.report()["counters"]
-        assert counters["sim.events_processed"] == result.events_processed
-        assert counters["sim.heap_pops"] == result.events_processed
+    def test_events_processed_matches_sim_span(self):
+        ledger, result = _recorded()
+        report = ledger.report()
+        assert report["counters"]["sim.events"] == result.events_processed
+        (sim,) = [s for s in ledger.spans if s[2] == "sim"]
+        assert sim[5] == result.events_processed
+        # The one dispatch loop batches every event.
+        assert report["counters"]["sim.batch_advance_fraction"] == 1.0
+        assert 0.0 < report["counters"]["sim.pool_hit_rate"] <= 1.0
+
+    @pytest.mark.parametrize("scenario", ["fig8", "serve"])
+    def test_layer_self_times_tile_wall_time(self, scenario, capsys):
+        assert main(["profile", "--scenario", scenario, "--bootstraps", "2",
+                     "--tasks", "40", "--json"]) == 0
+        _assert_tiles(json.loads(capsys.readouterr().out))
 
 
 # -- exporters ----------------------------------------------------------------
 
 class TestExport:
     def test_render_profile_table(self):
-        prof = Profiler()
-        _run(profiler=prof)
-        text = render_profile(prof.report(), sort="self", top=5,
-                              title="unit test")
+        ledger, _ = _recorded()
+        text = render_ledger(ledger.report(), sort="self", top=5,
+                             title="unit test")
         assert "unit test" in text
         assert "events/s" in text
-        assert "run.simulate" in text
+        assert "unattributed" in text
+        assert "sim " in text
         assert "counters:" in text
 
     def test_render_profile_sort_keys(self):
-        prof = Profiler()
-        _run(profiler=prof)
+        ledger, _ = _recorded()
+        report = ledger.report()
         for sort in ("self", "total", "calls"):
-            assert render_profile(prof.report(), sort=sort)
+            assert render_ledger(report, sort=sort)
         # Unknown sort keys fall back to self-time ordering.
-        report = prof.report()
-        assert render_profile(report, sort="bogus") == render_profile(
+        assert render_ledger(report, sort="bogus") == render_ledger(
             report, sort="self"
         )
 
     def test_chrome_events_need_kept_spans(self):
-        prof = Profiler(keep_spans=True)
-        _run(profiler=prof)
-        events = profile_chrome_events(prof)
-        phases = {e["ph"] for e in events}
-        assert "X" in phases  # complete wall spans
+        assert [e["ph"] for e in Ledger().chrome_events()] == ["M"]
+        ledger, _ = _recorded()
+        events = ledger.chrome_events()
+        spans = [e for e in events if e["ph"] == "X"]
+        assert len(spans) == len(ledger.spans)  # complete wall spans
         assert all(e["pid"] == 1000 for e in events)
-        names = {e["name"] for e in events if e["ph"] == "X"}
-        assert "run.simulate" in names
+        assert {"sim", "fig8"} <= {e["name"] for e in spans}
+        assert min(e["ts"] for e in spans) == 0.0
 
     def test_write_profile_trace_merges_sim_and_wall(self, tmp_path):
         tracer = Tracer(enabled=True)
-        prof = Profiler(keep_spans=True)
-        _run(profiler=prof, tracer=tracer)
+        ledger, _ = _recorded(tracer=tracer)
         path = tmp_path / "trace.json"
-        write_profile_trace(tracer, prof, path)
+        write_ledger_trace(tracer, ledger, path)
         doc = json.loads(path.read_text())
         pids = {e.get("pid") for e in doc["traceEvents"]}
-        assert 1000 in pids          # wall-clock lane
+        assert 1000 in pids          # wall-time lane
         assert pids - {1000}         # at least one sim-time lane
 
 
@@ -210,10 +241,9 @@ class TestSurfaces:
                    "--tasks", "40", "--json"])
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["counters"]["sim.events_processed"] > 0
+        assert report["counters"]["sim.events"] > 0
         assert report["rates"]["events_per_wall_second"] > 0
-        assert any(name.startswith("sim.event.")
-                   for name in report["sections"])
+        assert {"sim", "runtime.decide", "obs.emit"} <= set(report["layers"])
 
     def test_cli_profile_table_and_perfetto(self, tmp_path, capsys):
         out = tmp_path / "prof.json"
@@ -221,18 +251,18 @@ class TestSurfaces:
                    "--tasks", "40", "--sort", "calls", "--perfetto",
                    str(out)])
         assert rc == 0
-        assert "wall-clock profile" in capsys.readouterr().out
+        assert "wall-time layer ledger" in capsys.readouterr().out
         assert json.loads(out.read_text())["traceEvents"]
 
     def test_report_perf_lane_populated(self):
         tracer = Tracer(enabled=True)
         metrics = MetricsRegistry()
-        prof = Profiler()
-        _run(profiler=prof, tracer=tracer, metrics=metrics)
-        html = render_report(tracer, metrics, profile=prof.report())
+        ledger, _ = _recorded(tracer=tracer, metrics=metrics)
+        html = render_report(tracer, metrics, profile=ledger.report())
         assert 'id="perf"' in html
         assert "self (exclusive) time" in html
-        assert "run.simulate" in html
+        assert "runtime.decide" in html
+        assert "unattributed" in html
 
     def test_report_perf_lane_empty_state(self):
         tracer = Tracer(enabled=True)
@@ -240,7 +270,7 @@ class TestSurfaces:
         _run(tracer=tracer, metrics=metrics)
         html = render_report(tracer, metrics)
         assert 'id="perf"' in html
-        assert "No wall-clock profile" in html
+        assert "No wall-time ledger recorded" in html
 
     def test_measure_throughput_grid_shape(self):
         grid = measure_throughput(bootstraps=1, tasks=30, seed=0,

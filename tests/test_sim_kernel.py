@@ -214,6 +214,28 @@ def test_interrupt_delivers_cause():
     assert env.run_until_complete(p) == ("interrupted", "reason", 2)
 
 
+def test_interrupted_process_is_not_resumed_by_its_old_target():
+    # The victim's resume sits in the target's single callback slot; the
+    # interrupt must detach it, or the timeout resumes a finished process.
+    env = Environment()
+
+    def victim():
+        try:
+            yield env.timeout(5)
+        except Interrupt:
+            return env.now
+
+    def attacker(p):
+        yield env.timeout(2)
+        p.interrupt()
+
+    p = env.process(victim())
+    env.process(attacker(p))
+    env.run()
+    assert p.value == 2
+    assert env.now == 5
+
+
 def test_interrupt_finished_process_is_error():
     env = Environment()
 

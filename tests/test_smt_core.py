@@ -340,6 +340,36 @@ def test_rejected_request_leaves_lingering_thread_untouched():
     assert t.kind is None and t.done_event is None
 
 
+@pytest.mark.parametrize("linger", [True, False])
+def test_spin_on_already_fired_target_releases_thread(linger):
+    # Spinning on an event that has already been processed completes at
+    # once and leaves the thread free for its next request, whether it
+    # submits while lingering on its context or after going idle.
+    env, core = make_core()
+    t = core.thread("a")
+    ev = env.event()
+    ev.succeed()
+    seen = {}
+
+    def proc():
+        yield env.timeout(1e-3)
+        assert ev.processed
+        yield t.run(1e-3)
+        if not linger:
+            yield env.timeout(1e-3)
+        assert t.state == ("linger" if linger else "idle")
+        start = env.now
+        yield t.spin_until(ev)
+        seen["spin"] = env.now - start
+        yield t.run(2e-3)
+        seen["finish"] = env.now - start
+
+    env.run_until_complete(env.process(proc()))
+    assert seen["spin"] == 0.0
+    assert seen["finish"] == pytest.approx(2e-3)
+    assert t.kind is None and t.done_event is None
+
+
 def test_edtlp_vs_linux_shape_microbenchmark():
     """The core alone reproduces the qualitative Table 1 effect.
 
