@@ -8,8 +8,8 @@ does not tax normal experiment runs.
 
 This benchmark times the same Figure-8-style MGPS run four ways —
 observability off, tracer+metrics on, metrics only, and under the
-wall-time layer ledger — takes the minimum of several repetitions each, and
-records the summary to the *tracked* repo-root ``BENCH_obs.json``
+wall-time layer ledger — runs every leg once untimed to warm up, takes
+the minimum of several repetitions each, and records the summary to the *tracked* repo-root ``BENCH_obs.json``
 baseline (raw per-repetition wall times go to gitignored
 ``benchmarks/out/BENCH_obs_raw.json``).  ``repro bench --check``
 cross-checks the committed summary's deterministic fields against the
@@ -86,30 +86,29 @@ def _best_of(reps, fn):
 
 
 def test_obs_overhead(benchmark, record_json):
-    def measure():
-        off_wall, off_raw, off = _best_of(REPS, lambda: _run())
-        on_wall, on_raw, on = _best_of(
-            REPS,
-            lambda: _run(tracer=Tracer(enabled=True),
-                         metrics=MetricsRegistry()),
-        )
-        metrics_wall, metrics_raw, _ = _best_of(
-            REPS, lambda: _run(metrics=MetricsRegistry())
-        )
-        ledger_wall, ledger_raw, ledger = _best_of(REPS, _ledger_run)
-        causal_wall, causal_raw, causal = _best_of(REPS, _causal_run)
-        raw = {
-            "off": off_raw,
-            "on": on_raw,
-            "metrics_only": metrics_raw,
-            "ledger": ledger_raw,
-            "causal": causal_raw,
-        }
-        return (off_wall, on_wall, metrics_wall, ledger_wall, causal_wall,
-                off, on, ledger, causal, raw)
+    legs = {
+        "off": _run,
+        "on": lambda: _run(tracer=Tracer(enabled=True),
+                           metrics=MetricsRegistry()),
+        "metrics_only": lambda: _run(metrics=MetricsRegistry()),
+        "ledger": _ledger_run,
+        "causal": _causal_run,
+    }
 
-    (off_wall, on_wall, metrics_wall, ledger_wall, causal_wall,
-     off, on, ledger, causal, raw) = run_once(benchmark, measure)
+    def measure():
+        # One untimed pass of every leg first, so no leg's best of
+        # ``REPS`` carries first-run warm-up (imports, caches, allocator).
+        for leg in legs.values():
+            leg()
+        return {name: _best_of(REPS, leg) for name, leg in legs.items()}
+
+    timed = run_once(benchmark, measure)
+    off_wall, _, off = timed["off"]
+    on_wall, _, on = timed["on"]
+    metrics_wall = timed["metrics_only"][0]
+    ledger_wall, _, ledger = timed["ledger"]
+    causal_wall, _, causal = timed["causal"]
+    raw = {name: samples for name, (_, samples, _) in timed.items()}
 
     # Observability must not perturb the simulation...
     assert off.makespan == on.makespan

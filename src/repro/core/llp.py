@@ -30,7 +30,8 @@ from typing import Dict, List, Optional, Tuple
 
 from ..cell.mfc import MFC
 from ..cell.params import CellParams
-from ..obs.metrics import NULL_REGISTRY
+from ..obs.metrics import NULL_REGISTRY, registry_of
+from ..sim.trace import Sinks, tracer_of
 from ..workloads.taskspec import TaskSpec
 
 __all__ = [
@@ -340,12 +341,11 @@ class LoopParallelModel:
         self.config = config or LLPConfig()
         # Optional trace sink for per-invocation chunk fan-out detail
         # (``llp_fanout`` events).  ``clock`` supplies the simulated
-        # timestamp (the model itself is a synchronous closed form); a
-        # disabled tracer is collapsed to None so the invoke hot path
-        # pays one ``is None`` check when observability is off.
-        if tracer is not None and not getattr(tracer, "enabled", True):
-            tracer = None
-        self.tracer = tracer
+        # timestamp (the model itself is a synchronous closed form).
+        # Resolving the sinks leaves None for anything off, so the
+        # invoke hot path pays one ``is None`` check per sink.
+        sinks = Sinks.resolve(tracer, metrics)
+        self.tracer = tracer_of(sinks)
         self.clock = clock
         self.mfc = MFC(params)
         self._schedule = resolve_loop_schedule(self.config.schedule)
@@ -353,7 +353,7 @@ class LoopParallelModel:
         self._ratios: Dict[Tuple[str, int], List[float]] = {}
         self.invocations = 0
         self.total_join_idle = 0.0
-        m = metrics if metrics is not None else NULL_REGISTRY
+        m = registry_of(sinks)
         # With the null registry every observe is a no-op; one flag lets
         # the per-invocation hot path skip the calls entirely.
         self._metrics_on = m is not NULL_REGISTRY

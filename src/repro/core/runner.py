@@ -86,16 +86,14 @@ def _publish_run_metrics(
         ).set(s.utilization(raw))
 
 
-def _build_injector(env, machine, faults, tracer, metrics):
+def _build_injector(env, machine, faults):
     """Turn a FaultPlan (or ready injector) into an installed injector."""
     if faults is None:
         return None
     from ..faults.injector import FaultInjector
 
     if not isinstance(faults, FaultInjector):
-        faults = FaultInjector(
-            env, machine, faults, tracer=tracer, metrics=metrics
-        )
+        faults = FaultInjector(env, machine, faults)
     faults.install()
     return faults
 
@@ -125,11 +123,8 @@ def run_experiment(
     """
     env = Environment(tracer=tracer, metrics=metrics)
     machine = CellMachine(env, blade)
-    injector = _build_injector(env, machine, faults, tracer, metrics)
-    runtime = spec.build(
-        env, machine, tracer=tracer, metrics=metrics,
-        faults=injector, tolerance=tolerance,
-    )
+    injector = _build_injector(env, machine, faults)
+    runtime = spec.build(env, machine, faults=injector, tolerance=tolerance)
 
     # A *pinned* policy (the Linux baseline and lookalikes) owns no SPE
     # pool: each process gets a per-CPU affinity and one pinned SPE.
@@ -252,11 +247,8 @@ def run_bsp_experiment(
 
     env = Environment(tracer=tracer, metrics=metrics)
     machine = CellMachine(env, blade)
-    injector = _build_injector(env, machine, faults, tracer, metrics)
-    runtime = spec.build(
-        env, machine, tracer=tracer, metrics=metrics,
-        faults=injector, tolerance=tolerance,
-    )
+    injector = _build_injector(env, machine, faults)
+    runtime = spec.build(env, machine, faults=injector, tolerance=tolerance)
     pinned = runtime.policy.pinned
     if pinned and workload.n_processes > machine.n_spes:
         raise ValueError("the Linux baseline pins one SPE per process")

@@ -30,11 +30,11 @@ from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Set
 from ...cell.machine import CellMachine
 from ...cell.spe import SPE
 from ...faults.tolerance import TolerancePolicy
-from ...obs.metrics import NULL_REGISTRY
+from ...obs.metrics import registry_of
 from ...obs.spans import SpanRecorder
 from ...sim.engine import Environment
 from ...sim.events import Event
-from ...sim.trace import Tracer
+from ...sim.trace import Sinks, Tracer, tracer_of
 from ...workloads.taskspec import BootstrapTrace, TaskSpec
 from ..granularity import GranularityGovernor
 from ..llp import LLPConfig, LoopParallelModel
@@ -73,19 +73,13 @@ class OffloadEngine:
         self.optimized = optimized
         self.offload_enabled = offload_enabled
         self.locality_aware = locality_aware
-        if tracer is None:
-            tracer = getattr(env, "tracer", None)
-        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
-        if metrics is None:
-            metrics = getattr(env, "metrics", None)
-        self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        # One flag for the whole sink fan-out (tracer, metrics): when
-        # every sink is off — the benchmarking configuration — the
-        # off-load hot path skips all recording calls and allocates
-        # nothing for them.
-        self.sinks_enabled = (
-            self.tracer.enabled or self.metrics is not NULL_REGISTRY
-        )
+        # One bundle for the whole sink fan-out, overlaying any sink
+        # given here on the environment's.  It is None when every sink
+        # is off — the benchmarking configuration — so the off-load hot
+        # path skips all recording calls and allocates nothing for them.
+        self.sinks = Sinks.resolve(tracer, metrics, base=env.sinks)
+        self.tracer = tracer_of(self.sinks)
+        self.metrics = registry_of(self.sinks)
         self.spans = SpanRecorder(self.tracer, env)
         self.granularity = GranularityGovernor(
             t_comm=self.cell.ppe_spe_signal, enabled=granularity_enabled,
@@ -156,7 +150,7 @@ class OffloadEngine:
         self._active_sources.add(ctx.rank)
         self._current_bootstrap[ctx.rank] = index
         self.ledger.start(ctx.rank, index)
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self.tracer.emit(
                 self.env.now, "proc", f"mpi{ctx.rank}", "span_begin",
                 name=f"bootstrap[{index}]", depth=0,
@@ -166,7 +160,7 @@ class OffloadEngine:
         self._active_sources.discard(ctx.rank)
         self.stats.bootstraps_done += 1
         self.ledger.finish(ctx.rank, index)
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self.tracer.emit(
                 self.env.now, "proc", f"mpi{ctx.rank}", "span_end",
                 name=f"bootstrap[{index}]", depth=0,
@@ -231,7 +225,7 @@ class OffloadEngine:
             # All SPEs busy: the scheduler parks this process (its PPE
             # context is free for siblings) until a departure.
             self.stats.offload_waits += 1
-            if self.sinks_enabled:
+            if self.sinks is not None:
                 self._m_waits.inc()
             spe = yield self.machine.pool.acquire(prefer_cell=ctx.cell_id)
         return spe
@@ -269,7 +263,7 @@ class OffloadEngine:
             t_load = max(t_load, w.load_code(trace.llp_image))
         if t_load > 0:
             self.stats.code_loads += 1
-            if self.sinks_enabled:
+            if self.sinks is not None:
                 self._m_code_loads.inc()
             yield env.timeout(t_load)
 
@@ -280,12 +274,12 @@ class OffloadEngine:
             if moved:
                 self.stats.data_misses += 1
                 self.stats.data_bytes_transferred += moved
-                if self.sinks_enabled:
+                if self.sinks is not None:
                     self._m_data_misses.inc()
                 yield env.timeout(spe.mfc.transfer_time(moved))
             else:
                 self.stats.data_hits += 1
-                if self.sinks_enabled:
+                if self.sinks is not None:
                     self._m_data_hits.inc()
 
         if workers:
@@ -295,7 +289,7 @@ class OffloadEngine:
             duration = inv.duration
             self.stats.llp_invocations += 1
             self.stats.llp_worker_seconds += duration * len(workers)
-            if self.tracer.enabled:
+            if self.tracer is not None:
                 # Per-invocation adaptation record: the join-idle series
                 # per (function, k) is what the health monitor checks for
                 # adaptive-unbalancing convergence, and what the HTML
@@ -325,7 +319,7 @@ class OffloadEngine:
 
         for w in workers:
             w.mark_busy(owner)
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self.tracer.emit(
                 env.now, "spe", spe.name, "task_start",
                 proc=ctx.rank, function=task.function, duration=duration,
@@ -341,7 +335,7 @@ class OffloadEngine:
         finally:
             for w in workers:
                 w.mark_idle()
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self.tracer.emit(
                 env.now, "spe", spe.name, "task_end",
                 proc=ctx.rank, function=task.function,
@@ -367,9 +361,9 @@ class OffloadEngine:
     ) -> Generator[Event, None, None]:
         """Execute the task's PPE version in place (throttled off-load)."""
         self.stats.ppe_fallbacks += 1
-        if self.sinks_enabled:
+        if self.sinks is not None:
             self._m_fallbacks.inc()
-            if self.tracer.enabled:
+            if self.tracer is not None:
                 self.tracer.emit(
                     self.env.now, "ppe", ctx.actor, "ppe_fallback",
                     function=task.function, duration=task.ppe_time,
@@ -403,7 +397,7 @@ class OffloadEngine:
             yield from self._offload_tolerant(ctx, task, trace, decision)
             return
         with self.spans.span("proc", ctx.actor, "offload") as sp:
-            if self.tracer.enabled:
+            if self.tracer is not None:
                 sp.set(function=task.function, reason=decision.reason)
             # The process writes the task descriptor / finds an SPE and
             # ships the descriptor — user-level scheduler work either way.
@@ -413,11 +407,11 @@ class OffloadEngine:
             else:
                 spe = yield from self._acquire_spe(ctx, task)
                 workers = self._acquire_workers(ctx, spe, task)
-                if self.tracer.enabled:
+                if self.tracer is not None:
                     sp.set(spe=spe.name, llp_degree=1 + len(workers))
                 release = True
             self.stats.offloads += 1
-            if self.sinks_enabled:
+            if self.sinks is not None:
                 self._m_offloads.inc()
             start = self.env.now
             self.policy.on_dispatch(start)
@@ -435,7 +429,7 @@ class OffloadEngine:
                 # serves the next runnable MPI process.
                 yield done
             self.policy.on_departure(start, self.env.now)
-            if self.sinks_enabled:
+            if self.sinks is not None:
                 self._m_offload_latency.observe((self.env.now - start) * 1e6)
             # Completion handling on the PPE before the process continues
             # (Section 5.2's t_comm bookkeeping on the PPE side).
@@ -456,7 +450,7 @@ class OffloadEngine:
             self.machine.pool.mark_out_of_service(spe)
             self.stats.spe_blacklists += 1
             self._m_blacklists.inc()
-            if self.tracer.enabled:
+            if self.tracer is not None:
                 self.tracer.emit(
                     self.env.now, "fault", spe.name, "spe_blacklist",
                     consecutive_failures=n,
@@ -539,7 +533,7 @@ class OffloadEngine:
             t_load = max(t_load, w.load_code(trace.llp_image))
         if t_load > 0:
             self.stats.code_loads += 1
-            if self.sinks_enabled:
+            if self.sinks is not None:
                 self._m_code_loads.inc()
             t_load, ok = self._faulty_dma_time(spe, t_load)
             yield env.timeout(t_load)
@@ -552,7 +546,7 @@ class OffloadEngine:
             if moved:
                 self.stats.data_misses += 1
                 self.stats.data_bytes_transferred += moved
-                if self.sinks_enabled:
+                if self.sinks is not None:
                     self._m_data_misses.inc()
                 errors = faults.dma_errors(spe, policy.max_dma_retries)
                 if errors:
@@ -569,7 +563,7 @@ class OffloadEngine:
                     return "dma-fail"
             else:
                 self.stats.data_hits += 1
-                if self.sinks_enabled:
+                if self.sinks is not None:
                     self._m_data_hits.inc()
 
         if workers:
@@ -579,7 +573,7 @@ class OffloadEngine:
             duration = inv.duration
             self.stats.llp_invocations += 1
             self.stats.llp_worker_seconds += duration * len(workers)
-            if self.tracer.enabled:
+            if self.tracer is not None:
                 self.tracer.emit(
                     env.now, "llp", spe.name, "llp_invoke",
                     function=task.function, k=inv.k,
@@ -615,7 +609,7 @@ class OffloadEngine:
                     duration += extra
                     self.stats.llp_recoveries += 1
                     self._m_llp_recoveries.inc()
-                    if self.tracer.enabled:
+                    if self.tracer is not None:
                         self.tracer.emit(
                             env.now, "fault", spe.name, "llp_recovery",
                             worker=w.name, died_at=w_death,
@@ -637,7 +631,7 @@ class OffloadEngine:
 
         for w in workers:
             w.mark_busy(owner)
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self.tracer.emit(
                 env.now, "spe", spe.name, "task_start",
                 proc=ctx.rank, function=task.function, duration=duration,
@@ -655,7 +649,7 @@ class OffloadEngine:
                 spe.mark_idle()
                 for w in workers:
                     w.mark_idle()
-            if self.tracer.enabled:
+            if self.tracer is not None:
                 self.tracer.emit(
                     env.now, "spe", spe.name, "task_abort",
                     proc=ctx.rank, function=task.function, reason="spe_kill",
@@ -668,7 +662,7 @@ class OffloadEngine:
         finally:
             for w in workers:
                 w.mark_idle()
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self.tracer.emit(
                 env.now, "spe", spe.name, "task_end",
                 proc=ctx.rank, function=task.function,
@@ -706,12 +700,12 @@ class OffloadEngine:
         pinned = self.policy.pinned
         spe = ctx.pinned_spe if pinned else None
         with self.spans.span("proc", ctx.actor, "offload") as sp:
-            if self.tracer.enabled:
+            if self.tracer is not None:
                 sp.set(function=task.function, reason=decision.reason)
             for attempt in range(tol.max_attempts):
                 if pinned and not spe.in_service:
                     break
-                if self.tracer.enabled:
+                if self.tracer is not None:
                     # Attempt boundary: lets the causal layer rebuild
                     # retries as sibling spans with the backoff waits
                     # between them.
@@ -731,11 +725,11 @@ class OffloadEngine:
                         # Capacity exhausted: every SPE dead or blacklisted.
                         break
                     workers = self._acquire_workers(ctx, spe, task)
-                    if self.tracer.enabled:
+                    if self.tracer is not None:
                         sp.set(spe=spe.name, llp_degree=1 + len(workers))
                     release = True
                 self.stats.offloads += 1
-                if self.sinks_enabled:
+                if self.sinks is not None:
                     self._m_offloads.inc()
                 start = env.now
                 self.policy.on_dispatch(start)
@@ -759,7 +753,7 @@ class OffloadEngine:
                 if winner is done and status == "ok":
                     self._note_spe_success(spe)
                     self.policy.on_departure(start, env.now)
-                    if self.sinks_enabled:
+                    if self.sinks is not None:
                         self._m_offload_latency.observe(
                             (env.now - start) * 1e6
                         )
@@ -769,10 +763,10 @@ class OffloadEngine:
                     self.stats.watchdog_timeouts += 1
                     self._m_watchdog.inc()
                 self.stats.offload_retries += 1
-                if self.sinks_enabled:
+                if self.sinks is not None:
                     self._m_retries.inc()
                 self._note_spe_failure(spe)
-                if self.tracer.enabled:
+                if self.tracer is not None:
                     self.tracer.emit(
                         env.now, "fault", ctx.actor, "offload_retry",
                         function=task.function, status=status,
@@ -781,7 +775,7 @@ class OffloadEngine:
                 yield env.timeout(tol.backoff(attempt))
             self.stats.retry_fallbacks += 1
             self._m_retry_fallbacks.inc()
-            if self.tracer.enabled:
+            if self.tracer is not None:
                 self.tracer.emit(
                     env.now, "fault", ctx.actor, "retry_fallback",
                     function=task.function,

@@ -179,7 +179,7 @@ class MGPSPolicy(SchedulingPolicy):
             self._m_mode_switches.inc()
             self._m_degree.set(self.current_degree)
             self._m_llp_active.set(1 if self.llp_active else 0)
-        if engine.tracer.enabled:
+        if engine.tracer is not None:
             engine.tracer.emit(
                 engine.env.now, "sched", "mgps", "capacity_change",
                 live_spes=engine.machine.pool.n_live,
@@ -204,7 +204,7 @@ class MGPSPolicy(SchedulingPolicy):
         self._m_decisions.inc()
         self._m_degree.set(self.current_degree)
         self._m_llp_active.set(1 if active else 0)
-        if self.engine.tracer.enabled:
+        if self.engine.tracer is not None:
             self.engine.tracer.emit(
                 self._last_dispatch, "sched", "mgps", "decision",
                 u=self.history.u_estimate, t=t, active=active,

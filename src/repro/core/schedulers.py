@@ -73,17 +73,15 @@ class SchedulerSpec:
         return max(1, min(bootstraps, per_machine))
 
     def build(self, env: Environment, machine: CellMachine,
-              tracer=None, metrics=None, faults=None,
-              tolerance=None) -> OffloadEngine:
+              faults=None, tolerance=None) -> OffloadEngine:
         """Instantiate the runtime for this spec on ``machine``.
 
         The registered policy factory receives this spec (so it can read
         ``llp_degree``, ``history_window``, ...) and the resulting policy
         steers one shared :class:`~repro.core.runtime.OffloadEngine`.
 
-        ``tracer``/``metrics`` fall back to the sinks attached to ``env``
-        (see :class:`~repro.sim.engine.Environment`), so observability can
-        be injected once at environment construction.  ``faults`` is an
+        Observability comes from the sinks attached to ``env`` (see
+        :class:`~repro.sim.engine.Environment`).  ``faults`` is an
         installed :class:`~repro.faults.FaultInjector` (None = fault-free
         fast path); ``tolerance`` a
         :class:`~repro.faults.TolerancePolicy` override.
@@ -96,8 +94,6 @@ class SchedulerSpec:
             llp_config=self.llp_config,
             offload_enabled=self.offload_enabled,
             locality_aware=self.locality_aware,
-            tracer=tracer,
-            metrics=metrics,
             faults=faults,
             tolerance=tolerance,
             policy=info.factory(self),

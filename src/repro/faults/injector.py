@@ -21,15 +21,15 @@ nothing and perturbs nothing.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator, List, Optional
+from typing import Callable, Dict, Generator, List
 
 from ..cell.machine import CellMachine
 from ..cell.spe import SPE
-from ..obs.metrics import NULL_REGISTRY
+from ..obs.metrics import registry_of
 from ..sim.engine import Environment
 from ..sim.events import Event
 from ..sim.rng import RngStreams
-from ..sim.trace import Tracer
+from ..sim.trace import tracer_of
 from .plan import FaultPlan
 
 __all__ = ["FaultInjector"]
@@ -38,23 +38,13 @@ __all__ = ["FaultInjector"]
 class FaultInjector:
     """Deterministic realization of one fault plan on one machine."""
 
-    def __init__(
-        self,
-        env: Environment,
-        machine: CellMachine,
-        plan: FaultPlan,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[object] = None,
-    ) -> None:
+    def __init__(self, env: Environment, machine: CellMachine,
+                 plan: FaultPlan) -> None:
         self.env = env
         self.machine = machine
         self.plan = plan
-        if tracer is None:
-            tracer = getattr(env, "tracer", None)
-        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
-        if metrics is None:
-            metrics = getattr(env, "metrics", None)
-        m = metrics if metrics is not None else NULL_REGISTRY
+        self.tracer = tracer_of(env.sinks)
+        m = registry_of(env.sinks)
         self._m_kills = m.counter("faults.spe_kills", "permanent SPE deaths")
         self._m_offload = m.counter(
             "faults.offload_failures", "injected transient off-load failures"
@@ -114,7 +104,7 @@ class FaultInjector:
         self.machine.pool.mark_out_of_service(spe)
         self.kills_delivered += 1
         self._m_kills.inc()
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self.tracer.emit(
                 self.env.now, "fault", spe.name, "spe_kill",
                 was_busy=spe.busy, live_spes=self.machine.pool.n_live,
@@ -137,7 +127,7 @@ class FaultInjector:
         )
         if hit:
             self._m_offload.inc()
-            if self.tracer.enabled:
+            if self.tracer is not None:
                 self.tracer.emit(
                     self.env.now, "fault", spe.name, "offload_fail"
                 )
@@ -158,7 +148,7 @@ class FaultInjector:
             errors += 1
         if errors:
             self._m_dma.inc(errors)
-            if self.tracer.enabled:
+            if self.tracer is not None:
                 self.tracer.emit(
                     self.env.now, "fault", spe.name, "dma_error",
                     errors=errors, abandoned=errors > max_retries,

@@ -19,9 +19,11 @@ The tracer records *events*; this module reassembles them into
     child, and LLP chunk fan-out/join as a parallel group inside the
     winning attempt.
 
-Everything here is post-hoc: builders only read
-:class:`~repro.sim.trace.TraceRecord` sequences, never the live
-simulation, so collection cannot perturb digests or event counts.
+Everything here is post-hoc: builders only read the trace, never the
+live simulation, so collection cannot perturb digests or event counts.
+:func:`build_job_trees` folds a tracer's raw ``(time, category, actor,
+event, payload)`` rows in one pass without materializing
+:class:`~repro.sim.trace.TraceRecord` views.
 The record *append order* is the causal order at equal timestamps
 (the tracer appends as the simulation executes), so no re-sorting —
 and no tie-break heuristics — are needed.
@@ -29,8 +31,11 @@ and no tie-break heuristics — are needed.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, DefaultDict, Dict, Iterable, List, Optional, Tuple
+
+from ..sim.trace import Row
 
 __all__ = [
     "PHASE_ORDER",
@@ -62,7 +67,7 @@ class ReconciliationError(ValueError):
     """Per-job phase durations failed to tile the job's sojourn time."""
 
 
-@dataclass
+@dataclass(slots=True)
 class SpanNode:
     """One node of a causal tree: a named ``[start, end]`` interval.
 
@@ -138,7 +143,7 @@ _PHASE_FROM = {
 _TERMINAL = ("finish", "lost")
 
 
-@dataclass
+@dataclass(slots=True)
 class JobTree:
     """Causal phase tree of one serving-layer job."""
 
@@ -148,6 +153,9 @@ class JobTree:
     variant: int
     status: str                  # "completed" | "lost" | "in-flight"
     root: SpanNode
+    _durations: Optional[Dict[str, float]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def submit(self) -> float:
@@ -166,16 +174,22 @@ class JobTree:
         return self.root.children
 
     def phase_durations(self) -> Dict[str, float]:
-        """Total seconds per phase name, in canonical-then-seen order."""
-        out: Dict[str, float] = {}
-        for name in PHASE_ORDER:
+        """Total seconds per phase name, in canonical-then-seen order.
+
+        Repeated phases of one name sum, canonical or not.  Computed on
+        the first call and cached (the phases of a built tree do not
+        change); each call returns a fresh copy.
+        """
+        if self._durations is None:
+            seen: Dict[str, float] = {}
             for p in self.phases:
-                if p.name == name:
-                    out[name] = out.get(name, 0.0) + p.duration
-        for p in self.phases:                       # non-canonical leftovers
-            if p.name not in out:
-                out[p.name] = p.duration
-        return out
+                seen[p.name] = seen.get(p.name, 0.0) + p.duration
+            out = {name: seen[name] for name in PHASE_ORDER if name in seen}
+            for name, total in seen.items():        # non-canonical names
+                if name not in out:
+                    out[name] = total
+            self._durations = out
+        return dict(self._durations)
 
     def validate(self, tol: float = 1e-6) -> None:
         """Assert the phases tile ``[submit, end]`` within ``tol``.
@@ -222,9 +236,18 @@ class JobTree:
         }
 
 
-def _records(source) -> Iterable:
-    """Accept a Tracer, a record list, or anything iterable of records."""
-    return getattr(source, "records", source)
+def _rows(source) -> Iterable[Row]:
+    """Raw ``(time, category, actor, event, payload)`` rows of a source.
+
+    A :class:`~repro.sim.trace.Tracer` hands over its rows as stored;
+    any other iterable of :class:`~repro.sim.trace.TraceRecord` is
+    unpacked record by record.
+    """
+    rows = getattr(source, "rows", None)
+    if rows is not None:
+        return rows
+    return ((r.time, r.category, r.actor, r.event, dict(r.data))
+            for r in source)
 
 
 def build_job_trees(source) -> Dict[int, JobTree]:
@@ -235,49 +258,44 @@ def build_job_trees(source) -> Dict[int, JobTree]:
     come back with ``status='in-flight'``; jobs shed by total fleet
     loss come back as ``status='lost'``.  Trees are keyed by job id.
     """
-    # Per-job boundary timeline, in trace (== causal) order.
-    timelines: Dict[int, List[Tuple[float, str, Dict[str, Any]]]] = {}
-    meta: Dict[int, Dict[str, Any]] = {}
+    # Per-job boundary timeline (time, kind, attrs), in trace (==
+    # causal) order, and per-job (tenant, template, variant).
+    timelines: DefaultDict[int, List[Tuple[float, str, Dict[str, Any]]]] = \
+        defaultdict(list)
+    meta: Dict[int, Tuple[str, str, int]] = {}
 
-    def note(job_id: int, time: float, kind: str, **attrs) -> None:
-        timelines.setdefault(job_id, []).append((time, kind, attrs))
-
-    for rec in _records(source):
-        if rec.category != "serve":
+    for time, cat, actor, ev, p in _rows(source):
+        if cat != "serve":
             continue
-        ev = rec.event
         if ev == "admit":
-            jid = rec.get("job")
-            meta[jid] = {
-                "tenant": rec.get("tenant", ""),
-                "template": rec.get("template", ""),
-                "variant": rec.get("variant", 0),
-            }
-            note(jid, rec.time, "submit")
+            jid = p.get("job")
+            meta[jid] = (p.get("tenant", ""), p.get("template", ""),
+                         p.get("variant", 0))
+            timelines[jid].append((time, "submit", {}))
         elif ev == "dispatch":
-            for jid in rec.get("jobs", ()):
-                note(jid, rec.time, "dispatch",
-                     blade=rec.get("blade"), unit=rec.get("unit"))
+            blade, unit = p.get("blade"), p.get("unit")
+            for jid in p.get("jobs", ()):
+                timelines[jid].append(
+                    (time, ev, {"blade": blade, "unit": unit}))
         elif ev == "unit-start":
-            for jid in rec.get("jobs", ()):
-                note(jid, rec.time, "unit-start",
-                     blade=rec.actor, unit=rec.get("unit"))
-        elif ev == "start":
-            note(rec.get("job"), rec.time, "start", blade=rec.actor)
-        elif ev == "finish":
-            note(rec.get("job"), rec.time, "finish", blade=rec.actor)
+            unit = p.get("unit")
+            for jid in p.get("jobs", ()):
+                timelines[jid].append(
+                    (time, ev, {"blade": actor, "unit": unit}))
+        elif ev == "start" or ev == "finish":
+            timelines[p.get("job")].append((time, ev, {"blade": actor}))
         elif ev == "failover":
-            for jid in rec.get("jobs", ()):
-                note(jid, rec.time, "failover", blade=rec.actor)
+            for jid in p.get("jobs", ()):
+                timelines[jid].append((time, ev, {"blade": actor}))
         elif ev == "lost":
-            note(rec.get("job"), rec.time, "lost")
+            timelines[p.get("job")].append((time, ev, {}))
 
     trees: Dict[int, JobTree] = {}
     for jid, events in timelines.items():
-        if not events or events[0][1] != "submit":
+        if events[0][1] != "submit":
             continue                     # trace attached mid-lifecycle
         submit = events[0][0]
-        info = meta.get(jid, {})
+        tenant, template, variant = meta[jid]
         phases: List[SpanNode] = []
         prev_kind, prev_t = "submit", submit
         prev_attrs: Dict[str, Any] = {}
@@ -289,7 +307,7 @@ def build_job_trees(source) -> Dict[int, JobTree]:
                 break                    # malformed: boundary after terminal
             if kind == "failover" and name != "requeue":
                 name += "-aborted"
-            phases.append(SpanNode(name, prev_t, time, dict(prev_attrs)))
+            phases.append(SpanNode(name, prev_t, time, prev_attrs))
             prev_kind, prev_t, prev_attrs = kind, time, attrs
             end = time
             if kind in _TERMINAL:
@@ -298,14 +316,7 @@ def build_job_trees(source) -> Dict[int, JobTree]:
         if status == "in-flight" and prev_kind not in _TERMINAL:
             end = prev_t                 # open tail is not attributed
         root = SpanNode("job", submit, end, {"job": jid}, phases)
-        trees[jid] = JobTree(
-            job_id=jid,
-            tenant=info.get("tenant", ""),
-            template=info.get("template", ""),
-            variant=info.get("variant", 0),
-            status=status,
-            root=root,
-        )
+        trees[jid] = JobTree(jid, tenant, template, variant, status, root)
     return trees
 
 
@@ -334,19 +345,18 @@ def build_offload_trees(source) -> List[SpanNode]:
     awaiting_fallback: Dict[str, SpanNode] = {}
     fanouts: List[Tuple[float, Dict[str, Any], str]] = []
 
-    for rec in _records(source):
-        cat, actor, ev = rec.category, rec.actor, rec.event
-        if cat == "proc" and ev == "span_begin" and rec.get("name") == "offload":
+    for time, cat, actor, ev, p in _rows(source):
+        if cat == "proc" and ev == "span_begin" and p.get("name") == "offload":
             open_spans[actor] = {
-                "start": rec.time, "attempts": [], "retries": [],
+                "start": time, "attempts": [], "retries": [],
                 "fallback_at": None,
             }
             awaiting_fallback.pop(actor, None)
-        elif cat == "proc" and ev == "span_end" and rec.get("name") == "offload":
+        elif cat == "proc" and ev == "span_end" and p.get("name") == "offload":
             state = open_spans.pop(actor, None)
             if state is None:
                 continue
-            root = _close_offload(actor, state, rec)
+            root = _close_offload(actor, state, time, p)
             roots.append(root)
             if state["fallback_at"] is not None:
                 awaiting_fallback[actor] = root
@@ -354,43 +364,44 @@ def build_offload_trees(source) -> List[SpanNode]:
             state = open_spans[actor]
             if ev == "offload_attempt":
                 state["attempts"].append(
-                    (rec.time, rec.get("attempt"), rec.get("function"))
+                    (time, p.get("attempt"), p.get("function"))
                 )
             elif ev == "offload_retry":
                 state["retries"].append(
-                    (rec.time, rec.get("attempt"), rec.get("status"),
-                     rec.get("spe"))
+                    (time, p.get("attempt"), p.get("status"),
+                     p.get("spe"))
                 )
             elif ev == "retry_fallback":
-                state["fallback_at"] = rec.time
+                state["fallback_at"] = time
         elif cat == "ppe" and ev == "ppe_fallback":
             root = awaiting_fallback.pop(actor, None)
             if root is not None:
-                dur = rec.get("duration", 0.0)
+                dur = p.get("duration", 0.0)
                 root.children.append(SpanNode(
-                    "ppe-fallback", rec.time, rec.time + dur,
-                    {"function": rec.get("function")},
+                    "ppe-fallback", time, time + dur,
+                    {"function": p.get("function")},
                 ))
-                root.end = max(root.end, rec.time + dur)
+                root.end = max(root.end, time + dur)
         elif cat == "llp" and ev == "llp_fanout":
-            fanouts.append((rec.time, {k: rec.get(k) for k in (
+            fanouts.append((time, {k: p.get(k) for k in (
                 "function", "k", "schedule", "base", "master_end",
                 "worker_starts", "worker_ends", "join_idle", "reduction",
                 "duration",
-            )}, rec.get("master", "")))
+            )}, p.get("master", "")))
 
     _attach_fanouts(roots, fanouts)
     return roots
 
 
-def _close_offload(actor: str, state: Dict[str, Any], end_rec) -> SpanNode:
-    start, end = state["start"], end_rec.time
+def _close_offload(actor: str, state: Dict[str, Any], end: float,
+                   payload: Dict[str, Any]) -> SpanNode:
+    start = state["start"]
     attrs = {
         "proc": actor,
-        "function": end_rec.get("function"),
-        "reason": end_rec.get("reason"),
+        "function": payload.get("function"),
+        "reason": payload.get("reason"),
     }
-    spe = end_rec.get("spe")
+    spe = payload.get("spe")
     if spe is not None:
         attrs["spe"] = spe
     span = SpanNode("offload", start, end, attrs)

@@ -35,6 +35,7 @@ __all__ = [
     "MetricsRegistry",
     "NullRegistry",
     "NULL_REGISTRY",
+    "registry_of",
     "DEFAULT_BUCKETS",
     "labeled",
     "stable_round",
@@ -411,3 +412,10 @@ class NullRegistry:
 
 
 NULL_REGISTRY = NullRegistry()
+
+
+def registry_of(sinks: Any) -> Any:
+    """The registry of a :class:`~repro.sim.trace.Sinks` bundle, or
+    :data:`NULL_REGISTRY` when metrics are off (``sinks`` may be None)."""
+    m = None if sinks is None else sinks.metrics
+    return NULL_REGISTRY if m is None else m

@@ -14,16 +14,17 @@ Usage::
         ...
         sp.set(function=task.function)         # per-span attributes
 
-Cost discipline: when the tracer is disabled, :meth:`SpanRecorder.span`
-is a single attribute check returning a shared no-op span — no object
-allocation, no time read.  Hot paths should avoid passing keyword
-attributes at the call site (the kwargs dict would be built regardless)
-and use :meth:`Span.set` inside an ``if tracer.enabled`` guard instead.
+Cost discipline: a recorder given no tracer, or a disabled one, keeps
+``tracer = None``, and :meth:`SpanRecorder.span` is then a single check
+returning a shared no-op span — no object allocation, no time read.
+Keyword attributes at the call site still build a dict on that path, so
+hot paths attach them with :meth:`Span.set` under the layer's own
+``tracer is not None`` guard.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Union
+from typing import Any, Callable, Dict, Optional, Union
 
 from ..sim.trace import Tracer
 
@@ -74,7 +75,7 @@ class Span:
             payload["error"] = exc_type.__name__
         payload.update(self._attrs)
         rec.tracer.emit(
-            rec.clock(), self.category, self.actor, "span_end", payload
+            rec.clock(), self.category, self.actor, "span_end", **payload
         )
         return False
 
@@ -108,8 +109,9 @@ class SpanRecorder:
 
     __slots__ = ("tracer", "clock", "_depth")
 
-    def __init__(self, tracer: Tracer, clock: Union[Callable[[], float], Any]) -> None:
-        self.tracer = tracer
+    def __init__(self, tracer: Optional[Tracer],
+                 clock: Union[Callable[[], float], Any]) -> None:
+        self.tracer = tracer if tracer is not None and tracer.enabled else None
         if callable(clock):
             self.clock = clock
         else:
@@ -118,6 +120,6 @@ class SpanRecorder:
 
     def span(self, category: str, actor: str, name: str, **attrs: Any):
         """Open a span; returns :data:`NULL_SPAN` when tracing is off."""
-        if not self.tracer.enabled:
+        if self.tracer is None:
             return NULL_SPAN
         return Span(self, category, actor, name, attrs)

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..cell.params import BladeParams
-from ..obs.metrics import NULL_REGISTRY, stable_round
+from ..obs.metrics import stable_round
 from ..phylo.consensus import majority_rule_consensus
 from ..phylo.tree import Tree
 from ..sim.engine import Environment
@@ -779,7 +779,7 @@ def run_dag(
         faults=config.faults,
     )
     env = Environment(tracer=tracer, metrics=metrics)
-    service = Service(env, serve_cfg, tracer=tracer, metrics=metrics)
+    service = Service(env, serve_cfg)
     service.start(arrivals=False)
     engine = WorkflowEngine(env, service, config, cache=cache)
     engine.start()

@@ -152,11 +152,7 @@ class BladeState:
                  tracer=None) -> None:
         self.env = env
         self.index = index
-        # Same normalization as the Service: a disabled tracer would
-        # still pay payload building per push, so collapse it to None.
-        if tracer is not None and not getattr(tracer, "enabled", True):
-            tracer = None
-        self.tracer = tracer
+        self.tracer = tracer  # the Service's resolved tracer, or None
         self.alive = True
         self.active = active
         # FIFO of queued units; deque so the head pop the blade loop

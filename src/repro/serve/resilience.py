@@ -175,8 +175,6 @@ class FleetResilience:
         self.env = env
         self.config = config
         self.stats = stats
-        if tracer is not None and not getattr(tracer, "enabled", True):
-            tracer = None
         self.tracer = tracer
         self.health = {
             i: BladeHealth(config.ewma_alpha) for i in range(n_blades)

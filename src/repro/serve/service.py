@@ -32,9 +32,10 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..cell.params import BladeParams
-from ..obs.metrics import NULL_REGISTRY, stable_round
+from ..obs.metrics import registry_of, stable_round
 from ..sim.engine import Environment
 from ..sim.rng import RngStreams
+from ..sim.trace import Sinks, tracer_of
 from .admission import DispatchUnit, FrontEnd
 from .autoscaler import Autoscaler, AutoscalerConfig
 from .dispatch import resolve_dispatch
@@ -219,13 +220,13 @@ class Service:
     ) -> None:
         self.env = env
         self.config = config
-        # A disabled tracer would still pay payload building at every
-        # ``if self.tracer is not None`` hot site; normalize it to None
-        # so observability-off runs skip the formatting entirely.
-        if tracer is not None and not getattr(tracer, "enabled", True):
-            tracer = None
-        self.tracer = tracer
-        self.metrics = metrics if metrics is not None else NULL_REGISTRY
+        # The environment's sink bundle, overlaid with any sink given
+        # here.  Every serving layer gets the resolved tracer, None when
+        # tracing is off, so observability-off runs skip the payload
+        # formatting at each ``if self.tracer is not None`` hot site.
+        sinks = Sinks.resolve(tracer, metrics, base=env.sinks)
+        self.tracer = tracer_of(sinks)
+        self.metrics = registry_of(sinks)
         self.stats = ServeStats(self.metrics)
         self.streams = RngStreams(config.seed).spawn("serve")
         self.compiler = JobCompiler(
@@ -236,11 +237,11 @@ class Service:
             env, self.stats, self._make_job,
             queue_capacity=config.queue_capacity,
             batch_max=config.batch_max,
-            tracer=tracer,
+            tracer=self.tracer,
         )
         n_start = config.min_blades if config.autoscale else config.max_blades
         self.blades = [
-            BladeState(env, i, active=(i < n_start), tracer=tracer)
+            BladeState(env, i, active=(i < n_start), tracer=self.tracer)
             for i in range(config.max_blades)
         ]
         self.stop = env.event()
@@ -995,7 +996,7 @@ def run_service(
 ) -> ServeResult:
     """Execute one serving run to full drain; deterministic per config."""
     env = Environment(tracer=tracer, metrics=metrics)
-    service = Service(env, config, tracer=tracer, metrics=metrics)
+    service = Service(env, config)
     service.start()
     env.run_until_complete(service._main)
     return service.result()

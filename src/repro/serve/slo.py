@@ -71,62 +71,49 @@ class ServeStats:
             "serve.queue_depth", buckets=DEPTH_BUCKETS,
             help="jobs waiting (front-end + blade queues) at each dispatch",
         )
-        # Pre-register the headline counters so ``repro stats --fail-on``
-        # and the monitor can resolve them on runs where they stay 0.
-        self.metrics.counter(
-            "serve.arrivals", help="jobs offered by all tenants"
-        )
-        self.metrics.counter(
-            "serve.admitted", help="jobs accepted past admission control"
-        )
-        self.metrics.counter(
-            "serve.rejected", help="jobs shed by admission control"
-        )
-        self.metrics.counter(
-            "serve.completed", help="jobs finished with a verified digest"
-        )
-        self.metrics.counter(
+        # Bind every counter once: the event feed below then costs one
+        # ``inc`` per event, with no registry lookup.  Registering them up
+        # front also lets ``repro stats --fail-on`` and the monitor
+        # resolve the headline counters on runs where they stay 0.
+        c = self.metrics.counter
+        self._m_arrivals = c("serve.arrivals", "jobs offered by all tenants")
+        self._m_admitted = c("serve.admitted",
+                             "jobs accepted past admission control")
+        self._m_rejected = c("serve.rejected",
+                             "jobs shed by admission control")
+        self._m_completed = c("serve.completed",
+                              "jobs finished with a verified digest")
+        self._m_deadline_misses = c(
             "serve.deadline_misses",
-            help="completed jobs that finished past their deadline",
-        )
-        self.metrics.counter(
-            "serve.failovers", help="job executions re-queued off dead blades"
-        )
+            "completed jobs that finished past their deadline")
+        self._m_failovers = c("serve.failovers",
+                              "job executions re-queued off dead blades")
         # Fleet-resilience counters (all zero unless the resilience
         # layer or the richer fault kinds are in play).
-        self.metrics.counter(
-            "serve.dispatched_units", help="dispatch units placed on blades"
-        )
-        self.metrics.counter(
+        self._m_dispatched = c("serve.dispatched_units",
+                               "dispatch units placed on blades")
+        self._m_deadline_aborts = c(
             "serve.deadline_aborts",
-            help="jobs shed because their deadline became unreachable",
-        )
-        self.metrics.counter(
+            "jobs shed because their deadline became unreachable")
+        self._m_cancelled = c(
             "serve.cancelled",
-            help="admitted jobs cancelled before running (workflow bootstop)",
-        )
-        self.metrics.counter(
-            "serve.hedges", help="speculative duplicate dispatches issued"
-        )
-        self.metrics.counter(
-            "serve.hedge_wins", help="hedge clones that finished first"
-        )
-        self.metrics.counter(
-            "serve.breaker_opens",
-            help="circuit breaker closed/half-open -> open",
-        )
-        self.metrics.counter(
-            "serve.breaker_closes", help="circuit breaker half-open -> closed"
-        )
-        self.metrics.counter(
-            "serve.breaker_probes", help="probe units sent to half-open blades"
-        )
-        self.metrics.counter(
-            "serve.blade_crashes", help="flap crashes delivered to blades"
-        )
-        self.metrics.counter(
-            "serve.blade_rejoins", help="flapped blades re-admitted"
-        )
+            "admitted jobs cancelled before running (workflow bootstop)")
+        self._m_hedges = c("serve.hedges",
+                           "speculative duplicate dispatches issued")
+        self._m_hedge_wins = c("serve.hedge_wins",
+                               "hedge clones that finished first")
+        self._m_breaker_opens = c(
+            "serve.breaker_opens", "circuit breaker closed/half-open -> open")
+        self._m_breaker_closes = c(
+            "serve.breaker_closes", "circuit breaker half-open -> closed")
+        self._m_breaker_probes = c(
+            "serve.breaker_probes", "probe units sent to half-open blades")
+        self._m_blade_crashes = c("serve.blade_crashes",
+                                  "flap crashes delivered to blades")
+        self._m_blade_rejoins = c("serve.blade_rejoins",
+                                  "flapped blades re-admitted")
+        # ``serve.rejected{reason,tenant}`` handles, made on first use.
+        self._m_rejected_by: Dict[Tuple[str, str], Any] = {}
         self.deadline_aborts = 0
         self.cancelled = 0
         self.hedges = 0
@@ -139,31 +126,26 @@ class ServeStats:
     # -- event feed --------------------------------------------------------
     def note_arrival(self, tenant: str) -> None:
         self.arrivals += 1
-        self.metrics.counter(
-            "serve.arrivals", help="jobs offered by all tenants"
-        ).inc()
+        self._m_arrivals.inc()
 
     def note_admitted(self, job: Job) -> None:
         self.admitted += 1
-        self.metrics.counter(
-            "serve.admitted", help="jobs accepted past admission control"
-        ).inc()
+        self._m_admitted.inc()
 
     def note_rejected(self, now: float, tenant: str, reason: str) -> None:
         self.rejected += 1
         self.rejections.append((now, tenant, reason))
-        self.metrics.counter(
-            "serve.rejected", help="jobs shed by admission control"
-        ).inc()
-        self.metrics.counter(
-            labeled("serve.rejected", reason=reason, tenant=tenant)
-        ).inc()
+        self._m_rejected.inc()
+        key = (reason, tenant)
+        counter = self._m_rejected_by.get(key)
+        if counter is None:
+            counter = self._m_rejected_by[key] = self.metrics.counter(
+                labeled("serve.rejected", reason=reason, tenant=tenant))
+        counter.inc()
 
     def note_dispatch(self, queued: int) -> None:
         self._depth_hist.observe(queued)
-        self.metrics.counter(
-            "serve.dispatched_units", help="dispatch units placed on blades"
-        ).inc()
+        self._m_dispatched.inc()
 
     def note_batch(self, size: int) -> None:
         if size > 1:
@@ -172,78 +154,49 @@ class ServeStats:
 
     def note_failover(self, job: Job) -> None:
         self.failovers += 1
-        self.metrics.counter(
-            "serve.failovers", help="job executions re-queued off dead blades"
-        ).inc()
+        self._m_failovers.inc()
 
     def note_deadline_abort(self, job: Job) -> None:
         self.deadline_aborts += 1
-        self.metrics.counter(
-            "serve.deadline_aborts",
-            help="jobs shed because their deadline became unreachable",
-        ).inc()
+        self._m_deadline_aborts.inc()
 
     def note_cancelled(self, job: Job) -> None:
         self.cancelled += 1
-        self.metrics.counter(
-            "serve.cancelled",
-            help="admitted jobs cancelled before running (workflow bootstop)",
-        ).inc()
+        self._m_cancelled.inc()
 
     def note_hedge(self) -> None:
         self.hedges += 1
-        self.metrics.counter(
-            "serve.hedges", help="speculative duplicate dispatches issued"
-        ).inc()
+        self._m_hedges.inc()
 
     def note_hedge_win(self) -> None:
         self.hedge_wins += 1
-        self.metrics.counter(
-            "serve.hedge_wins", help="hedge clones that finished first"
-        ).inc()
+        self._m_hedge_wins.inc()
 
     def note_probe(self) -> None:
-        self.metrics.counter(
-            "serve.breaker_probes", help="probe units sent to half-open blades"
-        ).inc()
+        self._m_breaker_probes.inc()
 
     def note_breaker(self, from_state: str, to_state: str) -> None:
         if to_state == "open":
             self.breaker_opens += 1
-            self.metrics.counter(
-                "serve.breaker_opens",
-                help="circuit breaker closed/half-open -> open",
-            ).inc()
+            self._m_breaker_opens.inc()
         elif to_state == "closed":
             self.breaker_closes += 1
-            self.metrics.counter(
-                "serve.breaker_closes",
-                help="circuit breaker half-open -> closed",
-            ).inc()
+            self._m_breaker_closes.inc()
 
     def note_crash(self, blade: int) -> None:
         self.blade_crashes += 1
-        self.metrics.counter(
-            "serve.blade_crashes", help="flap crashes delivered to blades"
-        ).inc()
+        self._m_blade_crashes.inc()
 
     def note_rejoin(self, blade: int) -> None:
         self.blade_rejoins += 1
-        self.metrics.counter(
-            "serve.blade_rejoins", help="flapped blades re-admitted"
-        ).inc()
+        self._m_blade_rejoins.inc()
 
     def note_completed(self, job: Job) -> None:
         self.completed_jobs.append(job)
-        self.metrics.counter(
-            "serve.completed", help="jobs finished with a verified digest"
-        ).inc()
+        self._m_completed.inc()
         self._latency_hist.observe(job.latency)
         if job.missed_deadline:
-            self.metrics.counter(
-                "serve.deadline_misses",
-                help="completed jobs that finished past their deadline",
-            ).inc()
+            self._m_deadline_misses.inc()
 
     # -- aggregation -------------------------------------------------------
     def _tenant_names(self) -> List[str]:

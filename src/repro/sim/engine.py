@@ -41,6 +41,7 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from .events import AllOf, AnyOf, Event, Timeout, NORMAL, URGENT
 from .process import Process
+from .trace import Sinks
 
 __all__ = ["Environment", "EmptySchedule"]
 
@@ -72,16 +73,16 @@ class Environment:
         of :meth:`run` immediately — the right behaviour for tests.  If
         False, the process fails as an event and waiters see the error.
     tracer / metrics:
-        Optional observability sinks carried by the environment so every
-        component of a run (machine, runtime, workers) can reach the
-        same :class:`~repro.sim.trace.Tracer` and
-        :class:`~repro.obs.metrics.MetricsRegistry` without threading
-        them through each constructor.  Both default to ``None``
-        (observability off); neither influences event ordering.
+        Optional observability sinks, resolved once into
+        :attr:`sinks` (a :class:`~repro.sim.trace.Sinks` bundle, or
+        ``None`` when both are off or disabled) so every component of a
+        run (machine, runtime, serving layer) reads the same bundle
+        instead of threading and re-checking each sink.  Neither
+        influences event ordering.
     """
 
     __slots__ = (
-        "_now", "_seq", "_active_process", "strict", "tracer", "metrics",
+        "_now", "_seq", "_active_process", "strict", "sinks",
         "events_processed",
         "_immediate", "_deferred", "_near", "_far", "_horizon",
         "_timeout_pool", "_pool_hits", "_pool_misses",
@@ -101,8 +102,7 @@ class Environment:
         self._seq = 0
         self._active_process: Optional[Process] = None
         self.strict = strict
-        self.tracer = tracer
-        self.metrics = metrics
+        self.sinks = Sinks.resolve(tracer, metrics)
         self.events_processed = 0
         # Calendar tiers.
         self._immediate: deque = deque()

@@ -78,7 +78,21 @@ class Process(Event):
             target.remove_callback(self._resume)
         deliver = Event(self.env)
         deliver.fail(Interrupt(cause), priority=URGENT)
-        deliver.add_callback(self._resume)
+        deliver.add_callback(self._deliver)
+
+    def _deliver(self, interrupt: Event) -> None:
+        """Throw the interrupt in at whatever the process awaits now.
+
+        An interrupt issued while the awaited event is already running
+        its callbacks cannot detach the process, which wakes with the
+        value first and may yield again, or finish, before this runs.
+        """
+        if not self.is_alive:
+            return
+        target = self._target
+        if target is not None and not target._processed:
+            target.remove_callback(self._resume)
+        self._resume(interrupt)
 
     # -- engine plumbing --------------------------------------------------
     def _resume(self, trigger: Event) -> None:

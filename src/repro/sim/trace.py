@@ -4,16 +4,26 @@ The tracer records typed, timestamped records during a simulation run and
 offers utilization/occupancy reductions over them.  It is the data source
 for all reported metrics (SPE utilization, PPE occupancy, timelines) and
 for the ASCII timelines printed by the examples.
+
+:class:`Sinks` bundles a run's live tracer and metrics registry.  It is
+resolved once, when the :class:`~repro.sim.engine.Environment` is built,
+and is ``None`` when every sink is off, so each layer tests one
+reference for the whole observability fan-out.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from itertools import islice
+from typing import (
+    Any, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union,
+)
 
-__all__ = ["TraceRecord", "Tracer", "BusyTracker"]
+__all__ = ["TraceRecord", "Tracer", "Sinks", "tracer_of", "BusyTracker"]
+
+# One raw trace entry: (time, category, actor, event, payload dict).
+Row = Tuple[float, str, str, str, Dict[Any, Any]]
 
 
 @dataclass(frozen=True)
@@ -34,47 +44,38 @@ class TraceRecord:
 
 
 class Tracer:
-    """Collects :class:`TraceRecord` entries.
+    """Collects trace entries.
 
-    Tracing can be disabled (``enabled=False``) for large sweeps; the
-    emit call then degenerates to a single attribute check.
+    :meth:`emit` appends one plain ``(time, category, actor, event,
+    payload)`` tuple to :attr:`rows`; single-pass consumers such as the
+    causal fold read those tuples directly.  :attr:`records` presents the
+    same entries as :class:`TraceRecord` views, built the first time each
+    entry is read, so exporters and reports see the records they always
+    did.  Tracing can be disabled (``enabled=False``) for large sweeps;
+    the emit call then degenerates to a single attribute check.
     """
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self.records: List[TraceRecord] = []
+        self.rows: List[Row] = []
+        self._views: List[TraceRecord] = []
 
-    def emit(
-        self,
-        time: float,
-        category: str,
-        actor: str,
-        event: str,
-        data: Union[Mapping, Iterable[Tuple[str, Any]], None] = None,
-        **kw: Any,
-    ) -> None:
-        """Record one event.
+    def emit(self, time: float, category: str, actor: str, event: str,
+             **payload: Any) -> None:
+        """Record one event; keyword arguments are its payload."""
+        if self.enabled:
+            self.rows.append((time, category, actor, event, payload))
 
-        The payload may be passed as keyword arguments (the original
-        calling convention), as a ``Mapping``, or as a pre-built iterable
-        of ``(key, value)`` pairs — the latter two avoid rebuilding a
-        kwargs dict at hot call sites.  When both are given, keyword
-        arguments are appended after ``data``.
-        """
-        if not self.enabled:
-            return
-        if data is None:
-            payload = tuple(kw.items())
-        else:
-            if isinstance(data, Mapping):
-                payload = tuple(data.items())
-            else:
-                payload = tuple(data)
-            if kw:
-                payload += tuple(kw.items())
-        self.records.append(
-            TraceRecord(time, category, actor, event, payload)
-        )
+    @property
+    def records(self) -> List[TraceRecord]:
+        """Every entry so far as a :class:`TraceRecord` (read-only)."""
+        views, rows = self._views, self.rows
+        if len(views) < len(rows):
+            views.extend(
+                TraceRecord(t, c, a, e, tuple(p.items()))
+                for t, c, a, e, p in islice(rows, len(views), None)
+            )
+        return views
 
     def filter(
         self,
@@ -93,7 +94,8 @@ class Tracer:
         return list(out)
 
     def clear(self) -> None:
-        self.records.clear()
+        self.rows.clear()
+        self._views.clear()
 
     # -- persistence -------------------------------------------------------
     def to_jsonl(self) -> str:
@@ -105,18 +107,19 @@ class Tracer:
         never appear in emitted payloads, would also come back as
         tuples).
         """
-        lines = []
-        for r in self.records:
-            lines.append(json.dumps(
+        lines = [
+            json.dumps(
                 {
-                    "t": r.time,
-                    "cat": r.category,
-                    "actor": r.actor,
-                    "event": r.event,
-                    "data": [[k, _to_jsonable(v)] for k, v in r.data],
+                    "t": t,
+                    "cat": c,
+                    "actor": a,
+                    "event": e,
+                    "data": [[k, _to_jsonable(v)] for k, v in p.items()],
                 },
                 sort_keys=True,
-            ))
+            )
+            for t, c, a, e, p in self.rows
+        ]
         return "\n".join(lines) + ("\n" if lines else "")
 
     @classmethod
@@ -129,11 +132,53 @@ class Tracer:
             if not line:
                 continue
             d = json.loads(line)
-            payload = tuple((k, _from_jsonable(v)) for k, v in d["data"])
-            tracer.records.append(
-                TraceRecord(d["t"], d["cat"], d["actor"], d["event"], payload)
+            payload = {k: _from_jsonable(v) for k, v in d["data"]}
+            tracer.rows.append(
+                (d["t"], d["cat"], d["actor"], d["event"], payload)
             )
         return tracer
+
+
+class Sinks(NamedTuple):
+    """A run's live observability sinks, resolved once.
+
+    ``tracer`` is an enabled :class:`Tracer` or None; ``metrics`` a
+    recording :class:`~repro.obs.metrics.MetricsRegistry` or None.  Build
+    bundles with :meth:`resolve`, which returns None instead of a bundle
+    when every sink is off (a disabled tracer and the null registry
+    count as off).
+    """
+
+    tracer: Optional[Tracer]
+    metrics: Any
+
+    @classmethod
+    def resolve(cls, tracer: Optional[Tracer] = None, metrics: Any = None,
+                base: Optional["Sinks"] = None) -> Optional["Sinks"]:
+        """Bundle the live sinks among ``tracer`` and ``metrics``.
+
+        A sink not given falls back to ``base``'s, so a layer handed
+        explicit sinks overlays them on its environment's bundle.
+        """
+        if tracer is None and metrics is None:
+            return base
+        if base is not None:
+            if tracer is None:
+                tracer = base.tracer
+            if metrics is None:
+                metrics = base.metrics
+        if tracer is not None and not tracer.enabled:
+            tracer = None
+        if metrics is not None and not metrics.enabled:
+            metrics = None
+        if tracer is None and metrics is None:
+            return None
+        return cls(tracer, metrics)
+
+
+def tracer_of(sinks: Optional[Sinks]) -> Optional[Tracer]:
+    """The bundle's tracer, or None when tracing is off."""
+    return None if sinks is None else sinks.tracer
 
 
 def _to_jsonable(value: Any) -> Any:

@@ -261,6 +261,18 @@ class TestReconciliation:
         with pytest.raises(ReconciliationError):
             job_summary(tree)
 
+    def test_repeated_non_canonical_phases_sum(self):
+        tree = self._tree([SpanNode("admission", 0.0, 1.0),
+                           SpanNode("weird", 1.0, 2.0),
+                           SpanNode("requeue", 2.0, 2.0),
+                           SpanNode("weird", 2.0, 5.0)])
+        durations = tree.phase_durations()
+        assert durations == {"admission": 1.0, "requeue": 0.0, "weird": 4.0}
+        assert list(durations) == ["admission", "requeue", "weird"]
+        assert sum(durations.values()) == tree.sojourn == 5.0
+        durations["weird"] = 0.0            # callers get their own copy
+        assert tree.phase_durations()["weird"] == 4.0
+
 
 # -- windowed time series -----------------------------------------------------
 

@@ -236,6 +236,41 @@ def test_interrupted_process_is_not_resumed_by_its_old_target():
     assert env.now == 5
 
 
+@pytest.mark.parametrize("then_sleep", [True, False],
+                         ids=["yields-again", "finishes"])
+def test_interrupt_from_a_sibling_woken_by_the_same_event(then_sleep):
+    # The attacker and the victim wait on one event; the attacker runs
+    # first and interrupts the victim while that event is still running
+    # its callbacks, so the victim wakes with the value first.  The
+    # interrupt must then land at the victim's next yield (or be
+    # dropped if it finished), never resume it twice.
+    env = Environment()
+    signal = env.event()
+    log = []
+
+    def attacker():
+        yield signal
+        victim_proc.interrupt("late")
+
+    def victim():
+        log.append(("woke", (yield signal)))
+        if then_sleep:
+            try:
+                yield env.timeout(0.0)
+            except Interrupt as i:
+                log.append(("interrupted", i.cause, env.now))
+
+    env.process(attacker())
+    victim_proc = env.process(victim())
+    signal.succeed("value")
+    env.run()
+    expect = [("woke", "value")]
+    if then_sleep:
+        expect.append(("interrupted", "late", 0.0))
+    assert log == expect
+    assert victim_proc.ok
+
+
 def test_interrupt_finished_process_is_error():
     env = Environment()
 
