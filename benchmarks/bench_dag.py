@@ -19,7 +19,7 @@ changed.
 
 from conftest import run_once
 
-from repro.obs.bench import measure_dag
+from repro.obs.bench import DAG_BASELINE, measure_dag, semantic_violations
 
 
 def test_workflow_dag_grid(benchmark, record_json):
@@ -28,20 +28,18 @@ def test_workflow_dag_grid(benchmark, record_json):
     grid = payload["grid"]
     assert set(grid) == {"cache-cold", "cache-warm", "bootstop",
                          "bootstop-diverging"}
-    for name, row in grid.items():
-        assert row["conservation_ok"], f"{name} broke job conservation"
-        assert row["lost"] == 0, f"{name} lost jobs"
+    # The semantic gates `repro bench --check` applies: every cell
+    # conserves its jobs and loses none, the repeat submission hits the
+    # stage cache on every stage with a bit-identical result, and
+    # bootstop cancels >= 30% of the converging fan-out.
+    broken = semantic_violations(DAG_BASELINE, payload)
+    assert not broken, [str(v) for v in broken]
 
-    # Cache: the repeat submission short-circuits every stage and the
-    # result is bit-identical to the cold run's.
-    assert payload["warm_hit_rate"] == 1.0
-    assert payload["warm_digest_identical"]
+    # Cache: the repeat submission finishes faster than the cold run.
     assert grid["cache-warm"]["warm_makespan"] < grid["cache-cold"]["makespan"]
 
-    # Bootstop: the converging fan-out stops early (>= 30% cancelled,
-    # the acceptance floor) and faster than the full run; the diverging
-    # control needs more replicates before it converges.
-    assert payload["bootstop_savings"] >= 0.30
+    # Bootstop: the converging fan-out stops earlier than the full run;
+    # the diverging control needs more replicates before it converges.
     assert grid["bootstop"]["makespan"] < grid["cache-cold"]["makespan"]
     assert (grid["bootstop-diverging"]["bootstop_cancelled"]
             < grid["bootstop"]["bootstop_cancelled"])

@@ -20,7 +20,11 @@ Two invariants are asserted here and re-checked by ``repro bench
 
 from conftest import run_once
 
-from repro.obs.bench import measure_faults
+from repro.obs.bench import (
+    FAULTS_BASELINE,
+    measure_faults,
+    semantic_violations,
+)
 
 
 def test_fault_overhead(benchmark, record_json):
@@ -29,15 +33,11 @@ def test_fault_overhead(benchmark, record_json):
     tolerant = payload["zero_fault_tolerant"]
     faulty = payload["faulty"]
 
-    # The headline invariant: same answers, different timeline.
-    assert tolerant["digest_match"], (
-        "the tolerant off-load path changed application results on a "
-        "run with zero injected faults"
-    )
-    assert faulty["digest_match"], (
-        "recovery (retries / blacklists / PPE fallbacks) lost or "
-        "duplicated task results under the storm plan"
-    )
+    # The semantic gates `repro bench --check` applies: same answers
+    # under the null plan and the storm, and a chaos soak that loses no
+    # job, changes no digest and conserves every admitted job.
+    broken = semantic_violations(FAULTS_BASELINE, payload)
+    assert not broken, [str(v) for v in broken]
 
     # Tolerance machinery is near-free when healthy: no retries, no
     # fallbacks, and single-digit-percent makespan overhead.
@@ -56,21 +56,7 @@ def test_fault_overhead(benchmark, record_json):
     assert faulty["offload_retries"] > 0
     assert faulty["slowdown_ratio"] >= 1.0
 
-    # Fleet-tier resilience: the seeded chaos soak (randomized kills,
-    # flaps, stragglers, link degrades against hedging + breakers) must
-    # lose nothing and change no digests, and the deadline-enforcement
-    # cell must account for every admitted job exactly once.
-    fleet = payload["fleet_faults"]
-    assert fleet["lost_jobs"] == 0, (
-        "the chaos soak lost jobs; failover/hedging dropped work"
-    )
-    assert fleet["digests_identical"], (
-        "fleet faults changed at least one job's result digest"
-    )
-    assert fleet["invariants_ok"], "a chaos-plan invariant was violated"
-    assert fleet["deadline_conservation_ok"], (
-        "deadline shedding double-counted or leaked a job"
-    )
-    assert fleet["deadline_aborts"] > 0  # the enforcement cell fired
+    # The deadline-enforcement cell fired.
+    assert payload["fleet_faults"]["deadline_aborts"] > 0
 
     record_json("BENCH_faults", payload, root=True)

@@ -17,7 +17,12 @@ changed.
 
 from conftest import run_once
 
-from repro.obs.bench import SERVE_POLICIES, measure_serve
+from repro.obs.bench import (
+    SERVE_BASELINE,
+    SERVE_POLICIES,
+    measure_serve,
+    semantic_violations,
+)
 
 
 def test_serving_slo_grid(benchmark, record_json):
@@ -45,8 +50,7 @@ def test_serving_slo_grid(benchmark, record_json):
 
     # The headline invariant: what a job computes never depends on which
     # blade ran it, in what order, or under which dispatch policy.
-    assert payload["digests_identical"], (
-        "per-job digests diverged across dispatch policies"
-    )
+    broken = semantic_violations(SERVE_BASELINE, payload)
+    assert not broken, [str(v) for v in broken]
 
     record_json("BENCH_serve", payload, root=True)

@@ -15,6 +15,7 @@ import argparse
 
 from multicell_scaling import FLEET_BLADE, FLEET_MAX_BLADES, FLEET_MIN_BLADES
 
+from repro.invariants import digest_diff
 from repro.serve import (
     BladeKill,
     FleetFaultPlan,
@@ -69,10 +70,10 @@ def main() -> None:
         faults=FleetFaultPlan(kills=(BladeKill(blade=1, at=kill_at),)),
     ))
     clean = results[best]
-    common = set(clean.digest_map()) & set(faulty.digest_map())
-    matched = all(
-        clean.digest_map()[j] == faulty.digest_map()[j] for j in common
-    )
+    clean_map, faulty_map = clean.digest_map(), faulty.digest_map()
+    common = clean_map.keys() & faulty_map.keys()
+    matched = not any(v.check == "digest.changed"
+                      for v in digest_diff(clean_map, faulty_map))
     print(f"\nblade 1 killed at t={kill_at:g} s under {best} dispatch:")
     print(f"  {faulty.summary['completed']} jobs completed, "
           f"{faulty.lost_jobs} lost, "

@@ -32,6 +32,7 @@ import argparse
 import sys
 from typing import Dict, List, Optional, Tuple
 
+from . import invariants
 from .analysis import (
     SWEEP_LARGE,
     SWEEP_SMALL,
@@ -378,7 +379,10 @@ def build_parser() -> argparse.ArgumentParser:
             "then print the SLO ledger: per-tenant tail latency, "
             "goodput, rejection and deadline-miss accounting.  "
             "Deterministic: the same seed reproduces the run byte for "
-            "byte, including --json output."
+            "byte, including --json output.  Exits non-zero if job "
+            "conservation breaks or, under a fault plan, a job shared "
+            "with a fault-free rerun changes its digest "
+            "(repro.invariants)."
         ),
     )
     from .serve.dispatch import available_dispatch_policies
@@ -458,9 +462,10 @@ def build_parser() -> argparse.ArgumentParser:
             "the redundant tail of the fan-out, and completed stages are "
             "content-addressed into a fleet-wide result cache so repeat "
             "submissions short-circuit to cache hits.  Deterministic per "
-            "seed; prints the workflow ledger with exact job "
-            "conservation (admitted = completed + cancelled + aborted + "
-            "lost)."
+            "seed; prints the workflow ledger.  Exits non-zero if job "
+            "conservation breaks, a job is lost or, with --kill-blade "
+            "and no --bootstop, the final digests differ from a "
+            "fault-free rerun (repro.invariants)."
         ),
     )
     p.add_argument("--workflow", default="raxml", choices=("raxml",),
@@ -652,6 +657,13 @@ def _run_observed(
         seed=seed, tracer=tracer, metrics=metrics,
     )
     return tracer, metrics, result
+
+
+def _fail(command: str, violations) -> int:
+    """Name each broken invariant on stderr; returns exit status 1."""
+    for v in violations:
+        print(f"repro {command}: {v}", file=sys.stderr)
+    return 1
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -1011,7 +1023,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         own_traces[f"{args.scenario}-faulty"] = tracer
         ex = faulty.extras
-        digests_match = clean.result_digest == faulty.result_digest
+        violations = invariants.digest_diff(dict(clean.bootstrap_digests),
+                                            dict(faulty.bootstrap_digests))
+        digests_match = not violations
         if args.json:
             print(_json.dumps({
                 "scenario": args.scenario,
@@ -1060,8 +1074,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                        if digests_match else "DIVERGED from fault-free")
             print(f"  results    : {verdict} "
                   f"(digest {faulty.result_digest[:16]}...)")
-        if not digests_match:
-            return 1
+        if violations:
+            return _fail("faults", violations)
     elif args.command == "serve":
         import dataclasses
 
@@ -1171,7 +1185,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(result.to_json())
         else:
             print(result.summary_text())
-        digests_match = True
+        violations = invariants.conservation(result.summary)
         if cfg.faults is not None:
             # Mirror `repro faults`: rerun fault-free and verify every
             # job the runs share produced an identical digest.  (Shared
@@ -1180,16 +1194,18 @@ def main(argv: Optional[List[str]] = None) -> int:
             clean = run_service(dataclasses.replace(cfg, faults=None))
             clean_map = clean.digest_map()
             faulty_map = result.digest_map()
-            shared = sorted(set(clean_map) & set(faulty_map))
-            diverged = [k for k in shared if clean_map[k] != faulty_map[k]]
-            digests_match = not diverged
+            changed = [
+                v for v in invariants.digest_diff(clean_map, faulty_map)
+                if v.check == "digest.changed"
+            ]
+            violations += changed
             if not args.json:
+                shared = len(clean_map.keys() & faulty_map.keys())
                 verdict = (
-                    f"identical to the fault-free run "
-                    f"({len(shared)} shared jobs)"
-                    if digests_match else
-                    f"DIVERGED from fault-free on {len(diverged)} of "
-                    f"{len(shared)} shared jobs"
+                    f"DIVERGED from fault-free on {len(changed[0].keys)} "
+                    f"of {shared} shared jobs"
+                    if changed else
+                    f"identical to the fault-free run ({shared} shared jobs)"
                 )
                 print(f"  digests: {verdict}")
         if args.report:
@@ -1212,8 +1228,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
             print(f"wrote report to {args.report} ({len(findings)} "
                   f"finding(s); self-contained, open in any browser)")
-        if not digests_match:
-            return 1
+        if violations:
+            return _fail("serve", violations)
     elif args.command == "dag":
         import dataclasses
 
@@ -1260,7 +1276,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(result.to_json())
         else:
             print(result.summary_text())
-        ok = result.conservation_ok and result.serve.lost_jobs == 0
+        violations = (invariants.conservation(result.serve.summary)
+                      + invariants.no_lost_jobs(result.serve.summary))
         if cfg.faults is not None and cfg.bootstop is None:
             # Bootstop off: fault timing must not change any result —
             # the faulty run's final digests must match a clean rerun.
@@ -1268,7 +1285,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             # convergence point, so only conservation is asserted.)
             clean = run_dag(dataclasses.replace(cfg, faults=None))
             match = clean.final_digests == result.final_digests
-            ok = ok and match
+            if not match:
+                violations.append(invariants.Violation(
+                    "digest.changed",
+                    "final workflow digests diverged from the fault-free run",
+                ))
             if not args.json:
                 print("  digests: "
                       + ("identical to the fault-free run" if match
@@ -1294,8 +1315,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
             print(f"wrote report to {args.report} ({len(findings)} "
                   f"finding(s); self-contained, open in any browser)")
-        if not ok:
-            return 1
+        if violations:
+            return _fail("dag", violations)
     elif args.command == "chaos":
         from .serve.chaos import ChaosConfig, run_chaos
 

@@ -56,6 +56,7 @@ from typing import Any, Dict, List, Optional, Tuple
 # NOTE: repro.core imports repro.obs at module load (for NULL_REGISTRY),
 # so this module must not import repro.core at the top level; the
 # scheduler/runner imports happen inside the functions that need them.
+from ..invariants import Violation, conservation, digest_diff
 from .metrics import stable_round
 
 __all__ = [
@@ -90,6 +91,7 @@ __all__ = [
     "write_baseline",
     "flatten",
     "compare",
+    "semantic_violations",
     "check_baselines",
 ]
 
@@ -440,9 +442,9 @@ def measure_fleet_faults(
         "seed": soak.config.seed,
         "clean_completed": soak.clean_completed,
         "lost_jobs": sum(o.lost for o in soak.outcomes),
-        "digests_identical": all(
-            not any("digest" in v for v in o.violations)
-            for o in soak.outcomes
+        "digests_identical": not any(
+            v.check.startswith("digest.")
+            for o in soak.outcomes for v in o.violations
         ),
         "invariants_ok": soak.ok,
         "hedges": soak.total_hedges,
@@ -450,10 +452,7 @@ def measure_fleet_faults(
         "breaker_cycles": soak.total_breaker_cycles,
         "worst_p99_s": max(o.p99_s for o in soak.outcomes),
         "deadline_aborts": ds["deadline_aborts"],
-        "deadline_conservation_ok": (
-            ds["admitted"] == ds["completed"] + ds["cancelled"]
-            + ds["deadline_aborts"] + deadline_run.lost_jobs
-        ),
+        "deadline_conservation_ok": not conservation(ds),
         "seconds_wall": wall,
     }
 
@@ -532,7 +531,9 @@ def measure_serve(
             autoscale=False,
         )
         digest_maps.append(run_service(cfg).digest_map())
-    digests_identical = all(m == digest_maps[0] for m in digest_maps[1:])
+    digests_identical = not any(
+        digest_diff(digest_maps[0], m) for m in digest_maps[1:]
+    )
 
     # Latency attribution rows: one traced static-block fixed run,
     # folded into causal job trees and aggregated per tenant.  The same
@@ -557,7 +558,7 @@ def measure_serve(
         "completed": full["completed"],
         "lost": full.get("lost", 0),
         "digest_invariant_under_tracing":
-            traced.digest_map() == untraced.digest_map(),
+            not digest_diff(untraced.digest_map(), traced.digest_map()),
     }
     if full["completed"]:
         breakdown["overall"] = {
@@ -977,6 +978,127 @@ def _load(path: pathlib.Path) -> Dict[str, Any]:
         return json.load(fh)
 
 
+# The semantic gates: (check, holds(payload), what broke).  They hold
+# against *any* baseline, so a stale ``--write`` cannot weaken them.
+# The message formats against the payload.
+_SEMANTIC_GATES = {
+    FAULTS_BASELINE: (
+        ("digest_match", lambda p: p["zero_fault_tolerant"]["digest_match"],
+         "zero_fault_tolerant application results diverged from the "
+         "fault-free run"),
+        ("digest_match", lambda p: p["faulty"]["digest_match"],
+         "faulty application results diverged from the fault-free run"),
+        ("lost", lambda p: p["fleet_faults"]["lost_jobs"] == 0,
+         "fleet_faults lost {fleet_faults[lost_jobs]} job(s) under chaos"),
+        ("digest", lambda p: p["fleet_faults"]["digests_identical"],
+         "fleet_faults digests diverged from the fault-free run"),
+        ("invariants", lambda p: p["fleet_faults"]["invariants_ok"],
+         "fleet_faults chaos invariants failed"),
+        ("conservation",
+         lambda p: p["fleet_faults"]["deadline_conservation_ok"],
+         "fleet_faults deadline cell broke job conservation"),
+    ),
+    SERVE_BASELINE: (
+        ("digest", lambda p: p["digests_identical"],
+         "per-job digests diverged across dispatch policies"),
+    ),
+    DAG_BASELINE: (
+        ("warm_hit_rate", lambda p: p["warm_hit_rate"] == 1.0,
+         "repeat submission missed the stage cache (warm hit rate "
+         "{warm_hit_rate:.0%}, want 100%)"),
+        ("warm_digest", lambda p: p["warm_digest_identical"],
+         "warm workflow digest diverged from the cache-cold run"),
+        ("bootstop", lambda p: p["bootstop_savings"] >= 0.30,
+         "bootstop cancelled only {bootstop_savings:.0%} of the fan-out "
+         "(want >= 30%)"),
+        ("conservation", lambda p: p["conservation_ok"],
+         "a workflow cell broke job conservation"),
+        ("lost", lambda p: p["lost_jobs"] == 0,
+         "workflow grid lost {lost_jobs} jobs (want 0)"),
+    ),
+}
+
+
+def semantic_violations(baseline_name: str,
+                        payload: Dict[str, Any]) -> List[Violation]:
+    """The semantic gates one fresh measurement breaks.
+
+    Drift against the committed file is :func:`compare`'s job; these
+    are the invariants and floors every measurement must meet.  A
+    payload that lacks a gate's fields fails that gate.
+    """
+    out: List[Violation] = []
+    for check, holds, message in _SEMANTIC_GATES.get(baseline_name, ()):
+        try:
+            if holds(payload):
+                continue
+            detail = message.format_map(payload)
+        except (KeyError, TypeError) as exc:
+            detail = f"cannot evaluate on this payload ({exc!r})"
+        out.append(Violation(check, detail))
+    return out
+
+
+_FIG8_WORKLOAD = {"bootstraps": "bootstraps",
+                  "tasks_per_bootstrap": "tasks", "seed": "seed"}
+
+# The baselines the gate re-measures: (file, required keys, measure,
+# workload field -> measure keyword, the OK verdict).  A workload
+# field the baseline lacks falls back to the measure's default.
+_GATED_BASELINES = (
+    (CORE_BASELINE, REQUIRED_CORE_KEYS, measure_core, _FIG8_WORKLOAD,
+     "scheduler ladder within tolerance"),
+    (FAULTS_BASELINE, REQUIRED_FAULTS_KEYS, measure_faults, _FIG8_WORKLOAD,
+     "fault-tolerance ladder within tolerance"),
+    (SERVE_BASELINE, REQUIRED_SERVE_KEYS, measure_serve,
+     {"seed": "seed", "duration_s": "duration_s",
+      "arrival_rate": "arrival_rate"},
+     "serving SLO grid within tolerance"),
+    (DAG_BASELINE, REQUIRED_DAG_KEYS, measure_dag,
+     {"seed": "seed", "replicates": "replicates", "conflict": "conflict"},
+     "workflow grid within tolerance"),
+    (PERF_BASELINE, REQUIRED_PERF_KEYS, measure_throughput,
+     dict(_FIG8_WORKLOAD, serve_duration_s="duration_s",
+          serve_arrival_rate="arrival_rate", reps="reps",
+          serve_small_duration_s="small_duration_s",
+          serve_small_arrival_rate="small_arrival_rate"),
+     "throughput grid within tolerance"),
+)
+
+
+def _obs_cross_check(root: pathlib.Path,
+                     core: Optional[Dict[str, Any]]) -> Tuple[bool, str]:
+    """``BENCH_obs.json`` and the core ladder share the MGPS workload."""
+    obs_path = root / OBS_BASELINE
+    if not obs_path.exists():
+        return False, f"bench: missing baseline {obs_path}"
+    obs = _load(obs_path)
+    missing = [k for k in REQUIRED_OBS_KEYS if k not in obs]
+    if missing:
+        return False, f"bench: {OBS_BASELINE} lacks required keys {missing}"
+    obs_wl = obs["workload"]
+    if core is None or not (
+        obs_wl.get("scheduler") == "mgps"
+        and obs_wl.get("bootstraps") == core["workload"]["bootstraps"]
+        and obs_wl.get("tasks_per_bootstrap")
+            == core["workload"]["tasks_per_bootstrap"]
+    ):
+        return True, (f"bench: {OBS_BASELINE} workload differs from the "
+                      f"core ladder; structural check only")
+    mgps_row = core["schedulers"].get("mgps", {})
+    cross = compare(
+        {"makespan_s": mgps_row.get("makespan_s"),
+         "offloads": mgps_row.get("offloads")},
+        {"makespan_s": obs["makespan_s"], "offloads": obs["offloads"]},
+    )
+    if cross:
+        return False, (f"bench: {OBS_BASELINE} disagrees with the core "
+                       f"ladder on the shared MGPS workload\n"
+                       + render_violations(cross))
+    return True, (f"bench: {OBS_BASELINE} consistent with the core ladder "
+                  f"(shared MGPS workload)")
+
+
 def check_baselines(
     root: Optional[pathlib.Path] = None,
     current_core: Optional[Dict[str, Any]] = None,
@@ -988,294 +1110,61 @@ def check_baselines(
 ) -> Tuple[bool, str]:
     """The regression gate: committed baselines vs a fresh measurement.
 
-    Re-measures the core ladder (pass ``current_core`` to reuse an
-    existing measurement), diffs it against ``BENCH_core.json``,
-    cross-checks ``BENCH_obs.json``'s deterministic fields against the
-    same run — both files describe the identical workload, so their
-    MGPS makespans must agree — and diffs fresh
-    :func:`measure_faults` / :func:`measure_serve` / :func:`measure_dag`
-    runs against ``BENCH_faults.json`` / ``BENCH_serve.json`` /
-    ``BENCH_dag.json`` (serve re-asserts cross-policy digest identity;
-    dag re-asserts the 100% warm-cache hit rate, warm digest identity,
-    the >= 30% bootstop savings and exact job conservation with zero
-    losses).  Finally it checks the
-    ``BENCH_perf.json`` throughput grid: deterministic counts diff like
-    any baseline, and the ``*_per_sec_wall`` rates must stay above their
+    For every tracked file but ``BENCH_obs.json`` it re-measures (pass
+    ``current_*`` to reuse an existing measurement), diffs the result
+    against the committed file with :func:`compare` and applies the
+    file's :func:`semantic_violations`.  Two special cases ride along:
+    ``BENCH_obs.json``'s deterministic fields are cross-checked against
+    the core ladder (both describe the identical MGPS workload), and
+    ``BENCH_perf.json``'s ``*_per_sec_wall`` rates must stay above their
     :func:`check_perf_floors` floor (``perf_floor_tolerance`` overrides
     the default; see :func:`perf_tolerance`).  Returns
     ``(ok, report_text)``.
     """
     root = pathlib.Path(root) if root is not None else find_repo_root()
+    given = {CORE_BASELINE: current_core, FAULTS_BASELINE: current_faults,
+             SERVE_BASELINE: current_serve, DAG_BASELINE: current_dag,
+             PERF_BASELINE: current_perf}
+    measured: Dict[str, Dict[str, Any]] = {}
     lines: List[str] = []
     ok = True
-
-    core_path = root / CORE_BASELINE
-    if not core_path.exists():
-        return False, f"bench: missing baseline {core_path}"
-    baseline = _load(core_path)
-    missing = [k for k in REQUIRED_CORE_KEYS if k not in baseline]
-    if missing:
-        return False, f"bench: {CORE_BASELINE} lacks required keys {missing}"
-    current = current_core or measure_core(
-        bootstraps=baseline["workload"].get("bootstraps", BOOTSTRAPS),
-        tasks=baseline["workload"].get("tasks_per_bootstrap", TASKS),
-        seed=baseline["workload"].get("seed", SEED),
-    )
-    violations = compare(current, baseline)
-    lines.append(render_violations(violations))
-    ok &= not violations
-
-    obs_path = root / OBS_BASELINE
-    if not obs_path.exists():
-        lines.append(f"bench: missing baseline {obs_path}")
-        ok = False
-    else:
-        obs = _load(obs_path)
-        missing = [k for k in REQUIRED_OBS_KEYS if k not in obs]
-        if missing:
-            lines.append(f"bench: {OBS_BASELINE} lacks required keys {missing}")
+    for name, required, measure, workload, what in _GATED_BASELINES:
+        path = root / name
+        if not path.exists():
+            lines.append(f"bench: missing baseline {path}")
             ok = False
-        else:
-            obs_wl = obs["workload"]
-            mgps_row = current["schedulers"].get("mgps", {})
-            if (
-                obs_wl.get("scheduler") == "mgps"
-                and obs_wl.get("bootstraps") == current["workload"]["bootstraps"]
-                and obs_wl.get("tasks_per_bootstrap")
-                    == current["workload"]["tasks_per_bootstrap"]
-            ):
-                cross = compare(
-                    {"makespan_s": mgps_row.get("makespan_s"),
-                     "offloads": mgps_row.get("offloads")},
-                    {"makespan_s": obs["makespan_s"],
-                     "offloads": obs["offloads"]},
-                )
-                if cross:
-                    lines.append(f"bench: {OBS_BASELINE} disagrees with the "
-                                 f"core ladder on the shared MGPS workload")
-                    lines.append(render_violations(cross))
-                    ok = False
-                else:
-                    lines.append(f"bench: {OBS_BASELINE} consistent with the "
-                                 f"core ladder (shared MGPS workload)")
-            else:
-                lines.append(f"bench: {OBS_BASELINE} workload differs from "
-                             f"the core ladder; structural check only")
-
-    faults_path = root / FAULTS_BASELINE
-    if not faults_path.exists():
-        lines.append(f"bench: missing baseline {faults_path}")
-        ok = False
-    else:
-        faults_base = _load(faults_path)
-        missing = [k for k in REQUIRED_FAULTS_KEYS if k not in faults_base]
+            continue
+        baseline = _load(path)
+        missing = [k for k in required if k not in baseline]
         if missing:
-            lines.append(
-                f"bench: {FAULTS_BASELINE} lacks required keys {missing}"
-            )
+            lines.append(f"bench: {name} lacks required keys {missing}")
             ok = False
+            continue
+        wl = baseline["workload"]
+        current = given[name] or measure(
+            **{arg: wl[field] for field, arg in workload.items()
+               if field in wl}
+        )
+        measured[name] = current
+        # Wall fields are excluded from the diff (``_wall`` suffix); only
+        # the perf file's one-sided throughput floors can gate on them.
+        drift = compare(current, baseline)
+        if name == PERF_BASELINE:
+            drift += check_perf_floors(current, baseline,
+                                       tolerance=perf_floor_tolerance)
+            what += (f"; rates above the "
+                     f"{perf_tolerance(perf_floor_tolerance):.0%}"
+                     f"-regression floor")
+        if drift:
+            lines += [f"bench: {name} drifted", render_violations(drift)]
         else:
-            fcur = current_faults or measure_faults(
-                bootstraps=faults_base["workload"].get("bootstraps", BOOTSTRAPS),
-                tasks=faults_base["workload"].get(
-                    "tasks_per_bootstrap", TASKS
-                ),
-                seed=faults_base["workload"].get("seed", SEED),
-            )
-            fviol = compare(fcur, faults_base)
-            if fviol:
-                lines.append(f"bench: {FAULTS_BASELINE} drifted")
-                lines.append(render_violations(fviol))
-                ok = False
-            else:
-                lines.append(
-                    f"bench: {FAULTS_BASELINE} OK (fault-tolerance ladder "
-                    f"within tolerance)"
-                )
-            for scenario in ("zero_fault_tolerant", "faulty"):
-                if not fcur.get(scenario, {}).get("digest_match", False):
-                    lines.append(
-                        f"bench: {FAULTS_BASELINE}: {scenario} application "
-                        f"results diverged from the fault-free run"
-                    )
-                    ok = False
-            fleet = fcur.get("fleet_faults", {})
-            if fleet.get("lost_jobs", -1) != 0:
-                lines.append(
-                    f"bench: {FAULTS_BASELINE}: fleet_faults lost "
-                    f"{fleet.get('lost_jobs')} job(s) under chaos"
-                )
-                ok = False
-            if not fleet.get("digests_identical", False):
-                lines.append(
-                    f"bench: {FAULTS_BASELINE}: fleet_faults digests "
-                    f"diverged from the fault-free run"
-                )
-                ok = False
-            if not fleet.get("invariants_ok", False):
-                lines.append(
-                    f"bench: {FAULTS_BASELINE}: fleet_faults chaos "
-                    f"invariants failed"
-                )
-                ok = False
-            if not fleet.get("deadline_conservation_ok", False):
-                lines.append(
-                    f"bench: {FAULTS_BASELINE}: fleet_faults deadline "
-                    f"cell broke admitted == completed + cancelled "
-                    f"+ aborted + lost"
-                )
-                ok = False
-
-    serve_path = root / SERVE_BASELINE
-    if not serve_path.exists():
-        lines.append(f"bench: missing baseline {serve_path}")
-        ok = False
-    else:
-        serve_base = _load(serve_path)
-        missing = [k for k in REQUIRED_SERVE_KEYS if k not in serve_base]
-        if missing:
-            lines.append(
-                f"bench: {SERVE_BASELINE} lacks required keys {missing}"
-            )
-            ok = False
-        else:
-            scur = current_serve or measure_serve(
-                seed=serve_base["workload"].get("seed", SEED),
-                duration_s=serve_base["workload"].get(
-                    "duration_s", SERVE_DURATION_S
-                ),
-                arrival_rate=serve_base["workload"].get(
-                    "arrival_rate", SERVE_ARRIVAL_RATE
-                ),
-            )
-            sviol = compare(scur, serve_base)
-            if sviol:
-                lines.append(f"bench: {SERVE_BASELINE} drifted")
-                lines.append(render_violations(sviol))
-                ok = False
-            else:
-                lines.append(
-                    f"bench: {SERVE_BASELINE} OK (serving SLO grid within "
-                    f"tolerance)"
-                )
-            if not scur.get("digests_identical", False):
-                lines.append(
-                    f"bench: {SERVE_BASELINE}: per-job digests diverged "
-                    f"across dispatch policies"
-                )
-                ok = False
-
-    dag_path = root / DAG_BASELINE
-    if not dag_path.exists():
-        lines.append(f"bench: missing baseline {dag_path}")
-        ok = False
-    else:
-        dag_base = _load(dag_path)
-        missing = [k for k in REQUIRED_DAG_KEYS if k not in dag_base]
-        if missing:
-            lines.append(
-                f"bench: {DAG_BASELINE} lacks required keys {missing}"
-            )
-            ok = False
-        else:
-            dwl = dag_base.get("workload", {})
-            dcur = current_dag or measure_dag(
-                seed=dwl.get("seed", SEED),
-                replicates=dwl.get("replicates", DAG_REPLICATES),
-                conflict=dwl.get("conflict", DAG_CONFLICT),
-            )
-            dviol = compare(dcur, dag_base)
-            if dviol:
-                lines.append(f"bench: {DAG_BASELINE} drifted")
-                lines.append(render_violations(dviol))
-                ok = False
-            else:
-                lines.append(
-                    f"bench: {DAG_BASELINE} OK (workflow grid within "
-                    f"tolerance)"
-                )
-            # Semantic gates beyond drift: these hold against *any*
-            # baseline, so a stale --write cannot weaken them.
-            if dcur.get("warm_hit_rate") != 1.0:
-                lines.append(
-                    f"bench: {DAG_BASELINE}: repeat submission missed the "
-                    f"stage cache (warm hit rate "
-                    f"{dcur.get('warm_hit_rate', 0.0):.0%}, want 100%)"
-                )
-                ok = False
-            if not dcur.get("warm_digest_identical", False):
-                lines.append(
-                    f"bench: {DAG_BASELINE}: warm workflow digest diverged "
-                    f"from the cache-cold run"
-                )
-                ok = False
-            if dcur.get("bootstop_savings", 0.0) < 0.30:
-                lines.append(
-                    f"bench: {DAG_BASELINE}: bootstop cancelled only "
-                    f"{dcur.get('bootstop_savings', 0.0):.0%} of the "
-                    f"fan-out (want >= 30%)"
-                )
-                ok = False
-            if not dcur.get("conservation_ok", False):
-                lines.append(
-                    f"bench: {DAG_BASELINE}: a workflow cell broke "
-                    f"admitted == completed + cancelled + aborted + lost"
-                )
-                ok = False
-            if dcur.get("lost_jobs", 1) != 0:
-                lines.append(
-                    f"bench: {DAG_BASELINE}: workflow grid lost "
-                    f"{dcur.get('lost_jobs')} jobs (want 0)"
-                )
-                ok = False
-
-    perf_path = root / PERF_BASELINE
-    if not perf_path.exists():
-        lines.append(f"bench: missing baseline {perf_path}")
-        ok = False
-    else:
-        perf_base = _load(perf_path)
-        missing = [k for k in REQUIRED_PERF_KEYS if k not in perf_base]
-        if missing:
-            lines.append(
-                f"bench: {PERF_BASELINE} lacks required keys {missing}"
-            )
-            ok = False
-        else:
-            pwl = perf_base.get("workload", {})
-            pcur = current_perf or measure_throughput(
-                bootstraps=pwl.get("bootstraps", BOOTSTRAPS),
-                tasks=pwl.get("tasks_per_bootstrap", TASKS),
-                seed=pwl.get("seed", SEED),
-                duration_s=pwl.get(
-                    "serve_duration_s", PERF_SERVE_DURATION_S
-                ),
-                arrival_rate=pwl.get(
-                    "serve_arrival_rate", PERF_SERVE_ARRIVAL_RATE
-                ),
-                reps=pwl.get("reps", 3),
-                small_duration_s=pwl.get(
-                    "serve_small_duration_s", SERVE_DURATION_S
-                ),
-                small_arrival_rate=pwl.get(
-                    "serve_small_arrival_rate", SERVE_ARRIVAL_RATE
-                ),
-            )
-            # Deterministic counts gate like any baseline; wall rates
-            # are excluded automatically (``_wall`` suffix) and only
-            # their one-sided floors below can fail the gate.
-            pviol = compare(pcur, perf_base)
-            pviol += check_perf_floors(
-                pcur, perf_base, tolerance=perf_floor_tolerance
-            )
-            if pviol:
-                lines.append(f"bench: {PERF_BASELINE} drifted")
-                lines.append(render_violations(pviol))
-                ok = False
-            else:
-                tol = perf_tolerance(perf_floor_tolerance)
-                lines.append(
-                    f"bench: {PERF_BASELINE} OK (throughput above the "
-                    f"{tol:.0%}-regression floor)"
-                )
-    return bool(ok), "\n".join(lines)
+            lines.append(f"bench: {name} OK ({what})")
+        broken = semantic_violations(name, current)
+        lines += [f"bench: {name}: {v}" for v in broken]
+        ok = ok and not drift and not broken
+    obs_ok, obs_line = _obs_cross_check(root, measured.get(CORE_BASELINE))
+    lines.append(obs_line)
+    ok = ok and obs_ok
+    lines.append(render_violations([]) if ok
+                 else "bench: FAILED (see the lines above)")
+    return ok, "\n".join(lines)

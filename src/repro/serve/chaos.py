@@ -7,12 +7,11 @@ open-loop serving workload once fault-free and once under every plan
 with hedging and the circuit breaker enabled, and asserts invariants
 that must hold no matter what the faults did:
 
-* **no lost jobs** — ``lost == 0`` under every plan;
-* **digest invariance** — the faulty run's ``source -> digest`` map is
-  *bit-identical* to the fault-free run's (hedging dedup, failover and
-  stragglers may move work around, never change results);
-* **conservation** — admitted == completed + cancelled +
-  deadline_aborts + lost, exactly;
+* **no lost jobs**, **digest invariance** (the faulty run's ``source
+  -> digest`` map is *bit-identical* to the fault-free run's: hedging
+  dedup, failover and stragglers may move work around, never change
+  results) and exact **job conservation**, all from
+  :mod:`repro.invariants`;
 * **bounded tail inflation** — faulty p99 latency stays within
   ``p99_inflation`` × clean p99 + ``p99_slack_s``;
 * **breaker sanity** — every recorded transition is a legal edge of the
@@ -35,6 +34,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..invariants import Violation, conservation, digest_diff, no_lost_jobs
 from ..obs.metrics import stable_round
 from ..sim.rng import RngStreams
 from .fleet import BladeFlap, BladeKill, BladeSlow, FleetFaultPlan, LinkDegrade
@@ -190,7 +190,7 @@ class ChaosPlanOutcome:
     index: int
     plan: FleetFaultPlan
     ok: bool
-    violations: Tuple[str, ...]
+    violations: Tuple[Violation, ...]
     completed: int
     lost: int
     deadline_aborts: int
@@ -205,7 +205,7 @@ class ChaosPlanOutcome:
             "plan": json.loads(self.plan.to_json()),
             "describe": self.plan.describe(),
             "ok": self.ok,
-            "violations": list(self.violations),
+            "violations": [str(v) for v in self.violations],
             "completed": self.completed,
             "lost": self.lost,
             "deadline_aborts": self.deadline_aborts,
@@ -318,42 +318,22 @@ def chaos_serve_config(config: ChaosConfig,
 
 
 def check_plan_invariants(config: ChaosConfig, clean: ServeResult,
-                          faulty: ServeResult) -> Tuple[str, ...]:
-    """Every invariant violation one faulty run exhibits, as text."""
-    violations: List[str] = []
+                          faulty: ServeResult) -> Tuple[Violation, ...]:
+    """Every invariant violation one faulty run exhibits."""
     s = faulty.summary
-    if faulty.lost_jobs != 0:
-        violations.append(f"lost {faulty.lost_jobs} job(s)")
-    admitted = s["admitted"]
-    accounted = (s["completed"] + s["cancelled"] + faulty.lost_jobs
-                 + s["deadline_aborts"])
-    if admitted != accounted:
-        violations.append(
-            f"conservation broken: admitted {admitted} != completed "
-            f"{s['completed']} + cancelled {s['cancelled']} + lost "
-            f"{faulty.lost_jobs} + aborted {s['deadline_aborts']}"
-        )
-    clean_map = clean.digest_map()
-    faulty_map = faulty.digest_map()
-    if faulty_map != clean_map:
-        missing = sorted(set(clean_map) - set(faulty_map))[:3]
-        extra = sorted(set(faulty_map) - set(clean_map))[:3]
-        changed = sorted(
-            k for k in set(clean_map) & set(faulty_map)
-            if clean_map[k] != faulty_map[k]
-        )[:3]
-        violations.append(
-            f"digest divergence: missing={missing} extra={extra} "
-            f"changed={changed}"
-        )
+    violations = (no_lost_jobs(s) + conservation(s)
+                  + digest_diff(clean.digest_map(), faulty.digest_map()))
     bound = (clean.summary["latency_p99_s"] * config.p99_inflation
              + config.p99_slack_s)
     if s["latency_p99_s"] > bound:
-        violations.append(
-            f"p99 {s['latency_p99_s']:.2f} s exceeds bound {bound:.2f} s"
-        )
+        violations.append(Violation(
+            "p99", f"p99 {s['latency_p99_s']:.2f} s exceeds bound "
+                   f"{bound:.2f} s",
+        ))
     if not transitions_legal(faulty.breaker_transitions):
-        violations.append("illegal breaker transition recorded")
+        violations.append(
+            Violation("breaker", "illegal breaker transition recorded")
+        )
     return tuple(violations)
 
 

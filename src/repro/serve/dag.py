@@ -19,8 +19,7 @@ Three mechanisms make the tier more than a topological sort:
   .BootstopMonitor` watches completed replicates in completion order;
   once majority-rule support values stabilize the engine cancels every
   replicate that has not started, via the service's job-cancel/drain
-  path, with exact conservation: admitted = completed + cancelled +
-  aborted + lost.
+  path, keeping job conservation exact (:mod:`repro.invariants`).
 * **Result caching** — completed stages are content-addressed into a
   fleet-wide :class:`~repro.serve.cache.ResultCache`; a repeated
   identical workflow short-circuits every stage to a cache hit and
@@ -39,6 +38,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..cell.params import BladeParams
+from ..invariants import conservation
 from ..obs.metrics import stable_round
 from ..phylo.consensus import majority_rule_consensus
 from ..phylo.tree import Tree
@@ -665,12 +665,8 @@ class DagResult:
 
     @property
     def conservation_ok(self) -> bool:
-        """admitted = completed + cancelled + aborted + lost, exactly."""
-        s = self.serve.summary
-        return s["admitted"] == (
-            s["completed"] + s["cancelled"] + s["deadline_aborts"]
-            + self.serve.lost_jobs
-        )
+        """Job conservation holds (:func:`repro.invariants.conservation`)."""
+        return not conservation(self.serve.summary)
 
     def to_json(self) -> str:
         s = self.serve.summary

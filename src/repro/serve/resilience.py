@@ -321,11 +321,3 @@ class FleetResilience:
         self.hedge_wins += 1
         if self.stats is not None:
             self.stats.note_hedge_win()
-
-    # -- reporting ---------------------------------------------------------
-    def breaker_cycles(self) -> int:
-        """Completed open → half-open → closed recoveries, all blades."""
-        return count_breaker_cycles(self.transitions)
-
-    def transitions_legal(self) -> bool:
-        return transitions_legal(self.transitions)

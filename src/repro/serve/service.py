@@ -376,8 +376,8 @@ class Service:
         alone — an in-flight bootstrap replicate completes normally, as
         in autoMRE.  A successful cancel releases the job's slot in the
         bounded system queue and resolves its ``done`` event, keeping
-        conservation exact: admitted = completed + cancelled + aborted
-        + lost.  Returns True when the job was actually cancelled.
+        job conservation (:func:`repro.invariants.conservation`) exact.
+        Returns True when the job was actually cancelled.
         """
         if (job.finish_time is not None or job.aborted or job.cancelled
                 or job.start_time is not None):
