@@ -5,8 +5,9 @@ fault plan is attached, so its cost is paid even on runs where no fault
 ever fires.  This benchmark times the tracked MGPS workload three ways —
 no fault machinery at all, a *null* fault plan (tolerant path armed but
 silent), and a fixed small storm (two SPE kills plus transient off-load
-and DMA error rates) — and records the summary to the *tracked*
-repo-root ``BENCH_faults.json`` baseline.
+and DMA error rates) — and records the summary to
+``benchmarks/out/BENCH_faults.json`` (the tracked repo-root
+``BENCH_faults.json`` is written only by ``repro bench --write``).
 
 Two invariants are asserted here and re-checked by ``repro bench
 --check``:
@@ -20,11 +21,7 @@ Two invariants are asserted here and re-checked by ``repro bench
 
 from conftest import run_once
 
-from repro.obs.bench import (
-    FAULTS_BASELINE,
-    measure_faults,
-    semantic_violations,
-)
+from repro.obs.bench import measure_faults, semantic_violations
 
 
 def test_fault_overhead(benchmark, record_json):
@@ -36,7 +33,7 @@ def test_fault_overhead(benchmark, record_json):
     # The semantic gates `repro bench --check` applies: same answers
     # under the null plan and the storm, and a chaos soak that loses no
     # job, changes no digest and conserves every admitted job.
-    broken = semantic_violations(FAULTS_BASELINE, payload)
+    broken = semantic_violations("faults", payload)
     assert not broken, [str(v) for v in broken]
 
     # Tolerance machinery is near-free when healthy: no retries, no
@@ -59,4 +56,4 @@ def test_fault_overhead(benchmark, record_json):
     # The deadline-enforcement cell fired.
     assert payload["fleet_faults"]["deadline_aborts"] > 0
 
-    record_json("BENCH_faults", payload, root=True)
+    record_json("BENCH_faults", payload)

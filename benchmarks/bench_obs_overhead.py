@@ -9,8 +9,9 @@ does not tax normal experiment runs.
 This benchmark times the same Figure-8-style MGPS run four ways —
 observability off, tracer+metrics on, metrics only, and under the
 wall-time layer ledger — runs every leg once untimed to warm up, takes
-the minimum of several repetitions each, and records the summary to the *tracked* repo-root ``BENCH_obs.json``
-baseline (raw per-repetition wall times go to gitignored
+the minimum of several repetitions each, and records the summary to
+the *tracked* repo-root ``BENCH_obs.json`` baseline, whose only writer
+this module is (raw per-repetition wall times go to gitignored
 ``benchmarks/out/BENCH_obs_raw.json``).  ``repro bench --check``
 cross-checks the committed summary's deterministic fields against the
 core ladder.  The acceptance bar is that the disabled path stays

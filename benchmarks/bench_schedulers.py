@@ -4,13 +4,13 @@ Times serial, EDTLP, static EDTLP-LLP4 and MGPS on the Figure-8-style
 workload (few bootstraps, many tasks: the regime where task-level
 parallelism alone cannot fill the SPEs and MGPS must add loop-level
 parallelism) and records the makespans, off-load counts and
-speedups to the *tracked* repo-root ``BENCH_core.json``.
+speedups to ``benchmarks/out/BENCH_core.json``.
 
-Every non-``_wall`` field is deterministic, so the committed file is a
-regression gate: ``repro bench --check`` (or
-``python benchmarks/check_bench.py``) re-measures and diffs.  A diff in
-this file inside a PR is a deliberate statement that scheduler behavior
-changed.
+The same payload is the tracked repo-root ``BENCH_core.json``, written
+only by ``repro bench --write``.  Every non-``_wall`` field is
+deterministic, so the committed file is a regression gate: ``repro
+bench --check`` re-measures and diffs.  A diff in that file inside a PR
+is a deliberate statement that scheduler behavior changed.
 """
 
 from conftest import run_once
@@ -44,4 +44,4 @@ def test_scheduler_ladder(benchmark, record_json):
             f"loop schedule {name!r} never ran a parallel loop"
         )
 
-    record_json("BENCH_core", payload, root=True)
+    record_json("BENCH_core", payload)

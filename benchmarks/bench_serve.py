@@ -4,25 +4,20 @@ Runs the multi-tenant serving simulation once per (dispatch policy,
 elasticity) cell — static-block, least-loaded and work-stealing, each
 with the fleet fixed at max size and with the MGPS-style autoscaler —
 and records tail latency (p50/p95/p99), goodput, rejection accounting
-and autoscaler activity to the *tracked* repo-root ``BENCH_serve.json``.
+and autoscaler activity to ``benchmarks/out/BENCH_serve.json``.
 It also re-asserts the layer's headline invariant: per-job result
 digests are identical across dispatch policies.
 
-Every non-``_wall`` field is deterministic, so the committed file is a
-regression gate: ``repro bench --check`` (or
-``python benchmarks/check_bench.py``) re-measures and diffs.  A diff in
-this file inside a PR is a deliberate statement that serving behavior
-changed.
+The same payload is the tracked repo-root ``BENCH_serve.json``,
+written only by ``repro bench --write``.  Every non-``_wall`` field is
+deterministic, so the committed file is a regression gate: ``repro
+bench --check`` re-measures and diffs.  A diff in that file inside a PR
+is a deliberate statement that serving behavior changed.
 """
 
 from conftest import run_once
 
-from repro.obs.bench import (
-    SERVE_BASELINE,
-    SERVE_POLICIES,
-    measure_serve,
-    semantic_violations,
-)
+from repro.obs.bench import SERVE_POLICIES, measure_serve, semantic_violations
 
 
 def test_serving_slo_grid(benchmark, record_json):
@@ -50,7 +45,7 @@ def test_serving_slo_grid(benchmark, record_json):
 
     # The headline invariant: what a job computes never depends on which
     # blade ran it, in what order, or under which dispatch policy.
-    broken = semantic_violations(SERVE_BASELINE, payload)
+    broken = semantic_violations("serve", payload)
     assert not broken, [str(v) for v in broken]
 
-    record_json("BENCH_serve", payload, root=True)
+    record_json("BENCH_serve", payload)

@@ -2,17 +2,19 @@
 
 Every benchmark regenerates one of the paper's tables/figures, times the
 harness with pytest-benchmark (``rounds=1`` — these are simulations, not
-microbenchmarks), writes its artifact to ``benchmarks/out/`` (or, for
-the tracked ``BENCH_*.json`` baselines, the repo root) and echoes it to
-the terminal report.
+microbenchmarks), writes its artifact to gitignored ``benchmarks/out/``
+and echoes it to the terminal report.
 
 Artifacts are deterministic by construction: tables come from seeded
 simulations, and JSON artifacts go through :func:`record_json`, which
-sorts keys and rounds floats (via
-:func:`repro.obs.bench.stable_payload`) so re-runs produce
-byte-identical files — except explicitly wall-clock fields, which
-callers mark with a ``_wall`` suffix and which the regression gate
-(``repro bench --check``) never compares.
+serializes like the tracked baselines
+(:func:`repro.obs.bench.write_baseline`: sorted keys, rounded floats) so
+re-runs produce byte-identical files — except explicitly wall-clock
+fields, which callers mark with a ``_wall`` suffix and which the
+regression gate (``repro bench --check``) never compares.  The five
+gated ``BENCH_*.json`` files at the repo root are written only by
+``repro bench --write``; ``bench_obs_overhead.py`` is the one writer of
+``BENCH_obs.json``.
 """
 
 import json
@@ -20,7 +22,7 @@ import pathlib
 
 import pytest
 
-from repro.obs.bench import stable_payload
+from repro.obs.bench import stable_payload, write_baseline
 
 OUT_DIR = pathlib.Path(__file__).parent / "out"
 REPO_ROOT = pathlib.Path(__file__).parent.parent
@@ -44,25 +46,20 @@ def record_table():
 def record_json():
     """Persist a JSON benchmark artifact deterministically.
 
-    Keys are emitted sorted and floats rounded (at any nesting depth);
-    keys ending in ``_wall`` are passed through untouched (wall-clock
-    timings are expected to vary between runs).  By default artifacts
-    land in gitignored ``benchmarks/out/``; ``root=True`` writes to the
-    repo root instead — that is how the *tracked* ``BENCH_*.json``
-    baseline trajectory is refreshed (commit the diff deliberately).
+    Serialized by :func:`repro.obs.bench.write_baseline`: keys sorted,
+    floats rounded at any nesting depth, keys ending in ``_wall`` passed
+    through untouched.  Artifacts land in ``benchmarks/out/``;
+    ``root=True`` writes the repo-root ``BENCH_obs.json`` instead, the
+    one tracked baseline the benchmark suite owns (commit the diff
+    deliberately).
     """
 
     def _record(name: str, payload: dict, root: bool = False) -> pathlib.Path:
-        stable = stable_payload(payload)
-        if root:
-            path = REPO_ROOT / f"{name}.json"
-        else:
-            OUT_DIR.mkdir(exist_ok=True)
-            path = OUT_DIR / f"{name}.json"
-        path.write_text(
-            json.dumps(stable, indent=2, sort_keys=True) + "\n"
-        )
-        _collected.append((name, json.dumps(stable, sort_keys=True)))
+        OUT_DIR.mkdir(exist_ok=True)
+        path = write_baseline(REPO_ROOT if root else OUT_DIR,
+                              f"{name}.json", payload)
+        _collected.append(
+            (name, json.dumps(stable_payload(payload), sort_keys=True)))
         return path
 
     return _record

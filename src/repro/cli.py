@@ -29,6 +29,8 @@ Chrome/Perfetto trace alongside its normal output.
 from __future__ import annotations
 
 import argparse
+import json
+import pathlib
 import sys
 from typing import Dict, List, Optional, Tuple
 
@@ -48,6 +50,7 @@ from .core.llp import LLPConfig, available_loop_schedules
 from .core.runner import run_experiment
 from .core.schedulers import SchedulerSpec, edtlp, linux, mgps, static_hybrid
 from .obs import MetricsRegistry, write_chrome_trace, write_trace_jsonl
+from .obs.bench import PERF_REGRESSION_TOLERANCE, SECTIONS
 from .sim.trace import Tracer
 from .workloads.traces import Workload
 
@@ -107,6 +110,24 @@ def build_parser() -> argparse.ArgumentParser:
                  + " (default: static, the paper's single split)",
         )
 
+    # The flags of every subcommand built on one representative run
+    # (_run_observed): the workload size, seed and loop schedule.
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--bootstraps", type=int, default=3)
+    shared.add_argument("--tasks", type=int, default=200)
+    shared.add_argument("--seed", type=int, default=0)
+    add_llp_schedule_flag(shared)
+
+    def observed(name: str, default: Optional[str] = None,
+                 flag: str = "scenario", choices=_OBSERVABLE,
+                 **kwargs) -> argparse.ArgumentParser:
+        """A subcommand over one representative run of a scenario; the
+        scenario is required unless it has a ``default``."""
+        p = sub.add_parser(name, parents=[shared], **kwargs)
+        optional = {"nargs": "?"} if default and flag == "scenario" else {}
+        p.add_argument(flag, choices=choices, default=default, **optional)
+        return p
+
     p = sub.add_parser("sec51", help="Section 5.1 off-load optimization")
     p.add_argument("--tasks", type=int, default=500)
     add_trace_flag(p)
@@ -152,8 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_llp_schedule_flag(p)
     add_trace_flag(p)
 
-    p = sub.add_parser(
-        "run",
+    p = observed(
+        "run", "mgps",
         help="run one scenario/scheduler once and print the result summary",
         description=(
             "One representative simulation of the named scenario (or "
@@ -163,11 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
             "counts observed in the trace."
         ),
     )
-    p.add_argument("scenario", nargs="?", choices=_OBSERVABLE, default="mgps")
-    p.add_argument("--bootstraps", type=int, default=3)
-    p.add_argument("--tasks", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    add_llp_schedule_flag(p)
     add_trace_flag(p)
 
     sub.add_parser(
@@ -181,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    p = sub.add_parser(
+    p = observed(
         "trace",
         help="record a Chrome/Perfetto trace of one scenario run",
         description=(
@@ -190,17 +206,12 @@ def build_parser() -> argparse.ArgumentParser:
             "JSON, loadable at ui.perfetto.dev or chrome://tracing."
         ),
     )
-    p.add_argument("scenario", choices=_OBSERVABLE)
     p.add_argument("--out", required=True, metavar="PATH",
                    help="output path for the trace-event JSON")
     p.add_argument("--jsonl", metavar="PATH", default=None,
                    help="also dump raw trace records as JSON Lines")
-    p.add_argument("--bootstraps", type=int, default=3)
-    p.add_argument("--tasks", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    add_llp_schedule_flag(p)
 
-    p = sub.add_parser(
+    p = observed(
         "stats",
         help="print the scheduler metrics snapshot for one scenario run",
         description=(
@@ -211,11 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
             "off-load latencies."
         ),
     )
-    p.add_argument("scenario", choices=_OBSERVABLE)
-    p.add_argument("--bootstraps", type=int, default=3)
-    p.add_argument("--tasks", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    add_llp_schedule_flag(p)
     p.add_argument("--json", action="store_true",
                    help="emit the registry snapshot as JSON instead of text")
     p.add_argument(
@@ -225,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
              "repeatable",
     )
 
-    p = sub.add_parser(
+    p = observed(
         "health",
         help="diagnose one scenario run with the rule-based health monitor",
         description=(
@@ -236,15 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
             "print the findings.  Exits non-zero if any finding fires."
         ),
     )
-    p.add_argument("scenario", choices=_OBSERVABLE)
-    p.add_argument("--bootstraps", type=int, default=3)
-    p.add_argument("--tasks", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    add_llp_schedule_flag(p)
     p.add_argument("--json", action="store_true",
                    help="emit findings as a JSON array instead of text")
 
-    p = sub.add_parser(
+    p = observed(
         "report",
         help="write a self-contained HTML performance report for one run",
         description=(
@@ -255,16 +256,11 @@ def build_parser() -> argparse.ArgumentParser:
             "findings.  Inline CSS/SVG only; opens offline."
         ),
     )
-    p.add_argument("scenario", choices=_OBSERVABLE)
     p.add_argument("--out", required=True, metavar="PATH",
                    help="output path for the HTML report")
-    p.add_argument("--bootstraps", type=int, default=3)
-    p.add_argument("--tasks", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    add_llp_schedule_flag(p)
 
-    p = sub.add_parser(
-        "explain",
+    p = observed(
+        "explain", "serve",
         help="per-job critical-path latency attribution for one run",
         description=(
             "Run one representative simulation of the named scenario (or "
@@ -277,8 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
             "backoff waits, PPE fallback, LLP chunk fan-out)."
         ),
     )
-    p.add_argument("scenario", nargs="?", choices=_OBSERVABLE,
-                   default="serve")
     p.add_argument("--job", type=int, default=None, metavar="ID",
                    help="explain a single job by id (serve scenario)")
     p.add_argument("--tenant", default=None, metavar="NAME",
@@ -287,13 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="slowest jobs / off-loads to show (default 5)")
     p.add_argument("--json", action="store_true",
                    help="emit trees and breakdown as JSON instead of text")
-    p.add_argument("--bootstraps", type=int, default=3)
-    p.add_argument("--tasks", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    add_llp_schedule_flag(p)
 
-    p = sub.add_parser(
-        "profile",
+    p = observed(
+        "profile", "fig8", flag="--scenario",
         help="wall-time layer ledger of one scenario run",
         description=(
             "Run one representative simulation of the named scenario (or "
@@ -308,11 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
             "vary between runs."
         ),
     )
-    p.add_argument("--scenario", choices=_OBSERVABLE, default="fig8")
-    p.add_argument("--bootstraps", type=int, default=3)
-    p.add_argument("--tasks", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    add_llp_schedule_flag(p)
     p.add_argument("--sort", choices=("self", "total", "calls"),
                    default="self",
                    help="layer ordering in the text table (default: "
@@ -327,8 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "sim-time records with the ledger's wall-time "
                         "spans")
 
-    p = sub.add_parser(
-        "faults",
+    # Node-level serving faults have their own flag: repro serve --kill-blade.
+    p = observed(
+        "faults", choices=[s for s in _OBSERVABLE if s != "serve"],
         help="run one scenario under an injected fault plan",
         description=(
             "Run one representative simulation of the named scenario (or "
@@ -340,13 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
             "digests diverge."
         ),
     )
-    # Node-level serving faults have their own flag: repro serve --kill-blade.
-    p.add_argument("scenario",
-                   choices=[s for s in _OBSERVABLE if s != "serve"])
-    p.add_argument("--bootstraps", type=int, default=3)
-    p.add_argument("--tasks", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    add_llp_schedule_flag(p)
     p.add_argument("--plan", metavar="PATH", default=None,
                    help="JSON fault plan (see FaultPlan.to_json); flags "
                         "below override/extend the file's plan")
@@ -548,37 +527,33 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the HTML report of the first failing plan "
                         "(or the last plan when all pass)")
 
+    baselines = ", ".join(s.file for s in SECTIONS.values())
     p = sub.add_parser(
         "bench",
         help="run the tracked scheduler benchmark ladder",
         description=(
-            "Measure the four headline schedulers on the tracked "
-            "Figure-8-style workload, plus the fault-handling overhead "
-            "scenarios and the serving-layer SLO grid.  --check diffs "
-            "the measurement against the committed BENCH_*.json "
-            "baselines (the regression gate); --write refreshes "
-            "BENCH_core.json, BENCH_faults.json, BENCH_serve.json, "
-            "BENCH_dag.json and BENCH_perf.json.  Wall-clock fields are "
-            "informational only, "
-            "except the BENCH_perf.json *_per_sec_wall rates which are "
-            "enforced as one-sided floors (see --perf-tolerance)."
+            "Measure the tracked benchmark sections: "
+            + ", ".join(SECTIONS) + ".  --check diffs the measurement "
+            "against the committed BENCH_*.json baselines (the "
+            "regression gate); --write refreshes " + baselines + ".  "
+            "Wall-clock fields are informational only, except the "
+            "BENCH_perf.json *_per_sec_wall rates which are enforced as "
+            "one-sided floors (see --perf-tolerance)."
         ),
     )
     p.add_argument("--check", action="store_true",
                    help="diff against committed baselines; exit non-zero "
                         "on drift")
     p.add_argument("--write", action="store_true",
-                   help="rewrite BENCH_core.json, BENCH_faults.json, "
-                        "BENCH_serve.json and BENCH_perf.json at the "
-                        "repo root (ratchets the throughput floor)")
-    p.add_argument("--perf-tolerance", type=float, default=None,
-                   metavar="FRAC",
+                   help="rewrite " + baselines + " at the repo root "
+                        "(ratchets the throughput floor)")
+    p.add_argument("--perf-tolerance", type=float,
+                   default=PERF_REGRESSION_TOLERANCE, metavar="FRAC",
                    help="allowed fractional throughput regression before "
-                        "--check fails (default 0.30; also settable via "
-                        "REPRO_PERF_TOLERANCE)")
+                        f"--check fails (default "
+                        f"{PERF_REGRESSION_TOLERANCE:.2f})")
     p.add_argument("--only", metavar="SECTION", action="append",
-                   choices=("core", "faults", "serve", "dag", "perf"),
-                   default=None,
+                   choices=list(SECTIONS), default=None,
                    help="measure (and with --write, re-record) only the "
                         "named baseline section instead of all of them; "
                         "repeatable.  Not combinable with --check, which "
@@ -597,14 +572,6 @@ def _panel_tasks(panel: str, override: Optional[int]) -> int:
     return 300 if panel == "a" else 150
 
 
-def _scenario_spec(scenario: str) -> Tuple[SchedulerSpec, int]:
-    """(spec, n_cells) of the representative run for ``scenario``."""
-    if scenario in _SCHEDULERS:
-        return _SCHEDULERS[scenario](), 1
-    factory, n_cells = _SCENARIO_SPECS[scenario]
-    return factory(), n_cells
-
-
 def _apply_llp_schedule(
     spec: SchedulerSpec, schedule: Optional[str]
 ) -> SchedulerSpec:
@@ -617,23 +584,36 @@ def _apply_llp_schedule(
     return spec.with_(llp_config=replace(cfg, schedule=schedule))
 
 
-def _run_observed(
-    scenario: str, bootstraps: int, tasks: int, seed: int = 0,
-    llp_schedule: Optional[str] = None,
-):
-    """One representative run of ``scenario`` with tracer + metrics on."""
+def _representative(args: argparse.Namespace):
+    """``(spec, workload, blade)`` of the representative run of
+    ``args.scenario``: the headline scheduler of that table/figure (or
+    the named scheduler) on ``args``' workload."""
     from .cell.params import BladeParams
 
-    if scenario == "serve":
+    if args.scenario in _SCHEDULERS:
+        spec, n_cells = _SCHEDULERS[args.scenario](), 1
+    else:
+        factory, n_cells = _SCENARIO_SPECS[args.scenario]
+        spec = factory()
+    wl = Workload(bootstraps=args.bootstraps,
+                  tasks_per_bootstrap=args.tasks, seed=args.seed)
+    return (_apply_llp_schedule(spec, args.llp_schedule), wl,
+            BladeParams(n_cells=n_cells))
+
+
+def _run_observed(args: argparse.Namespace):
+    """One representative run of ``args.scenario`` with tracer + metrics
+    on; returns ``(tracer, metrics, result)``."""
+    tracer = Tracer(enabled=True)
+    metrics = MetricsRegistry()
+    if args.scenario == "serve":
         # The serving layer has its own workload model; bootstraps/tasks
         # and --llp-schedule don't apply to the representative run.
         from types import SimpleNamespace
 
         from .serve import ServeConfig, default_tenants, run_service
 
-        tracer = Tracer(enabled=True)
-        metrics = MetricsRegistry()
-        cfg = ServeConfig(tenants=default_tenants(), seed=seed)
+        cfg = ServeConfig(tenants=default_tenants(), seed=args.seed)
         res = run_service(cfg, tracer=tracer, metrics=metrics)
         util = (sum(b["utilization"] for b in res.per_blade)
                 / max(1, len(res.per_blade)))
@@ -647,16 +627,64 @@ def _run_observed(
         )
         return tracer, metrics, shim
 
-    spec, n_cells = _scenario_spec(scenario)
-    spec = _apply_llp_schedule(spec, llp_schedule)
-    tracer = Tracer(enabled=True)
-    metrics = MetricsRegistry()
-    wl = Workload(bootstraps=bootstraps, tasks_per_bootstrap=tasks, seed=seed)
-    result = run_experiment(
-        spec, wl, blade=BladeParams(n_cells=n_cells),
-        seed=seed, tracer=tracer, metrics=metrics,
-    )
+    spec, wl, blade = _representative(args)
+    result = run_experiment(spec, wl, blade=blade, seed=args.seed,
+                            tracer=tracer, metrics=metrics)
     return tracer, metrics, result
+
+
+def _usage(command: str, message) -> int:
+    """Report a usage error the way argparse does; returns exit status 2."""
+    print(f"repro {command}: error: {message}", file=sys.stderr)
+    return 2
+
+
+def _indexed(command: str, flag: str, shape: str,
+             texts: List[str]) -> List[list]:
+    """Parse each ``INDEX:VALUE[:...]`` value of a repeatable flag.
+
+    ``shape`` is the documented form, e.g. ``BLADE:TIME:FACTOR[:DURATION]``:
+    one field per colon-separated name, the bracketed one optional.  The
+    first field is an int index, the rest are floats.  A malformed value
+    is a usage error (exit 2).
+    """
+    n_max = shape.count(":") + 1
+    n_min = n_max - shape.count("[")
+    fields = []
+    for text in texts:
+        parts = text.split(":")
+        try:
+            if not n_min <= len(parts) <= n_max:
+                raise ValueError(text)
+            fields.append([int(parts[0])] + [float(x) for x in parts[1:]])
+        except ValueError:
+            raise SystemExit(_usage(
+                command, f"{flag} expects {shape}, got {text!r}")) from None
+    return fields
+
+
+def _load_plan(command: str, path: str, cls, what: str):
+    """``cls.from_json`` of the JSON file at ``path``; a usage error
+    (exit 2) if it is missing or does not parse."""
+    file = pathlib.Path(path)
+    if not file.is_file():
+        raise SystemExit(_usage(command, f"{what} file {path!r} not found"))
+    try:
+        return cls.from_json(file.read_text())
+    except ValueError as exc:
+        raise SystemExit(_usage(command, exc)) from None
+
+
+def _write_report(path: str, tracer, metrics, title: str, subtitle: str,
+                  profile=None) -> None:
+    """Diagnose a traced run and write its self-contained HTML report."""
+    from .obs import analyze_run, write_report
+
+    findings = analyze_run(tracer, metrics)
+    write_report(path, tracer, metrics, findings, title=title,
+                 subtitle=subtitle, profile=profile)
+    print(f"wrote report to {path} ({len(findings)} finding(s); "
+          f"self-contained, open in any browser)")
 
 
 def _fail(command: str, violations) -> int:
@@ -666,8 +694,18 @@ def _fail(command: str, violations) -> int:
     return 1
 
 
+# Every output-path attribute a subcommand may carry; main refuses a
+# path whose directory does not exist before running anything.
+_OUTPUTS = ("out", "jsonl", "trace", "perfetto", "report")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    for attr in _OUTPUTS:
+        path = getattr(args, attr, None)
+        if path and not pathlib.Path(path).parent.is_dir():
+            return _usage(args.command,
+                          f"directory of {path!r} does not exist")
     # Tracers to export for --trace, keyed by run name (one Perfetto
     # process per entry).  Filled by commands that trace their own runs;
     # anything else gets a representative traced run at the end.
@@ -766,17 +804,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print()
         print(utilization_bar(tracer, result.raw_makespan))
     elif args.command == "trace":
-        import pathlib
-
-        for path in (args.out, args.jsonl):
-            if path and not pathlib.Path(path).parent.is_dir():
-                print(f"repro trace: error: directory of {path!r} does not "
-                      f"exist", file=sys.stderr)
-                return 2
-        tracer, _metrics, result = _run_observed(
-            args.scenario, args.bootstraps, args.tasks, args.seed,
-            llp_schedule=args.llp_schedule,
-        )
+        tracer, _metrics, result = _run_observed(args)
         write_chrome_trace(tracer, args.out)
         if args.jsonl:
             write_trace_jsonl(tracer, args.jsonl)
@@ -793,12 +821,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         try:
             rules = [parse_threshold(expr) for expr in args.fail_on]
         except ValueError as exc:
-            print(f"repro stats: error: {exc}", file=sys.stderr)
-            return 2
-        _tracer, metrics, result = _run_observed(
-            args.scenario, args.bootstraps, args.tasks, args.seed,
-            llp_schedule=args.llp_schedule,
-        )
+            return _usage("stats", exc)
+        _tracer, metrics, result = _run_observed(args)
         if args.json:
             print(metrics.to_json())
         else:
@@ -816,8 +840,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 try:
                     observed = resolve_metric(rule.metric, summary, metrics)
                 except ValueError as exc:
-                    print(f"repro stats: error: {exc}", file=sys.stderr)
-                    return 2
+                    return _usage("stats", exc)
                 if rule.violated(observed):
                     print(f"FAIL {rule} (observed {observed:g})",
                           file=sys.stderr)
@@ -827,17 +850,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             if failed:
                 return 1
     elif args.command == "health":
-        import json as _json
-
         from .obs import analyze_run, render_findings
 
-        tracer, metrics, result = _run_observed(
-            args.scenario, args.bootstraps, args.tasks, args.seed,
-            llp_schedule=args.llp_schedule,
-        )
+        tracer, metrics, result = _run_observed(args)
         findings = analyze_run(tracer, metrics)
         if args.json:
-            print(_json.dumps([f.to_dict() for f in findings], indent=2))
+            print(json.dumps([f.to_dict() for f in findings], indent=2))
         else:
             print(f"{args.scenario}: {result.scheduler} on "
                   f"{args.bootstraps} bootstraps x {args.tasks} tasks")
@@ -845,33 +863,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         if findings:
             return 1
     elif args.command == "report":
-        import pathlib
+        from .obs import Ledger
 
-        from .obs import Ledger, analyze_run, write_report
-
-        if not pathlib.Path(args.out).parent.is_dir():
-            print(f"repro report: error: directory of {args.out!r} does "
-                  f"not exist", file=sys.stderr)
-            return 2
         ledger = Ledger()
         with ledger.run(args.scenario):
-            tracer, metrics, result = _run_observed(
-                args.scenario, args.bootstraps, args.tasks, args.seed,
-                llp_schedule=args.llp_schedule,
-            )
-        findings = analyze_run(tracer, metrics)
-        write_report(
-            args.out, tracer, metrics, findings,
+            tracer, metrics, result = _run_observed(args)
+        _write_report(
+            args.out, tracer, metrics,
             title=f"{args.scenario}: {result.scheduler} scheduler run",
             subtitle=f"{args.bootstraps} bootstraps x {args.tasks} tasks, "
                      f"seed {args.seed} — makespan {result.makespan:.2f} s",
             profile=ledger.report(),
         )
-        print(f"wrote report to {args.out} ({len(findings)} finding(s); "
-              f"self-contained, open in any browser)")
     elif args.command == "explain":
-        import json as _json
-
         from .obs import (
             aggregate_breakdown,
             build_job_trees,
@@ -883,10 +887,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             top_slowest,
         )
 
-        tracer, metrics, result = _run_observed(
-            args.scenario, args.bootstraps, args.tasks, args.seed,
-            llp_schedule=args.llp_schedule,
-        )
+        tracer, metrics, result = _run_observed(args)
         if args.scenario == "serve":
             trees = build_job_trees(tracer)
             breakdown = aggregate_breakdown(trees)
@@ -898,7 +899,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 else:
                     jobs = top_slowest(trees, k=args.top,
                                        tenant=args.tenant)
-                print(_json.dumps(
+                print(json.dumps(
                     {"scenario": args.scenario, "breakdown": breakdown,
                      "jobs": jobs},
                     indent=2, sort_keys=True,
@@ -913,7 +914,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             slow = sorted(roots,
                           key=lambda r: (-r.duration, r.start))[:args.top]
             if args.json:
-                print(_json.dumps(
+                print(json.dumps(
                     {"scenario": args.scenario,
                      "offloads": len(roots),
                      "slowest": [r.to_dict() for r in slow]},
@@ -933,19 +934,14 @@ def main(argv: Optional[List[str]] = None) -> int:
                           f"{r.attrs.get('function')} "
                           f"[{r.duration * 1e6:.1f}us]: {segs}")
     elif args.command == "profile":
-        import json as _json
-
         from .obs import Ledger, render_ledger, write_ledger_trace
 
         ledger = Ledger()
         with ledger.run(args.scenario):
-            tracer, metrics, result = _run_observed(
-                args.scenario, args.bootstraps, args.tasks, args.seed,
-                llp_schedule=args.llp_schedule,
-            )
+            tracer, metrics, result = _run_observed(args)
         report = ledger.report()
         if args.json:
-            print(_json.dumps(report, indent=2, sort_keys=True))
+            print(json.dumps(report, indent=2, sort_keys=True))
         else:
             print(render_ledger(
                 report, sort=args.sort, top=args.top,
@@ -957,35 +953,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"wrote sim-time + wall-clock trace to {args.perfetto} "
                   f"(open at https://ui.perfetto.dev)")
     elif args.command == "faults":
-        import json as _json
-        import pathlib
-
-        from .cell.params import BladeParams
         from .faults import FaultPlan, SPEKill, SlowSPE
 
-        def parse_pair(text: str, flag: str) -> Tuple[int, float]:
-            try:
-                left, right = text.split(":", 1)
-                return int(left), float(right)
-            except ValueError:
-                raise SystemExit(
-                    f"repro faults: error: {flag} expects INDEX:VALUE, "
-                    f"got {text!r}"
-                )
-
-        if args.plan:
-            path = pathlib.Path(args.plan)
-            if not path.is_file():
-                print(f"repro faults: error: plan file {args.plan!r} not "
-                      f"found", file=sys.stderr)
-                return 2
-            try:
-                plan = FaultPlan.from_json(path.read_text())
-            except ValueError as exc:
-                print(f"repro faults: error: {exc}", file=sys.stderr)
-                return 2
-        else:
-            plan = FaultPlan()
+        plan = (_load_plan("faults", args.plan, FaultPlan, "plan")
+                if args.plan else FaultPlan())
+        kills = _indexed("faults", "--spe-kill", "INDEX:VALUE", args.spe_kill)
+        slows = _indexed("faults", "--slow-spe", "INDEX:VALUE", args.slow_spe)
         overrides = {}
         if args.fault_seed is not None:
             overrides["seed"] = args.fault_seed
@@ -993,32 +966,23 @@ def main(argv: Optional[List[str]] = None) -> int:
             overrides["offload_fail_rate"] = args.offload_fail_rate
         if args.dma_error_rate is not None:
             overrides["dma_error_rate"] = args.dma_error_rate
-        if args.spe_kill:
-            overrides["spe_kills"] = plan.spe_kills + tuple(
-                SPEKill(*parse_pair(t, "--spe-kill")) for t in args.spe_kill
-            )
-        if args.slow_spe:
-            overrides["slow_spes"] = plan.slow_spes + tuple(
-                SlowSPE(*parse_pair(t, "--slow-spe")) for t in args.slow_spe
-            )
         try:
+            if kills:
+                overrides["spe_kills"] = plan.spe_kills + tuple(
+                    SPEKill(*v) for v in kills)
+            if slows:
+                overrides["slow_spes"] = plan.slow_spes + tuple(
+                    SlowSPE(*v) for v in slows)
             plan = plan.with_(**overrides) if overrides else plan
         except ValueError as exc:
-            print(f"repro faults: error: {exc}", file=sys.stderr)
-            return 2
+            return _usage("faults", exc)
 
-        spec_f, n_cells = _scenario_spec(args.scenario)
-        spec_f = _apply_llp_schedule(spec_f, args.llp_schedule)
-        blade = BladeParams(n_cells=n_cells)
-        wl = Workload(bootstraps=args.bootstraps,
-                      tasks_per_bootstrap=args.tasks, seed=args.seed)
-        clean = run_experiment(spec_f, wl, blade=blade, seed=args.seed)
+        spec, wl, blade = _representative(args)
+        clean = run_experiment(spec, wl, blade=blade, seed=args.seed)
         tracer = Tracer(enabled=True)
         metrics = MetricsRegistry()
-        spec_f, _ = _scenario_spec(args.scenario)
-        spec_f = _apply_llp_schedule(spec_f, args.llp_schedule)
         faulty = run_experiment(
-            spec_f, wl, blade=blade, seed=args.seed,
+            spec, wl, blade=blade, seed=args.seed,
             tracer=tracer, metrics=metrics, faults=plan,
         )
         own_traces[f"{args.scenario}-faulty"] = tracer
@@ -1027,10 +991,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                                             dict(faulty.bootstrap_digests))
         digests_match = not violations
         if args.json:
-            print(_json.dumps({
+            print(json.dumps({
                 "scenario": args.scenario,
                 "scheduler": faulty.scheduler,
-                "plan": _json.loads(plan.to_json()),
+                "plan": json.loads(plan.to_json()),
                 "fault_free_makespan_s": clean.makespan,
                 "faulty_makespan_s": faulty.makespan,
                 "slowdown": (faulty.makespan / clean.makespan
@@ -1091,70 +1055,27 @@ def main(argv: Optional[List[str]] = None) -> int:
             run_service,
         )
 
-        def parse_fault(text: str, flag: str, shape: str,
-                        n_min: int, n_max: int):
-            parts = text.split(":")
-            if not (n_min <= len(parts) <= n_max):
-                print(f"repro serve: error: {flag} expects {shape}, "
-                      f"got {text!r}", file=sys.stderr)
-                raise SystemExit(2)
-            try:
-                return [int(parts[0])] + [float(x) for x in parts[1:]]
-            except ValueError:
-                print(f"repro serve: error: {flag} expects {shape}, "
-                      f"got {text!r}", file=sys.stderr)
-                raise SystemExit(2)
-
-        if args.fault_plan:
-            import pathlib as _pathlib
-
-            path = _pathlib.Path(args.fault_plan)
-            if not path.is_file():
-                print(f"repro serve: error: fault-plan file "
-                      f"{args.fault_plan!r} not found", file=sys.stderr)
-                return 2
-            try:
-                plan = FleetFaultPlan.from_json(path.read_text())
-            except ValueError as exc:
-                print(f"repro serve: error: {exc}", file=sys.stderr)
-                return 2
-        else:
-            plan = FleetFaultPlan()
-        kills = list(plan.kills)
-        slows = list(plan.slows)
-        flaps = list(plan.flaps)
-        degrades = list(plan.degrades)
-        for text in args.kill_blade:
-            try:
-                left, right = text.split(":", 1)
-                kills.append(BladeKill(blade=int(left), at=float(right)))
-            except ValueError:
-                print(f"repro serve: error: --kill-blade expects "
-                      f"BLADE:TIME, got {text!r}", file=sys.stderr)
-                return 2
-        for text in args.slow_blade:
-            v = parse_fault(text, "--slow-blade",
-                            "BLADE:TIME:FACTOR[:DURATION]", 3, 4)
-            slows.append(BladeSlow(
-                blade=v[0], at=v[1], factor=v[2],
-                duration=v[3] if len(v) > 3 else None,
-            ))
-        for text in args.flap_blade:
-            v = parse_fault(text, "--flap-blade", "BLADE:TIME:DOWN", 3, 3)
-            flaps.append(BladeFlap(blade=v[0], at=v[1], down_s=v[2]))
-        for text in args.degrade_blade:
-            v = parse_fault(text, "--degrade-blade",
-                            "BLADE:TIME:LATENCY[:DURATION]", 3, 4)
-            degrades.append(LinkDegrade(
-                blade=v[0], at=v[1], added_latency_s=v[2],
-                duration=v[3] if len(v) > 3 else None,
-            ))
+        plan = (_load_plan("serve", args.fault_plan, FleetFaultPlan,
+                           "fault-plan")
+                if args.fault_plan else FleetFaultPlan())
         tracer = Tracer(enabled=True)
         metrics = MetricsRegistry()
         try:
             plan = FleetFaultPlan(
-                kills=tuple(kills), slows=tuple(slows),
-                flaps=tuple(flaps), degrades=tuple(degrades),
+                kills=plan.kills + tuple(BladeKill(*v) for v in _indexed(
+                    "serve", "--kill-blade", "BLADE:TIME", args.kill_blade)),
+                slows=plan.slows + tuple(
+                    BladeSlow(*v[:3], duration=v[3] if len(v) > 3 else None)
+                    for v in _indexed("serve", "--slow-blade",
+                                      "BLADE:TIME:FACTOR[:DURATION]",
+                                      args.slow_blade)),
+                flaps=plan.flaps + tuple(BladeFlap(*v) for v in _indexed(
+                    "serve", "--flap-blade", "BLADE:TIME:DOWN",
+                    args.flap_blade)),
+                degrades=plan.degrades + tuple(
+                    LinkDegrade(*v) for v in _indexed(
+                        "serve", "--degrade-blade",
+                        "BLADE:TIME:LATENCY[:DURATION]", args.degrade_blade)),
                 seed=plan.seed,
             )
             cfg = ServeConfig(
@@ -1177,8 +1098,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 ),
             )
         except ValueError as exc:
-            print(f"repro serve: error: {exc}", file=sys.stderr)
-            return 2
+            return _usage("serve", exc)
         result = run_service(cfg, tracer=tracer, metrics=metrics)
         own_traces["serve"] = tracer
         if args.json:
@@ -1209,25 +1129,14 @@ def main(argv: Optional[List[str]] = None) -> int:
                 )
                 print(f"  digests: {verdict}")
         if args.report:
-            import pathlib
-
-            from .obs import analyze_run, write_report
-
-            if not pathlib.Path(args.report).parent.is_dir():
-                print(f"repro serve: error: directory of {args.report!r} "
-                      f"does not exist", file=sys.stderr)
-                return 2
-            findings = analyze_run(tracer, metrics)
-            write_report(
-                args.report, tracer, metrics, findings,
+            _write_report(
+                args.report, tracer, metrics,
                 title=f"serve: {cfg.dispatch} dispatch, "
                       f"{cfg.scheduler} blades",
                 subtitle=f"{len(cfg.tenants)} tenants, horizon "
                          f"{cfg.duration_s:g} s, seed {cfg.seed} — "
                          f"drained at {result.makespan:.2f} s",
             )
-            print(f"wrote report to {args.report} ({len(findings)} "
-                  f"finding(s); self-contained, open in any browser)")
         if violations:
             return _fail("serve", violations)
     elif args.command == "dag":
@@ -1242,15 +1151,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             run_dag,
         )
 
-        kills = []
-        for text in args.kill_blade:
-            try:
-                left, right = text.split(":", 1)
-                kills.append(BladeKill(blade=int(left), at=float(right)))
-            except ValueError:
-                print(f"repro dag: error: --kill-blade expects BLADE:TIME, "
-                      f"got {text!r}", file=sys.stderr)
-                return 2
+        kills = _indexed("dag", "--kill-blade", "BLADE:TIME", args.kill_blade)
         tracer = Tracer(enabled=True)
         metrics = MetricsRegistry()
         try:
@@ -1264,12 +1165,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                 blades=args.blades,
                 bootstop=BootstopConfig() if args.bootstop else None,
                 cache=args.cache == "on",
-                faults=(FleetFaultPlan(kills=tuple(kills), seed=args.seed)
-                        if kills else None),
+                faults=(FleetFaultPlan(
+                    kills=tuple(BladeKill(*v) for v in kills), seed=args.seed,
+                ) if kills else None),
             )
         except ValueError as exc:
-            print(f"repro dag: error: {exc}", file=sys.stderr)
-            return 2
+            return _usage("dag", exc)
         result = run_dag(cfg, tracer=tracer, metrics=metrics)
         own_traces["dag"] = tracer
         if args.json:
@@ -1295,17 +1196,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                       + ("identical to the fault-free run" if match
                          else "DIVERGED from fault-free"))
         if args.report:
-            import pathlib
-
-            from .obs import analyze_run, write_report
-
-            if not pathlib.Path(args.report).parent.is_dir():
-                print(f"repro dag: error: directory of {args.report!r} "
-                      f"does not exist", file=sys.stderr)
-                return 2
-            findings = analyze_run(tracer, metrics)
-            write_report(
-                args.report, tracer, metrics, findings,
+            _write_report(
+                args.report, tracer, metrics,
                 title=f"dag: {cfg.workflow.name} x{cfg.submissions}, "
                       f"{cfg.dispatch} dispatch",
                 subtitle=f"bootstop "
@@ -1313,8 +1205,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                          f"cache {'on' if cfg.cache else 'off'}, seed "
                          f"{cfg.seed} — drained at {result.makespan:.2f} s",
             )
-            print(f"wrote report to {args.report} ({len(findings)} "
-                  f"finding(s); self-contained, open in any browser)")
         if violations:
             return _fail("dag", violations)
     elif args.command == "chaos":
@@ -1331,43 +1221,32 @@ def main(argv: Optional[List[str]] = None) -> int:
                 dispatch=args.dispatch,
             )
         except ValueError as exc:
-            print(f"repro chaos: error: {exc}", file=sys.stderr)
-            return 2
+            return _usage("chaos", exc)
         report = run_chaos(chaos_cfg)
         if args.json:
             print(report.to_json())
         else:
             print(report.summary_text())
         if args.report:
-            import pathlib as _pathlib
-
-            from .obs import analyze_run, write_report
             from .serve.chaos import chaos_serve_config
-            from .serve.service import run_service as _run_service
+            from .serve.service import run_service
 
-            if not _pathlib.Path(args.report).parent.is_dir():
-                print(f"repro chaos: error: directory of {args.report!r} "
-                      f"does not exist", file=sys.stderr)
-                return 2
             # Re-run the most interesting plan (first failure, else the
             # last) with full observability and render it.
             shown = (report.failures[0] if report.failures
                      else report.outcomes[-1])
-            rtracer = Tracer(enabled=True)
-            rmetrics = MetricsRegistry()
-            _run_service(chaos_serve_config(chaos_cfg, shown.plan),
-                         tracer=rtracer, metrics=rmetrics)
-            findings = analyze_run(rtracer, rmetrics)
-            write_report(
-                args.report, rtracer, rmetrics, findings,
+            tracer = Tracer(enabled=True)
+            metrics = MetricsRegistry()
+            run_service(chaos_serve_config(chaos_cfg, shown.plan),
+                        tracer=tracer, metrics=metrics)
+            _write_report(
+                args.report, tracer, metrics,
                 title=f"chaos plan {shown.index}: "
                       f"{shown.plan.describe() or 'no faults'}",
                 subtitle=f"mix {chaos_cfg.mix}, seed {chaos_cfg.seed}, "
                          f"{chaos_cfg.blades} blades — "
                          f"{'PASS' if shown.ok else 'FAIL'}",
             )
-            print(f"wrote report to {args.report} ({len(findings)} "
-                  f"finding(s); self-contained, open in any browser)")
         failed = bool(report.failures)
         if args.check:
             failed = failed or bool(report.liveness_violations)
@@ -1376,10 +1255,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     elif args.command == "run":
         from collections import Counter
 
-        tracer, metrics, result = _run_observed(
-            args.scenario, args.bootstraps, args.tasks, args.seed,
-            llp_schedule=args.llp_schedule,
-        )
+        tracer, metrics, result = _run_observed(args)
         own_traces[args.scenario] = tracer
         schedule = args.llp_schedule or "static"
         print(f"{args.scenario}: {result.scheduler} scheduler, "
@@ -1415,92 +1291,24 @@ def main(argv: Optional[List[str]] = None) -> int:
         from .obs import bench as obs_bench
 
         if args.only and args.check:
-            print("repro bench: error: --only cannot be combined with "
-                  "--check (the gate always validates every baseline)",
-                  file=sys.stderr)
-            return 2
-        sections = (set(args.only) if args.only
-                    else {"core", "faults", "serve", "dag", "perf"})
-        current = current_faults = current_serve = current_perf = None
-        current_dag = None
-        if "core" in sections:
-            current = obs_bench.measure_core()
-            for name, row in current["schedulers"].items():
-                speedup = current["speedup_over_serial"][name]
-                print(f"{name:>11}: makespan {row['makespan_s']:8.2f} s  "
-                      f"({speedup:4.2f}x serial), {row['offloads']:4d} "
-                      f"off-loads, {row['llp_invocations']:3d} LLP")
-            for name, row in current.get("llp_schedules", {}).items():
-                print(f"{'llp/' + name:>11}: makespan "
-                      f"{row['makespan_s']:8.2f} s  "
-                      f"(edtlp-llp4), {row['llp_invocations']:3d} LLP")
-        if "faults" in sections:
-            current_faults = obs_bench.measure_faults()
-            zt = current_faults["zero_fault_tolerant"]
-            fa = current_faults["faulty"]
-            print(f"     faults: zero-fault overhead "
-                  f"{zt['overhead_ratio']:.4f}x, "
-                  f"faulty slowdown {fa['slowdown_ratio']:.2f}x "
-                  f"({fa['offload_retries']:.0f} retries, "
-                  f"{fa['live_spes']:.0f} live SPEs)")
-            ff = current_faults["fleet_faults"]
-            print(f"fleet-chaos: {ff['plans']} {ff['mix']} plans, "
-                  f"lost {ff['lost_jobs']}, "
-                  f"digests {'identical' if ff['digests_identical'] else 'DIVERGED'}, "
-                  f"{ff['hedges']} hedges, {ff['breaker_cycles']} breaker cycles, "
-                  f"{ff['deadline_aborts']} deadline aborts")
-        if "serve" in sections:
-            current_serve = obs_bench.measure_serve()
-            for pol, cells in current_serve["policies"].items():
-                fixed = cells["fixed"]
-                print(f"{'serve/' + pol:>24}: p99 "
-                      f"{fixed['latency_p99_s']:6.1f} s, "
-                      f"goodput {fixed['goodput_jps'] * 3600:5.1f} jobs/h, "
-                      f"{fixed['completed']:3d} jobs "
-                      f"(autoscale p99 "
-                      f"{cells['autoscale']['latency_p99_s']:.1f} s)")
-            print(f"      serve: cross-policy digests "
-                  f"{'identical' if current_serve['digests_identical'] else 'DIVERGED'}")
-        if "dag" in sections:
-            current_dag = obs_bench.measure_dag()
-            for name, row in current_dag["grid"].items():
-                print(f"{'dag/' + name:>16}: "
-                      f"{row['completed']:3d} done, "
-                      f"{row['cancelled']:3d} cancelled, "
-                      f"cache {row['cache_hit_rate']:.0%}, "
-                      f"makespan {row['makespan']:7.1f} s")
-            print(f"        dag: bootstop savings "
-                  f"{current_dag['bootstop_savings']:.0%}, warm hit rate "
-                  f"{current_dag['warm_hit_rate']:.0%}, digests "
-                  f"{'identical' if current_dag['warm_digest_identical'] else 'DIVERGED'}")
-        if "perf" in sections:
-            current_perf = obs_bench.measure_throughput()
-            for scen, row in current_perf["scenarios"].items():
-                jobs = (f", {row['jobs_per_sec_wall']:.1f} jobs/s"
-                        if "jobs_per_sec_wall" in row else "")
-                print(f"{'perf/' + scen:>16}: "
-                      f"{row['events_per_sec_wall']:>9,.0f} events/s{jobs} "
-                      f"({row['events']} events in "
-                      f"{row['seconds_wall']:.2f} s)")
+            return _usage("bench", "--only cannot be combined with --check "
+                          "(the gate always validates every baseline)")
+        current = {}
+        for section in SECTIONS.values():
+            if args.only and section.name not in args.only:
+                continue
+            current[section.name] = payload = section.measure()
+            for line in section.summary(payload):
+                print(line)
         if args.write:
             root = obs_bench.find_repo_root()
-            for fname, payload in (
-                (obs_bench.CORE_BASELINE, current),
-                (obs_bench.FAULTS_BASELINE, current_faults),
-                (obs_bench.SERVE_BASELINE, current_serve),
-                (obs_bench.DAG_BASELINE, current_dag),
-                (obs_bench.PERF_BASELINE, current_perf),
-            ):
-                if payload is None:
-                    continue
-                path = obs_bench.write_baseline(root, fname, payload)
+            for name, payload in current.items():
+                path = obs_bench.write_baseline(root, SECTIONS[name].file,
+                                                payload)
                 print(f"wrote {path}")
         if args.check:
             ok, report = obs_bench.check_baselines(
-                current_core=current, current_faults=current_faults,
-                current_serve=current_serve, current_dag=current_dag,
-                current_perf=current_perf,
-                perf_floor_tolerance=args.perf_tolerance,
+                current=current, perf_floor_tolerance=args.perf_tolerance,
             )
             print(report)
             if not ok:
@@ -1512,9 +1320,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         if own_traces:
             write_chrome_trace(own_traces, args.trace)
         else:
-            bootstraps = getattr(args, "bootstraps", 3)
-            tasks = getattr(args, "tasks", None) or 200
-            tracer, _, _ = _run_observed(args.command, bootstraps, tasks)
+            # Table and figure sweeps: trace the scenario's
+            # representative run at its task count.
+            tracer, _, _ = _run_observed(argparse.Namespace(
+                scenario=args.command, bootstraps=3,
+                tasks=args.tasks or 200, seed=0, llp_schedule=None,
+            ))
             write_chrome_trace(tracer, args.trace)
         print(f"wrote Chrome trace to {args.trace} "
               f"(open at https://ui.perfetto.dev)")

@@ -1,31 +1,20 @@
 """The tracked benchmark trajectory: measurement, baselines, gates.
 
-The repo keeps two committed baseline files at its root:
-
-* ``BENCH_core.json`` — makespans/off-load counts for the four headline
-  schedulers (serial, EDTLP, static EDTLP-LLP, MGPS) on a Figure-8-style
-  workload, written by ``benchmarks/bench_schedulers.py``;
-* ``BENCH_obs.json`` — the observability-overhead summary, written by
-  ``benchmarks/bench_obs_overhead.py``;
-* ``BENCH_faults.json`` — the fault-tolerance ladder, written by
-  ``benchmarks/bench_faults.py``;
-* ``BENCH_serve.json`` — serving-layer SLOs (tail latency, goodput,
-  rejection rate) per dispatch policy with and without autoscaling,
-  written by ``benchmarks/bench_serve.py``;
-* ``BENCH_dag.json`` — the workflow-DAG grid (cache-cold vs cache-warm
-  vs bootstop-on), gating the stage cache's 100% warm hit rate, digest
-  identity across repeat submissions, the >= 30% bootstop savings and
-  exact job conservation, written by ``repro bench --write --only dag``;
-* ``BENCH_perf.json`` — the wall-clock throughput grid (events/sec and
-  jobs per wall-second for the fig8 and serve scenarios), written by
-  ``benchmarks/bench_throughput.py`` or ``repro bench --write``.
+The repo keeps six committed ``BENCH_*.json`` baselines at its root.
+Five of them are the gated sections of :data:`SECTIONS` — the scheduler
+ladder (``core``), the fault-tolerance ladder (``faults``), the serving
+SLO grid (``serve``), the workflow-DAG grid (``dag``) and the wall-clock
+throughput grid (``perf``) — each re-measured by ``repro bench`` and
+written only by ``repro bench --write``.  The sixth, :data:`OBS`
+(``BENCH_obs.json``, the observability-overhead summary), is written
+only by ``benchmarks/bench_obs_overhead.py``; the gate cross-checks its
+deterministic fields against the core ladder.
 
 Simulated quantities are deterministic (same seed, same arithmetic), so
 a drift in any non-``_wall`` field is a real behavior change — that is
-the regression gate ``repro bench --check`` (and its thin wrapper
-``benchmarks/check_bench.py``) enforces.  Wall-clock fields carry a
-``_wall`` suffix (:func:`is_wall_field`) and are **informational only**
-in :func:`compare` — never diffed against the baseline.
+the regression gate ``repro bench --check`` enforces.  Wall-clock fields
+carry a ``_wall`` suffix (:func:`is_wall_field`) and are **informational
+only** in :func:`compare` — never diffed against the baseline.
 
 The one exception is deliberate and one-sided: the ``*_per_sec_wall``
 throughput rates in ``BENCH_perf.json`` are enforced as *floors* by
@@ -35,23 +24,20 @@ throughput rates in ``BENCH_perf.json`` are enforced as *floors* by
 catches order-of-magnitude hot-path regressions.  The floor *ratchets*:
 ``repro bench --write`` records the current machine's throughput, so
 every landed speedup raises the bar for the next change.  Tune the
-tolerance per invocation (``repro bench --check --perf-tolerance 0.5``)
-or via the ``REPRO_PERF_TOLERANCE`` environment variable (useful on
-noisy CI runners).
+tolerance per invocation (``repro bench --check --perf-tolerance 0.5``).
 
-:func:`measure_core` produces the current numbers, :func:`compare`
+Each section's ``measure`` produces the current numbers, :func:`compare`
 diffs a payload against a committed baseline with per-metric
-tolerances, :func:`measure_throughput` times the throughput grid, and
-:func:`check_baselines` runs the whole gate.
+tolerances, and :func:`check_baselines` runs the whole gate.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 # NOTE: repro.core imports repro.obs at module load (for NULL_REGISTRY),
 # so this module must not import repro.core at the top level; the
@@ -60,22 +46,11 @@ from ..invariants import Violation, conservation, digest_diff
 from .metrics import stable_round
 
 __all__ = [
-    "CORE_BASELINE",
-    "OBS_BASELINE",
-    "FAULTS_BASELINE",
-    "SERVE_BASELINE",
-    "DAG_BASELINE",
-    "PERF_BASELINE",
-    "REQUIRED_CORE_KEYS",
-    "REQUIRED_OBS_KEYS",
-    "REQUIRED_FAULTS_KEYS",
-    "REQUIRED_SERVE_KEYS",
-    "REQUIRED_DAG_KEYS",
-    "REQUIRED_PERF_KEYS",
+    "Section",
+    "SECTIONS",
+    "OBS",
     "DEFAULT_TOLERANCES",
     "PERF_REGRESSION_TOLERANCE",
-    "PERF_TOLERANCE_ENV",
-    "perf_tolerance",
     "is_wall_field",
     "find_repo_root",
     "core_schedulers",
@@ -95,55 +70,11 @@ __all__ = [
     "check_baselines",
 ]
 
-CORE_BASELINE = "BENCH_core.json"
-OBS_BASELINE = "BENCH_obs.json"
-FAULTS_BASELINE = "BENCH_faults.json"
-SERVE_BASELINE = "BENCH_serve.json"
-DAG_BASELINE = "BENCH_dag.json"
-PERF_BASELINE = "BENCH_perf.json"
-
 # The workload every tracked benchmark shares (Figure-8-style: few
 # bootstraps, many tasks -> MGPS must fall back on loop parallelism).
 BOOTSTRAPS = 3
 TASKS = 200
 SEED = 0
-
-REQUIRED_CORE_KEYS = (
-    "workload", "schedulers", "speedup_over_serial", "llp_schedules"
-)
-REQUIRED_FAULTS_KEYS = (
-    "workload",
-    "fault_free",
-    "zero_fault_tolerant",
-    "faulty",
-    "fleet_faults",
-)
-REQUIRED_OBS_KEYS = (
-    "workload",
-    "makespan_s",
-    "offloads",
-    "on_over_off_ratio_wall",
-    "metrics_over_off_ratio_wall",
-    "ledger_over_off_ratio_wall",
-    "causal_over_off_ratio_wall",
-)
-REQUIRED_SERVE_KEYS = (
-    "workload",
-    "policies",
-    "digests_identical",
-    "breakdown",
-)
-REQUIRED_DAG_KEYS = (
-    "workload",
-    "grid",
-    "bootstop_savings",
-    "warm_hit_rate",
-    "warm_digest_identical",
-)
-REQUIRED_PERF_KEYS = (
-    "workload",
-    "scenarios",
-)
 
 # The serving grid: every tracked dispatch policy, elastic and fixed.
 SERVE_POLICIES = ("static-block", "least-loaded", "work-stealing")
@@ -177,19 +108,8 @@ _DEFAULT_TOL = _EXACT
 # fall below ``baseline * (1 - tolerance)``.  30% absorbs host noise
 # while catching real hot-path regressions; override per call
 # (``check_perf_floors(..., tolerance=...)``, ``repro bench --check
-# --perf-tolerance``) or via the environment for noisy CI runners.
+# --perf-tolerance``).
 PERF_REGRESSION_TOLERANCE = 0.30
-PERF_TOLERANCE_ENV = "REPRO_PERF_TOLERANCE"
-
-
-def perf_tolerance(override: Optional[float] = None) -> float:
-    """Effective throughput-floor tolerance (override > env > default)."""
-    if override is not None:
-        return float(override)
-    env = os.environ.get(PERF_TOLERANCE_ENV)
-    if env:
-        return float(env)
-    return PERF_REGRESSION_TOLERANCE
 
 
 def is_wall_field(path: str) -> bool:
@@ -210,9 +130,14 @@ def find_repo_root(start: Optional[pathlib.Path] = None) -> pathlib.Path:
     """
     here = pathlib.Path(start or pathlib.Path.cwd()).resolve()
     for candidate in (here, *here.parents):
-        if (candidate / ".git").exists() or (candidate / CORE_BASELINE).exists():
+        if ((candidate / ".git").exists()
+                or (candidate / SECTIONS["core"].file).exists()):
             return candidate
     return pathlib.Path(__file__).resolve().parents[3]
+
+
+def _verdict(identical: bool) -> str:
+    return "identical" if identical else "DIVERGED"
 
 
 def core_schedulers() -> List[Tuple[str, "SchedulerSpec"]]:
@@ -293,6 +218,19 @@ def measure_core(
         },
         "llp_schedules": schedule_rows,
     }
+
+
+def _core_summary(p: Dict[str, Any]) -> List[str]:
+    return [
+        f"{name:>11}: makespan {row['makespan_s']:8.2f} s  "
+        f"({p['speedup_over_serial'][name]:4.2f}x serial), "
+        f"{row['offloads']:4d} off-loads, {row['llp_invocations']:3d} LLP"
+        for name, row in p["schedulers"].items()
+    ] + [
+        f"{'llp/' + name:>11}: makespan {row['makespan_s']:8.2f} s  "
+        f"(edtlp-llp4), {row['llp_invocations']:3d} LLP"
+        for name, row in p.get("llp_schedules", {}).items()
+    ]
 
 
 def measure_faults(
@@ -457,6 +395,21 @@ def measure_fleet_faults(
     }
 
 
+def _faults_summary(p: Dict[str, Any]) -> List[str]:
+    zt, fa, ff = p["zero_fault_tolerant"], p["faulty"], p["fleet_faults"]
+    return [
+        f"     faults: zero-fault overhead {zt['overhead_ratio']:.4f}x, "
+        f"faulty slowdown {fa['slowdown_ratio']:.2f}x "
+        f"({fa['offload_retries']:.0f} retries, "
+        f"{fa['live_spes']:.0f} live SPEs)",
+        f"fleet-chaos: {ff['plans']} {ff['mix']} plans, "
+        f"lost {ff['lost_jobs']}, "
+        f"digests {_verdict(ff['digests_identical'])}, "
+        f"{ff['hedges']} hedges, {ff['breaker_cycles']} breaker cycles, "
+        f"{ff['deadline_aborts']} deadline aborts",
+    ]
+
+
 def measure_serve(
     seed: int = SEED,
     duration_s: float = SERVE_DURATION_S,
@@ -590,6 +543,17 @@ def measure_serve(
     }
 
 
+def _serve_summary(p: Dict[str, Any]) -> List[str]:
+    return [
+        f"{'serve/' + pol:>24}: p99 {c['fixed']['latency_p99_s']:6.1f} s, "
+        f"goodput {c['fixed']['goodput_jps'] * 3600:5.1f} jobs/h, "
+        f"{c['fixed']['completed']:3d} jobs (autoscale p99 "
+        f"{c['autoscale']['latency_p99_s']:.1f} s)"
+        for pol, c in p["policies"].items()
+    ] + [f"      serve: cross-policy digests "
+         f"{_verdict(p['digests_identical'])}"]
+
+
 # The tracked workflow scale: a full autoMRE-sized bootstrap fan-out so
 # the bootstop cell has room to demonstrate its >= 30% savings.
 DAG_REPLICATES = 100
@@ -702,6 +666,18 @@ def measure_dag(
     }
 
 
+def _dag_summary(p: Dict[str, Any]) -> List[str]:
+    return [
+        f"{'dag/' + name:>16}: {row['completed']:3d} done, "
+        f"{row['cancelled']:3d} cancelled, "
+        f"cache {row['cache_hit_rate']:.0%}, "
+        f"makespan {row['makespan']:7.1f} s"
+        for name, row in p["grid"].items()
+    ] + [f"        dag: bootstop savings {p['bootstop_savings']:.0%}, "
+         f"warm hit rate {p['warm_hit_rate']:.0%}, digests "
+         f"{_verdict(p['warm_digest_identical'])}"]
+
+
 def measure_throughput(
     bootstraps: int = BOOTSTRAPS,
     tasks: int = TASKS,
@@ -804,10 +780,20 @@ def measure_throughput(
     }
 
 
+def _perf_summary(p: Dict[str, Any]) -> List[str]:
+    return [
+        f"{'perf/' + scen:>16}: {row['events_per_sec_wall']:>9,.0f} events/s"
+        + (f", {row['jobs_per_sec_wall']:.1f} jobs/s"
+           if "jobs_per_sec_wall" in row else "")
+        + f" ({row['events']} events in {row['seconds_wall']:.2f} s)"
+        for scen, row in p["scenarios"].items()
+    ]
+
+
 def check_perf_floors(
     current: Dict[str, Any],
     baseline: Dict[str, Any],
-    tolerance: Optional[float] = None,
+    tolerance: float = PERF_REGRESSION_TOLERANCE,
 ) -> List[Dict[str, Any]]:
     """One-sided throughput floors over a ``BENCH_perf`` payload pair.
 
@@ -817,7 +803,7 @@ def check_perf_floors(
     commit the improvement with ``repro bench --write`` to ratchet the
     floor up.  Returns violation dicts shaped like :func:`compare`'s.
     """
-    tol = perf_tolerance(tolerance)
+    tol = tolerance
     violations: List[Dict[str, Any]] = []
     base_scen = baseline.get("scenarios", {})
     cur_scen = current.get("scenarios", {})
@@ -973,62 +959,135 @@ def render_violations(violations: List[Dict[str, Any]]) -> str:
     return "\n".join(lines)
 
 
-def _load(path: pathlib.Path) -> Dict[str, Any]:
-    with open(path) as fh:
-        return json.load(fh)
+Payload = Dict[str, Any]
 
 
-# The semantic gates: (check, holds(payload), what broke).  They hold
-# against *any* baseline, so a stale ``--write`` cannot weaken them.
-# The message formats against the payload.
-_SEMANTIC_GATES = {
-    FAULTS_BASELINE: (
-        ("digest_match", lambda p: p["zero_fault_tolerant"]["digest_match"],
-         "zero_fault_tolerant application results diverged from the "
-         "fault-free run"),
-        ("digest_match", lambda p: p["faulty"]["digest_match"],
-         "faulty application results diverged from the fault-free run"),
-        ("lost", lambda p: p["fleet_faults"]["lost_jobs"] == 0,
-         "fleet_faults lost {fleet_faults[lost_jobs]} job(s) under chaos"),
-        ("digest", lambda p: p["fleet_faults"]["digests_identical"],
-         "fleet_faults digests diverged from the fault-free run"),
-        ("invariants", lambda p: p["fleet_faults"]["invariants_ok"],
-         "fleet_faults chaos invariants failed"),
-        ("conservation",
-         lambda p: p["fleet_faults"]["deadline_conservation_ok"],
-         "fleet_faults deadline cell broke job conservation"),
+@dataclass(frozen=True)
+class Section:
+    """One tracked ``BENCH_*.json`` baseline and how the gate treats it.
+
+    ``workload`` maps a field of the baseline's ``workload`` block to
+    the ``measure`` keyword it feeds; a field the baseline lacks falls
+    back to the measure's default.  ``gates`` are the semantic checks
+    ``(check, holds(payload), message)``: they hold against *any*
+    baseline, so a stale ``--write`` cannot weaken them, and the message
+    formats against the payload.  ``ok`` is the verdict printed when the
+    payload matches its baseline, and ``summary`` renders the console
+    lines ``repro bench`` prints for a fresh measurement.
+    """
+
+    name: str
+    file: str
+    required: Tuple[str, ...]
+    measure: Optional[Callable[..., Payload]] = None
+    workload: Mapping[str, str] = field(default_factory=dict)
+    gates: Tuple[Tuple[str, Callable[[Payload], bool], str], ...] = ()
+    ok: str = ""
+    summary: Optional[Callable[[Payload], List[str]]] = None
+
+
+_FIG8_WORKLOAD = {"bootstraps": "bootstraps",
+                  "tasks_per_bootstrap": "tasks", "seed": "seed"}
+
+# The gated sections, in measurement order: ``repro bench`` measures,
+# prints, writes and checks exactly these.
+SECTIONS: Dict[str, Section] = {s.name: s for s in (
+    Section(
+        "core", "BENCH_core.json",
+        ("workload", "schedulers", "speedup_over_serial", "llp_schedules"),
+        measure_core, _FIG8_WORKLOAD,
+        ok="scheduler ladder within tolerance", summary=_core_summary,
     ),
-    SERVE_BASELINE: (
-        ("digest", lambda p: p["digests_identical"],
-         "per-job digests diverged across dispatch policies"),
+    Section(
+        "faults", "BENCH_faults.json",
+        ("workload", "fault_free", "zero_fault_tolerant", "faulty",
+         "fleet_faults"),
+        measure_faults, _FIG8_WORKLOAD,
+        gates=(
+            ("digest_match",
+             lambda p: p["zero_fault_tolerant"]["digest_match"],
+             "zero_fault_tolerant application results diverged from the "
+             "fault-free run"),
+            ("digest_match", lambda p: p["faulty"]["digest_match"],
+             "faulty application results diverged from the fault-free run"),
+            ("lost", lambda p: p["fleet_faults"]["lost_jobs"] == 0,
+             "fleet_faults lost {fleet_faults[lost_jobs]} job(s) under "
+             "chaos"),
+            ("digest", lambda p: p["fleet_faults"]["digests_identical"],
+             "fleet_faults digests diverged from the fault-free run"),
+            ("invariants", lambda p: p["fleet_faults"]["invariants_ok"],
+             "fleet_faults chaos invariants failed"),
+            ("conservation",
+             lambda p: p["fleet_faults"]["deadline_conservation_ok"],
+             "fleet_faults deadline cell broke job conservation"),
+        ),
+        ok="fault-tolerance ladder within tolerance",
+        summary=_faults_summary,
     ),
-    DAG_BASELINE: (
-        ("warm_hit_rate", lambda p: p["warm_hit_rate"] == 1.0,
-         "repeat submission missed the stage cache (warm hit rate "
-         "{warm_hit_rate:.0%}, want 100%)"),
-        ("warm_digest", lambda p: p["warm_digest_identical"],
-         "warm workflow digest diverged from the cache-cold run"),
-        ("bootstop", lambda p: p["bootstop_savings"] >= 0.30,
-         "bootstop cancelled only {bootstop_savings:.0%} of the fan-out "
-         "(want >= 30%)"),
-        ("conservation", lambda p: p["conservation_ok"],
-         "a workflow cell broke job conservation"),
-        ("lost", lambda p: p["lost_jobs"] == 0,
-         "workflow grid lost {lost_jobs} jobs (want 0)"),
+    Section(
+        "serve", "BENCH_serve.json",
+        ("workload", "policies", "digests_identical", "breakdown"),
+        measure_serve,
+        {"seed": "seed", "duration_s": "duration_s",
+         "arrival_rate": "arrival_rate"},
+        gates=(
+            ("digest", lambda p: p["digests_identical"],
+             "per-job digests diverged across dispatch policies"),
+        ),
+        ok="serving SLO grid within tolerance", summary=_serve_summary,
     ),
-}
+    Section(
+        "dag", "BENCH_dag.json",
+        ("workload", "grid", "bootstop_savings", "warm_hit_rate",
+         "warm_digest_identical"),
+        measure_dag,
+        {"seed": "seed", "replicates": "replicates", "conflict": "conflict"},
+        gates=(
+            ("warm_hit_rate", lambda p: p["warm_hit_rate"] == 1.0,
+             "repeat submission missed the stage cache (warm hit rate "
+             "{warm_hit_rate:.0%}, want 100%)"),
+            ("warm_digest", lambda p: p["warm_digest_identical"],
+             "warm workflow digest diverged from the cache-cold run"),
+            ("bootstop", lambda p: p["bootstop_savings"] >= 0.30,
+             "bootstop cancelled only {bootstop_savings:.0%} of the "
+             "fan-out (want >= 30%)"),
+            ("conservation", lambda p: p["conservation_ok"],
+             "a workflow cell broke job conservation"),
+            ("lost", lambda p: p["lost_jobs"] == 0,
+             "workflow grid lost {lost_jobs} jobs (want 0)"),
+        ),
+        ok="workflow grid within tolerance", summary=_dag_summary,
+    ),
+    Section(
+        "perf", "BENCH_perf.json", ("workload", "scenarios"),
+        measure_throughput,
+        dict(_FIG8_WORKLOAD, serve_duration_s="duration_s",
+             serve_arrival_rate="arrival_rate", reps="reps",
+             serve_small_duration_s="small_duration_s",
+             serve_small_arrival_rate="small_arrival_rate"),
+        ok="throughput grid within tolerance", summary=_perf_summary,
+    ),
+)}
+
+# Checked, never re-measured: ``benchmarks/bench_obs_overhead.py`` is
+# its only writer, and the gate cross-checks it against the core ladder.
+OBS = Section(
+    "obs", "BENCH_obs.json",
+    ("workload", "makespan_s", "offloads", "on_over_off_ratio_wall",
+     "metrics_over_off_ratio_wall", "ledger_over_off_ratio_wall",
+     "causal_over_off_ratio_wall"),
+)
 
 
-def semantic_violations(baseline_name: str,
-                        payload: Dict[str, Any]) -> List[Violation]:
-    """The semantic gates one fresh measurement breaks.
+def semantic_violations(section: str, payload: Payload) -> List[Violation]:
+    """The semantic gates one fresh measurement of ``section`` breaks.
 
     Drift against the committed file is :func:`compare`'s job; these
     are the invariants and floors every measurement must meet.  A
     payload that lacks a gate's fields fails that gate.
     """
     out: List[Violation] = []
-    for check, holds, message in _SEMANTIC_GATES.get(baseline_name, ()):
+    for check, holds, message in SECTIONS[section].gates:
         try:
             if holds(payload):
                 continue
@@ -1039,43 +1098,26 @@ def semantic_violations(baseline_name: str,
     return out
 
 
-_FIG8_WORKLOAD = {"bootstraps": "bootstraps",
-                  "tasks_per_bootstrap": "tasks", "seed": "seed"}
-
-# The baselines the gate re-measures: (file, required keys, measure,
-# workload field -> measure keyword, the OK verdict).  A workload
-# field the baseline lacks falls back to the measure's default.
-_GATED_BASELINES = (
-    (CORE_BASELINE, REQUIRED_CORE_KEYS, measure_core, _FIG8_WORKLOAD,
-     "scheduler ladder within tolerance"),
-    (FAULTS_BASELINE, REQUIRED_FAULTS_KEYS, measure_faults, _FIG8_WORKLOAD,
-     "fault-tolerance ladder within tolerance"),
-    (SERVE_BASELINE, REQUIRED_SERVE_KEYS, measure_serve,
-     {"seed": "seed", "duration_s": "duration_s",
-      "arrival_rate": "arrival_rate"},
-     "serving SLO grid within tolerance"),
-    (DAG_BASELINE, REQUIRED_DAG_KEYS, measure_dag,
-     {"seed": "seed", "replicates": "replicates", "conflict": "conflict"},
-     "workflow grid within tolerance"),
-    (PERF_BASELINE, REQUIRED_PERF_KEYS, measure_throughput,
-     dict(_FIG8_WORKLOAD, serve_duration_s="duration_s",
-          serve_arrival_rate="arrival_rate", reps="reps",
-          serve_small_duration_s="small_duration_s",
-          serve_small_arrival_rate="small_arrival_rate"),
-     "throughput grid within tolerance"),
-)
+def _load_baseline(root: pathlib.Path,
+                   section: Section) -> Tuple[Optional[Payload], str]:
+    """``(baseline, "")``, or ``(None, why)`` when it cannot be gated."""
+    path = root / section.file
+    if not path.exists():
+        return None, f"bench: missing baseline {path}"
+    with open(path) as fh:
+        baseline = json.load(fh)
+    missing = [k for k in section.required if k not in baseline]
+    if missing:
+        return None, f"bench: {section.file} lacks required keys {missing}"
+    return baseline, ""
 
 
 def _obs_cross_check(root: pathlib.Path,
-                     core: Optional[Dict[str, Any]]) -> Tuple[bool, str]:
+                     core: Optional[Payload]) -> Tuple[bool, str]:
     """``BENCH_obs.json`` and the core ladder share the MGPS workload."""
-    obs_path = root / OBS_BASELINE
-    if not obs_path.exists():
-        return False, f"bench: missing baseline {obs_path}"
-    obs = _load(obs_path)
-    missing = [k for k in REQUIRED_OBS_KEYS if k not in obs]
-    if missing:
-        return False, f"bench: {OBS_BASELINE} lacks required keys {missing}"
+    obs, why = _load_baseline(root, OBS)
+    if obs is None:
+        return False, why
     obs_wl = obs["workload"]
     if core is None or not (
         obs_wl.get("scheduler") == "mgps"
@@ -1083,7 +1125,7 @@ def _obs_cross_check(root: pathlib.Path,
         and obs_wl.get("tasks_per_bootstrap")
             == core["workload"]["tasks_per_bootstrap"]
     ):
-        return True, (f"bench: {OBS_BASELINE} workload differs from the "
+        return True, (f"bench: {OBS.file} workload differs from the "
                       f"core ladder; structural check only")
     mgps_row = core["schedulers"].get("mgps", {})
     cross = compare(
@@ -1092,77 +1134,65 @@ def _obs_cross_check(root: pathlib.Path,
         {"makespan_s": obs["makespan_s"], "offloads": obs["offloads"]},
     )
     if cross:
-        return False, (f"bench: {OBS_BASELINE} disagrees with the core "
+        return False, (f"bench: {OBS.file} disagrees with the core "
                        f"ladder on the shared MGPS workload\n"
                        + render_violations(cross))
-    return True, (f"bench: {OBS_BASELINE} consistent with the core ladder "
+    return True, (f"bench: {OBS.file} consistent with the core ladder "
                   f"(shared MGPS workload)")
 
 
 def check_baselines(
     root: Optional[pathlib.Path] = None,
-    current_core: Optional[Dict[str, Any]] = None,
-    current_faults: Optional[Dict[str, Any]] = None,
-    current_serve: Optional[Dict[str, Any]] = None,
-    current_dag: Optional[Dict[str, Any]] = None,
-    current_perf: Optional[Dict[str, Any]] = None,
-    perf_floor_tolerance: Optional[float] = None,
+    current: Optional[Mapping[str, Payload]] = None,
+    perf_floor_tolerance: float = PERF_REGRESSION_TOLERANCE,
 ) -> Tuple[bool, str]:
     """The regression gate: committed baselines vs a fresh measurement.
 
-    For every tracked file but ``BENCH_obs.json`` it re-measures (pass
-    ``current_*`` to reuse an existing measurement), diffs the result
+    For every section of :data:`SECTIONS` it re-measures (``current``
+    maps section names to measurements to reuse), diffs the result
     against the committed file with :func:`compare` and applies the
-    file's :func:`semantic_violations`.  Two special cases ride along:
-    ``BENCH_obs.json``'s deterministic fields are cross-checked against
-    the core ladder (both describe the identical MGPS workload), and
-    ``BENCH_perf.json``'s ``*_per_sec_wall`` rates must stay above their
-    :func:`check_perf_floors` floor (``perf_floor_tolerance`` overrides
-    the default; see :func:`perf_tolerance`).  Returns
-    ``(ok, report_text)``.
+    section's :func:`semantic_violations`.  Two special cases ride
+    along: ``BENCH_obs.json``'s deterministic fields are cross-checked
+    against the core ladder (both describe the identical MGPS workload),
+    and ``BENCH_perf.json``'s ``*_per_sec_wall`` rates must stay above
+    their :func:`check_perf_floors` floor at ``perf_floor_tolerance``.
+    Returns ``(ok, report_text)``.
     """
     root = pathlib.Path(root) if root is not None else find_repo_root()
-    given = {CORE_BASELINE: current_core, FAULTS_BASELINE: current_faults,
-             SERVE_BASELINE: current_serve, DAG_BASELINE: current_dag,
-             PERF_BASELINE: current_perf}
-    measured: Dict[str, Dict[str, Any]] = {}
+    given = current or {}
+    measured: Dict[str, Payload] = {}
     lines: List[str] = []
     ok = True
-    for name, required, measure, workload, what in _GATED_BASELINES:
-        path = root / name
-        if not path.exists():
-            lines.append(f"bench: missing baseline {path}")
-            ok = False
-            continue
-        baseline = _load(path)
-        missing = [k for k in required if k not in baseline]
-        if missing:
-            lines.append(f"bench: {name} lacks required keys {missing}")
+    for section in SECTIONS.values():
+        baseline, why = _load_baseline(root, section)
+        if baseline is None:
+            lines.append(why)
             ok = False
             continue
         wl = baseline["workload"]
-        current = given[name] or measure(
-            **{arg: wl[field] for field, arg in workload.items()
+        payload = given.get(section.name) or section.measure(
+            **{arg: wl[field] for field, arg in section.workload.items()
                if field in wl}
         )
-        measured[name] = current
+        measured[section.name] = payload
         # Wall fields are excluded from the diff (``_wall`` suffix); only
         # the perf file's one-sided throughput floors can gate on them.
-        drift = compare(current, baseline)
-        if name == PERF_BASELINE:
-            drift += check_perf_floors(current, baseline,
+        drift = compare(payload, baseline)
+        what = section.ok
+        if section.name == "perf":
+            drift += check_perf_floors(payload, baseline,
                                        tolerance=perf_floor_tolerance)
-            what += (f"; rates above the "
-                     f"{perf_tolerance(perf_floor_tolerance):.0%}"
+            what += (f"; rates above the {perf_floor_tolerance:.0%}"
                      f"-regression floor")
         if drift:
-            lines += [f"bench: {name} drifted", render_violations(drift)]
+            lines += [f"bench: {section.file} drifted",
+                      render_violations(drift)]
         else:
-            lines.append(f"bench: {name} OK ({what})")
-        broken = semantic_violations(name, current)
-        lines += [f"bench: {name}: {v}" for v in broken]
+            lines.append(f"bench: {section.file} OK ({what})")
+        broken = semantic_violations(section.name, payload)
+        lines += [f"bench: {section.file}: {v}" for v in broken]
         ok = ok and not drift and not broken
-    obs_ok, obs_line = _obs_cross_check(root, measured.get(CORE_BASELINE))
+    obs_ok, obs_line = _obs_cross_check(root, measured.get("core"))
     lines.append(obs_line)
     ok = ok and obs_ok
     lines.append(render_violations([]) if ok

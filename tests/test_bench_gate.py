@@ -14,14 +14,9 @@ import pytest
 
 from repro.cli import main
 from repro.obs.bench import (
-    CORE_BASELINE,
-    OBS_BASELINE,
-    PERF_BASELINE,
+    OBS,
     PERF_REGRESSION_TOLERANCE,
-    PERF_TOLERANCE_ENV,
-    REQUIRED_CORE_KEYS,
-    REQUIRED_OBS_KEYS,
-    REQUIRED_PERF_KEYS,
+    SECTIONS,
     check_baselines,
     check_perf_floors,
     compare,
@@ -29,7 +24,6 @@ from repro.obs.bench import (
     flatten,
     is_wall_field,
     measure_core,
-    perf_tolerance,
     stable_payload,
 )
 
@@ -47,9 +41,9 @@ WHOLE_GATE_TOLERANCE = 0.9
 
 class TestCommittedBaselines:
     @pytest.mark.parametrize("name,required", [
-        (CORE_BASELINE, REQUIRED_CORE_KEYS),
-        (OBS_BASELINE, REQUIRED_OBS_KEYS),
-        (PERF_BASELINE, REQUIRED_PERF_KEYS),
+        (SECTIONS["core"].file, SECTIONS["core"].required),
+        (OBS.file, OBS.required),
+        (SECTIONS["perf"].file, SECTIONS["perf"].required),
     ])
     def test_baseline_parses_with_required_keys(self, name, required):
         path = REPO_ROOT / name
@@ -62,7 +56,7 @@ class TestCommittedBaselines:
             assert key in payload, f"{name} lost required key {key!r}"
 
     def test_core_baseline_covers_the_ladder(self):
-        payload = json.loads((REPO_ROOT / CORE_BASELINE).read_text())
+        payload = json.loads((REPO_ROOT / SECTIONS["core"].file).read_text())
         assert set(payload["schedulers"]) == {
             "serial", "edtlp", "edtlp-llp4", "mgps",
         }
@@ -71,7 +65,7 @@ class TestCommittedBaselines:
 
     def test_find_repo_root_locates_baselines(self):
         root = find_repo_root(pathlib.Path(__file__))
-        assert (root / CORE_BASELINE).exists()
+        assert (root / SECTIONS["core"].file).exists()
 
 
 # -- compare() semantics ------------------------------------------------------
@@ -174,13 +168,6 @@ class TestPerfFloors:
                                        tolerance=0.0)
         assert len(violations) == 1
 
-    def test_env_tolerance_respected(self, monkeypatch):
-        monkeypatch.setenv(PERF_TOLERANCE_ENV, "0.5")
-        assert perf_tolerance() == 0.5
-        assert check_perf_floors(self._current(60000.0), self.BASE) == []
-        # An explicit override still wins over the environment.
-        assert perf_tolerance(0.1) == 0.1
-
     def test_wall_rates_skipped_by_compare(self):
         # The very fields the floors enforce are invisible to the
         # two-sided diff — wall fields stay informational there.
@@ -198,7 +185,7 @@ class TestRegressionGate:
         return measure_core()
 
     def test_fresh_measurement_matches_committed_baseline(self, current):
-        baseline = json.loads((REPO_ROOT / CORE_BASELINE).read_text())
+        baseline = json.loads((REPO_ROOT / SECTIONS["core"].file).read_text())
         violations = compare(current, baseline)
         assert violations == [], (
             "scheduler behavior drifted from the committed BENCH_core.json "
@@ -207,7 +194,8 @@ class TestRegressionGate:
         )
 
     def test_check_baselines_passes(self, current):
-        ok, report = check_baselines(root=REPO_ROOT, current_core=current,
+        ok, report = check_baselines(root=REPO_ROOT,
+                                     current={"core": current},
                                      perf_floor_tolerance=WHOLE_GATE_TOLERANCE)
         assert ok, report
         assert "bench: OK" in report

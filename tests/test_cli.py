@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import argparse
+import pathlib
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -166,3 +169,83 @@ def test_chaos_command_json_mode(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["ok"]
     assert doc["outcomes"][0]["lost"] == 0
+
+
+# -- shared observed-run flags, usage errors, bench sections ------------------
+
+# Every subcommand built on one representative run, with the arguments
+# it needs besides the shared flags.
+OBSERVED = {
+    "run": ["fig8"],
+    "trace": ["fig8", "--out", "t.json"],
+    "stats": ["fig8"],
+    "health": ["fig8"],
+    "report": ["fig8", "--out", "r.html"],
+    "explain": ["fig8"],
+    "profile": ["--scenario", "fig8"],
+    "faults": ["fig8"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(OBSERVED))
+def test_observed_subcommands_accept_the_shared_flags(command):
+    args = build_parser().parse_args(
+        [command, *OBSERVED[command], "--bootstraps", "2", "--tasks", "60",
+         "--seed", "5", "--llp-schedule", "guided"])
+    assert (args.scenario, args.bootstraps, args.tasks, args.seed,
+            args.llp_schedule) == ("fig8", 2, 60, 5, "guided")
+
+
+@pytest.mark.parametrize("flag,value,shape", [
+    ("--spe-kill", "bad", "INDEX:VALUE"),
+    ("--slow-spe", "5", "INDEX:VALUE"),
+])
+def test_faults_malformed_flag_is_a_usage_error(flag, value, shape, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["faults", "mgps", "--bootstraps", "2", "--tasks", "30",
+              flag, value])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        f"repro faults: error: {flag} expects {shape}, got {value!r}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["table2", "--tasks", "60", "--trace"],
+    ["serve", "--duration", "300", "--trace"],
+    ["profile", "--scenario", "fig8", "--bootstraps", "2", "--tasks", "40",
+     "--perfetto"],
+])
+def test_output_in_missing_directory_fails_before_the_run(argv, capsys):
+    path = "/nonexistent/dir/out.json"
+    assert main(argv + [path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"repro {argv[0]}: error: directory of {path!r} "
+                            f"does not exist\n")
+
+
+def test_bench_only_choices_are_the_section_names():
+    from repro.obs.bench import SECTIONS
+
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    only = next(a for a in sub.choices["bench"]._actions if a.dest == "only")
+    assert list(only.choices) == list(SECTIONS)
+
+
+def test_bench_write_only_dag_writes_exactly_its_baseline(tmp_path,
+                                                         monkeypatch, capsys):
+    import json
+
+    from repro.obs import bench
+
+    monkeypatch.setattr(bench, "find_repo_root",
+                        lambda start=None: tmp_path)
+    assert main(["bench", "--write", "--only", "dag"]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["BENCH_dag.json"]
+    written = tmp_path / "BENCH_dag.json"
+    assert f"wrote {written}" in capsys.readouterr().out
+    committed = pathlib.Path(__file__).parent.parent / "BENCH_dag.json"
+    assert bench.compare(json.loads(written.read_text()),
+                         json.loads(committed.read_text())) == []

@@ -19,7 +19,7 @@ from repro.invariants import (
     digest_diff,
     no_lost_jobs,
 )
-from repro.obs.bench import DAG_BASELINE, semantic_violations
+from repro.obs.bench import semantic_violations
 from repro.serve import BootstopConfig, DagConfig, raxml_workflow, run_dag
 from repro.serve.chaos import ChaosConfig, check_plan_invariants
 
@@ -117,7 +117,7 @@ class TestBrokenIdentity:
             "DagResult.conservation_ok": result.conservation_ok,
             "check_plan_invariants": "conservation" not in checks(plan),
             "semantic_violations": "conservation" not in checks(
-                semantic_violations(DAG_BASELINE, dag_payload(result))
+                semantic_violations("dag", dag_payload(result))
             ),
         }
 
