@@ -210,9 +210,7 @@ class CellMachine:
         self._busy_owners: Dict[str, int] = {}
         for c in range(self.params.n_cells):
             for i in range(cell.n_spes):
-                spe = SPE(env, cell, c, i)
-                spe.eib = self.eibs[c]
-                spe.mfc.eib = self.eibs[c]
+                spe = SPE(env, cell, c, i, eib=self.eibs[c])
                 spe._book = self
                 self.spes.append(spe)
         self.pool = SPEPool(env, self.spes)

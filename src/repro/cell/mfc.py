@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, TYPE_CHECKING
+from typing import Dict, List, Tuple, TYPE_CHECKING
 
 from .params import CellParams
 
@@ -62,11 +62,16 @@ class MFC:
     *decomposition* (how a byte count maps onto DMA requests/lists).  The
     actual waiting is done by callers via the environment, so this class
     is a pure, deterministic model that is easy to property-test.
+
+    ``eib`` is fixed at construction: :meth:`transfer_time` is a pure
+    function of ``(nbytes, concurrent)`` given the params and the bus, and
+    is memoized on that pair.
     """
 
     def __init__(self, params: CellParams, eib: "EIB" = None) -> None:
         self.params = params
         self.eib = eib
+        self._transfer_times: Dict[Tuple[int, int], float] = {}
 
     # -- decomposition ---------------------------------------------------
     def decompose(self, nbytes: int) -> List[DmaRequest]:
@@ -112,14 +117,20 @@ class MFC:
 
         Includes one startup latency per DMA request in the list (requests
         in a list pipeline, so only a fraction of the startup is exposed
-        after the first request).
+        after the first request).  Invalid arguments raise on every call;
+        only computed times are memoized.
         """
-        nbytes = legal_transfer_size(nbytes)
-        n_req = self.n_requests(nbytes)
-        bw = self.effective_bandwidth(concurrent)
-        # First request pays full startup; pipelined followers expose 20%.
-        startup = self.params.dma_startup * (1 + 0.2 * (n_req - 1))
-        return startup + nbytes / bw
+        key = (nbytes, concurrent)
+        t = self._transfer_times.get(key)
+        if t is None:
+            nbytes = legal_transfer_size(nbytes)
+            n_req = self.n_requests(nbytes)
+            bw = self.effective_bandwidth(concurrent)
+            # First request pays full startup; pipelined followers expose
+            # 20%.
+            startup = self.params.dma_startup * (1 + 0.2 * (n_req - 1))
+            t = self._transfer_times[key] = startup + nbytes / bw
+        return t
 
     def transfer_time_with_retries(
         self,

@@ -168,6 +168,9 @@ class SMTCore:
         self._slot_free: List[int] = list(range(n_contexts - 1, -1, -1))
         self._last_ts = env.now
         self._version = 0
+        # Timer and linger callbacks, bound once for the per-wake timeouts.
+        self._timer_cb = self._on_timer
+        self._linger_cb = self._on_linger_expire
         # Accounting (for utilization metrics).
         self.busy_context_seconds = 0.0
         self.switches = 0
@@ -312,7 +315,7 @@ class SMTCore:
         # NORMAL-priority zero timeout sorts after the URGENT completion
         # exactly like a NORMAL succeed would, and is pool-recyclable.
         # A fresh timeout has an empty first-callback slot.
-        self.env.timeout(0.0, thread)._cb0 = self._on_linger_expire
+        self.env.timeout(0.0, thread)._cb0 = self._linger_cb
         done.succeed(None, priority=URGENT)
 
     def _on_linger_expire(self, ev: Event) -> None:
@@ -328,14 +331,6 @@ class SMTCore:
         thread.slot = None
         self._slot_last[slot] = thread
         self._slot_free.append(slot)
-
-    def _eligible(self, slot: int) -> Optional[CoreThread]:
-        """Pop the next ready thread allowed to run on ``slot``."""
-        if self._ready_aff[slot]:
-            return self._ready_aff[slot].popleft()
-        if self._ready:
-            return self._ready.popleft()
-        return None
 
     def _wake(self) -> None:
         """Re-evaluate state after any change and re-arm the timer.
@@ -390,26 +385,35 @@ class SMTCore:
                     t.state = _READY
                     self._enqueue(t)
 
-            # Fill free contexts.
-            progressed = True
-            while self._slot_free and progressed:
-                progressed = False
-                for slot in list(self._slot_free):
-                    t = self._eligible(slot)
-                    if t is None:
-                        continue
-                    self._slot_free.remove(slot)
-                    t.slot = slot
-                    t.state = _RUNNING
-                    if self._slot_last[slot] is not t and self._slot_last[slot] is not None:
-                        t.penalty_left = self.switch_cost
-                        self.switches += 1
-                    else:
-                        t.penalty_left = 0.0
-                    t.quantum_left = self.quantum
-                    self._slot_last[slot] = t
-                    running.append(t)
-                    progressed = True
+            # Fill free contexts in free-list order: each takes the head
+            # of its affinity queue, else the head of the shared queue.
+            # Filling only drains the queues, so one pass leaves nothing
+            # a second pass could place.
+            slot_free = self._slot_free
+            slot_last = self._slot_last
+            i, n_free = 0, len(slot_free)
+            while i < n_free:
+                slot = slot_free[i]
+                if ready_aff[slot]:
+                    t = ready_aff[slot].popleft()
+                elif ready:
+                    t = ready.popleft()
+                else:
+                    i += 1
+                    continue
+                del slot_free[i]
+                n_free -= 1
+                t.slot = slot
+                t.state = _RUNNING
+                last = slot_last[slot]
+                if last is not t and last is not None:
+                    t.penalty_left = self.switch_cost
+                    self.switches += 1
+                else:
+                    t.penalty_left = 0.0
+                t.quantum_left = self.quantum
+                slot_last[slot] = t
+                running.append(t)
             waiting = bool(ready) or any(ready_aff)
 
         # Arm the timer at the soonest state change: a work completion, a
@@ -450,7 +454,7 @@ class SMTCore:
         # The timer carries its arming version; a superseded timer fires
         # into a no-op.  Carrying it as the timeout value (instead of a
         # closure) keeps the timer pool-recyclable.
-        self.env.timeout(horizon, self._version)._cb0 = self._on_timer
+        self.env.timeout(horizon, self._version)._cb0 = self._timer_cb
 
     def _on_timer(self, ev: Event) -> None:
         if ev._value == self._version:

@@ -31,6 +31,7 @@ class SPE:
         params: CellParams,
         cell_id: int,
         index: int,
+        eib: Optional[EIB] = None,
     ) -> None:
         self.env = env
         self.params = params
@@ -38,8 +39,8 @@ class SPE:
         self.index = index
         self.name = f"cell{cell_id}.spe{index}"
         self.local_store = LocalStore(params.local_store_size)
-        self.eib: Optional[EIB] = None  # set by the machine
-        self.mfc = MFC(params)
+        self.eib = eib
+        self.mfc = MFC(params, eib)
         self.busy = False
         self.owner: Optional[str] = None
         # Busy-book backref (set by CellMachine): mirrors busy/owner
@@ -77,8 +78,11 @@ class SPE:
 
         If the new image does not fit next to the resident data sets,
         least-recently-used data is evicted first (the paper's future
-        work: no fixed-size code footprints).
+        work: no fixed-size code footprints).  Re-installing the resident
+        image object is the paper's t_code = 0 and returns at once.
         """
+        if self.local_store.code_image is image:
+            return 0.0
         t = self.code_load_time(image)
         while not self.local_store.fits_code(image) and self._resident:
             self._evict_lru()

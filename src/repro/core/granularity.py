@@ -41,6 +41,14 @@ class OffloadDecision:
     reason: str  # "disabled" | "optimistic" | "pass" | "fail" | "reprobe"
 
 
+# One shared, immutable decision per reason.
+_DISABLED = OffloadDecision(True, "disabled")
+_OPTIMISTIC = OffloadDecision(True, "optimistic")
+_PASS = OffloadDecision(True, "pass")
+_FAIL = OffloadDecision(False, "fail")
+_REPROBE = OffloadDecision(True, "reprobe")
+
+
 class GranularityGovernor:
     """Per-function optimistic off-load with measured-time throttling."""
 
@@ -71,6 +79,9 @@ class GranularityGovernor:
         self.offloaded = 0
         self._metrics = metrics if metrics is not None else NULL_REGISTRY
         m = self._metrics
+        # With the null registry every inc is a no-op; one flag lets the
+        # per-request path skip the calls entirely.
+        self._metrics_on = m is not NULL_REGISTRY
         self._m_accept = m.counter(
             "granularity.accept", "off-load requests that passed the test"
         )
@@ -87,20 +98,24 @@ class GranularityGovernor:
         }
 
     def _note(self, function: str, decision: OffloadDecision) -> OffloadDecision:
-        (self._m_accept if decision.offload else self._m_reject).inc()
-        self._m_reason[decision.reason].inc()
+        offload = decision.offload
+        if self._metrics_on:
+            (self._m_accept if offload else self._m_reject).inc()
+            self._m_reason[decision.reason].inc()
         # Flip tracking: a stable function decides the same way every
         # time; accept->reject churn (measurement noise, a borderline
         # kernel) is the health monitor's granularity-churn signal.
         prev = self._last_decision.get(function)
-        if prev is not None and prev != decision.offload:
-            self.flips[function] = self.flips.get(function, 0) + 1
-            self._m_flips.inc()
-            self._metrics.counter(
-                f"granularity.flips.{function}",
-                "accept<->reject decision reversals for one function",
-            ).inc()
-        self._last_decision[function] = decision.offload
+        if prev is not offload:
+            if prev is not None:
+                self.flips[function] = self.flips.get(function, 0) + 1
+                if self._metrics_on:
+                    self._m_flips.inc()
+                    self._metrics.counter(
+                        f"granularity.flips.{function}",
+                        "accept<->reject decision reversals for one function",
+                    ).inc()
+            self._last_decision[function] = offload
         return decision
 
     def decide(self, task: TaskSpec, t_code: float = 0.0) -> OffloadDecision:
@@ -113,25 +128,25 @@ class GranularityGovernor:
         self.record_ppe(task.function, task.ppe_time)
         if not self.enabled:
             self.offloaded += 1
-            return self._note(task.function, OffloadDecision(True, "disabled"))
+            return self._note(task.function, _DISABLED)
         t_spe = self._measured_spe.get(task.function)
         if t_spe is None:
             self.offloaded += 1
-            return self._note(task.function, OffloadDecision(True, "optimistic"))
+            return self._note(task.function, _OPTIMISTIC)
         t_ppe = self._measured_ppe[task.function]
         if t_spe + t_code + 2.0 * self.t_comm < t_ppe:
             self.offloaded += 1
             self._throttle_streak[task.function] = 0
-            return self._note(task.function, OffloadDecision(True, "pass"))
+            return self._note(task.function, _PASS)
         streak = self._throttle_streak.get(task.function, 0) + 1
         if streak >= self.reprobe_interval:
             # Refresh the SPE measurement rather than throttling forever.
             self._throttle_streak[task.function] = 0
             self.offloaded += 1
-            return self._note(task.function, OffloadDecision(True, "reprobe"))
+            return self._note(task.function, _REPROBE)
         self._throttle_streak[task.function] = streak
         self.throttled += 1
-        return self._note(task.function, OffloadDecision(False, "fail"))
+        return self._note(task.function, _FAIL)
 
     def record_spe(self, function: str, duration: float) -> None:
         """Feed back a measured SPE execution time."""

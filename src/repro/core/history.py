@@ -12,6 +12,7 @@ and with what degree (``floor(n_spes / T)`` for ``T`` waiting tasks).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from typing import Deque, Optional, Tuple
 
@@ -51,6 +52,9 @@ class UtilizationHistory:
         self.dispatches = 0
         self.departures = 0
         m = metrics if metrics is not None else NULL_REGISTRY
+        # With the null registry nothing is published, so a departure
+        # skips the observe and the window mean entirely.
+        self._metrics_on = m is not NULL_REGISTRY
         self._m_u = m.histogram(
             "mgps.u_sample", buckets=tuple(range(1, 17)),
             help="per-departure exposed-TLP samples (U)",
@@ -75,18 +79,22 @@ class UtilizationHistory:
 
         ``U`` counts the departing task plus tasks dispatched *strictly
         after* it started (its own dispatch at ``start`` is not counted
-        twice), capped at the SPE count.
+        twice), capped at the SPE count.  Dispatch times arrive in
+        simulated-time order, so the window is sorted and the count in
+        ``(start, end]`` is two bisections.
         """
         if end < start:
             raise ValueError("departure interval is inverted")
         self.departures += 1
-        u = 1 + sum(1 for t in self._dispatch_times if start < t <= end)
+        times = self._dispatch_times
+        u = 1 + bisect_right(times, end) - bisect_right(times, start)
         u = max(1, min(u, self.n_spes))
         self._u_samples.append(u)
-        self._m_u.observe(u)
-        estimate = self.u_estimate
-        self._m_u_estimate.set(estimate)
-        self._m_window_util.set(estimate / self.n_spes)
+        if self._metrics_on:
+            self._m_u.observe(u)
+            estimate = self.u_estimate
+            self._m_u_estimate.set(estimate)
+            self._m_window_util.set(estimate / self.n_spes)
         return u
 
     # -- decision inputs ---------------------------------------------------

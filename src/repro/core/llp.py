@@ -480,38 +480,30 @@ class LoopParallelModel:
 
         # Workers: signal latency (+ cross-cell penalty for some), input
         # DMA (concurrent streams share the EIB), compute, Pass back.
-        # Worker chunks take at most two distinct sizes (base and
-        # base + 1 from the even split), so the DMA timings — pure
-        # functions of the byte count — are computed once per size
-        # instead of twice per worker.
+        # The DMA timings are memoized by the MFC per byte count.
+        transfer_time = self.mfc.transfer_time
+        issue = cfg.signal_issue
+        spe_sig = p.spe_spe_signal
+        hop_sig = spe_sig + 0.5 * US  # inter-chip hop
+        first_cross = (k - 1) - cross_cell_workers
+        in_bytes = loop.bytes_per_iteration
+        out_bytes = max(16, in_bytes // 2)
+        reduction_loop = loop.reduction
         worker_ends: List[float] = []
         start_delays: List[float] = []
-        dma_cache: Dict[int, Tuple[float, float]] = {}
         for j, w_iters in enumerate(chunks[1:]):
-            sig = p.spe_spe_signal
-            if j >= (k - 1) - cross_cell_workers:
-                sig += 0.5 * US  # inter-chip hop
-            cached = dma_cache.get(w_iters)
-            if cached is None:
-                fetch = self.mfc.transfer_time(
-                    max(16, w_iters * loop.bytes_per_iteration),
-                    concurrent=k - 1,
-                )
-                commit_back = self.mfc.transfer_time(
-                    max(16, w_iters * max(16, loop.bytes_per_iteration // 2)),
-                    concurrent=k - 1,
-                )
-                dma_cache[w_iters] = (fetch, commit_back)
-            else:
-                fetch, commit_back = cached
-            start = (j + 1) * cfg.signal_issue + sig + fetch
-            end = start + w_iters * t_iter + p.spe_spe_signal + (
-                0.0 if loop.reduction else commit_back
+            sig = hop_sig if j >= first_cross else spe_sig
+            fetch = transfer_time(max(16, w_iters * in_bytes), k - 1)
+            start = (j + 1) * issue + sig + fetch
+            end = start + w_iters * t_iter + spe_sig + (
+                0.0 if reduction_loop
+                else transfer_time(max(16, w_iters * out_bytes), k - 1)
             )
             worker_ends.append(end)
             start_delays.append(start)
 
-        join = max(master_end, max(worker_ends))
+        last_worker = max(worker_ends)
+        join = max(master_end, last_worker)
         join_idle = join - master_end
         # Master folds one Pass per worker, serially.
         reduction = (k - 1) * cfg.pass_process
@@ -524,7 +516,7 @@ class LoopParallelModel:
         # more iterations.  Moving x iterations to the master changes the
         # finish-time gap by x * t_iter * (1 + 1/(k-1)).
         d_mean = sum(start_delays) / len(start_delays)
-        imbalance = max(worker_ends) - master_end
+        imbalance = last_worker - master_end
         delta_iters = imbalance / (t_iter * (1.0 + 1.0 / (k - 1)))
         self._update_fraction(
             task.function, k, f + delta_iters / loop.iterations

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Set
 from ...cell.machine import CellMachine
 from ...cell.spe import SPE
 from ...faults.tolerance import TolerancePolicy
-from ...obs.metrics import registry_of
+from ...obs.metrics import NULL_REGISTRY, registry_of
 from ...obs.spans import SpanRecorder
 from ...sim.engine import Environment
 from ...sim.events import Event
@@ -74,12 +74,14 @@ class OffloadEngine:
         self.offload_enabled = offload_enabled
         self.locality_aware = locality_aware
         # One bundle for the whole sink fan-out, overlaying any sink
-        # given here on the environment's.  It is None when every sink
-        # is off — the benchmarking configuration — so the off-load hot
-        # path skips all recording calls and allocates nothing for them.
-        self.sinks = Sinks.resolve(tracer, metrics, base=env.sinks)
-        self.tracer = tracer_of(self.sinks)
-        self.metrics = registry_of(self.sinks)
+        # given here on the environment's.  The tracer is None when
+        # tracing is off, and metric increments are guarded by one flag,
+        # so a run without a registry (traced or not) never calls a null
+        # instrument.
+        sinks = Sinks.resolve(tracer, metrics, base=env.sinks)
+        self.tracer = tracer_of(sinks)
+        self.metrics = registry_of(sinks)
+        self._metrics_on = self.metrics is not NULL_REGISTRY
         self.spans = SpanRecorder(self.tracer, env)
         self.granularity = GranularityGovernor(
             t_comm=self.cell.ppe_spe_signal, enabled=granularity_enabled,
@@ -225,7 +227,7 @@ class OffloadEngine:
             # All SPEs busy: the scheduler parks this process (its PPE
             # context is free for siblings) until a departure.
             self.stats.offload_waits += 1
-            if self.sinks is not None:
+            if self._metrics_on:
                 self._m_waits.inc()
             spe = yield self.machine.pool.acquire(prefer_cell=ctx.cell_id)
         return spe
@@ -253,8 +255,9 @@ class OffloadEngine:
     ) -> Generator[Event, None, None]:
         """Run ``task`` on ``spe`` (with optional LLP workers); a process."""
         env = self.env
-        # PPE -> SPE start signal.
-        yield env.timeout(self.machine.signal_latency(ctx.cell_id, spe))
+        # PPE <-> SPE signal latency, paid at start and at completion.
+        signal = self.machine.signal_latency(ctx.cell_id, spe)
+        yield env.timeout(signal)
         # Make the right code image resident (t_code; Section 5.4 notes the
         # replacement cost when toggling between serial and LLP variants).
         image = trace.llp_image if workers else trace.code_image
@@ -263,7 +266,7 @@ class OffloadEngine:
             t_load = max(t_load, w.load_code(trace.llp_image))
         if t_load > 0:
             self.stats.code_loads += 1
-            if self.sinks is not None:
+            if self._metrics_on:
                 self._m_code_loads.inc()
             yield env.timeout(t_load)
 
@@ -274,12 +277,12 @@ class OffloadEngine:
             if moved:
                 self.stats.data_misses += 1
                 self.stats.data_bytes_transferred += moved
-                if self.sinks is not None:
+                if self._metrics_on:
                     self._m_data_misses.inc()
                 yield env.timeout(spe.mfc.transfer_time(moved))
             else:
                 self.stats.data_hits += 1
-                if self.sinks is not None:
+                if self._metrics_on:
                     self._m_data_hits.inc()
 
         if workers:
@@ -354,20 +357,20 @@ class OffloadEngine:
         # instantaneous bus load (which affects the PPE path too).
         self.granularity.record_spe(task.function, base_duration)
         # SPE -> PPE completion signal.
-        yield env.timeout(self.machine.signal_latency(ctx.cell_id, spe))
+        yield env.timeout(signal)
 
     def _ppe_fallback(
         self, ctx: ProcContext, task: TaskSpec
     ) -> Generator[Event, None, None]:
         """Execute the task's PPE version in place (throttled off-load)."""
         self.stats.ppe_fallbacks += 1
-        if self.sinks is not None:
+        if self._metrics_on:
             self._m_fallbacks.inc()
-            if self.tracer is not None:
-                self.tracer.emit(
-                    self.env.now, "ppe", ctx.actor, "ppe_fallback",
-                    function=task.function, duration=task.ppe_time,
-                )
+        if self.tracer is not None:
+            self.tracer.emit(
+                self.env.now, "ppe", ctx.actor, "ppe_fallback",
+                function=task.function, duration=task.ppe_time,
+            )
         yield ctx.thread.run(task.ppe_time)
         self.granularity.record_ppe(task.function, task.ppe_time)
 
@@ -411,7 +414,7 @@ class OffloadEngine:
                     sp.set(spe=spe.name, llp_degree=1 + len(workers))
                 release = True
             self.stats.offloads += 1
-            if self.sinks is not None:
+            if self._metrics_on:
                 self._m_offloads.inc()
             start = self.env.now
             self.policy.on_dispatch(start)
@@ -429,7 +432,7 @@ class OffloadEngine:
                 # serves the next runnable MPI process.
                 yield done
             self.policy.on_departure(start, self.env.now)
-            if self.sinks is not None:
+            if self._metrics_on:
                 self._m_offload_latency.observe((self.env.now - start) * 1e6)
             # Completion handling on the PPE before the process continues
             # (Section 5.2's t_comm bookkeeping on the PPE side).
@@ -520,8 +523,9 @@ class OffloadEngine:
             _give_back()
             return "spe-dead"
 
-        # PPE -> SPE start signal.
-        yield env.timeout(self.machine.signal_latency(ctx.cell_id, spe))
+        # PPE <-> SPE signal latency, paid at start and at completion.
+        signal = self.machine.signal_latency(ctx.cell_id, spe)
+        yield env.timeout(signal)
         # Transient dispatch loss: the descriptor/signal never arrives.
         if faults.offload_fails(spe):
             _give_back()
@@ -533,7 +537,7 @@ class OffloadEngine:
             t_load = max(t_load, w.load_code(trace.llp_image))
         if t_load > 0:
             self.stats.code_loads += 1
-            if self.sinks is not None:
+            if self._metrics_on:
                 self._m_code_loads.inc()
             t_load, ok = self._faulty_dma_time(spe, t_load)
             yield env.timeout(t_load)
@@ -546,7 +550,7 @@ class OffloadEngine:
             if moved:
                 self.stats.data_misses += 1
                 self.stats.data_bytes_transferred += moved
-                if self.sinks is not None:
+                if self._metrics_on:
                     self._m_data_misses.inc()
                 errors = faults.dma_errors(spe, policy.max_dma_retries)
                 if errors:
@@ -563,7 +567,7 @@ class OffloadEngine:
                     return "dma-fail"
             else:
                 self.stats.data_hits += 1
-                if self.sinks is not None:
+                if self._metrics_on:
                     self._m_data_hits.inc()
 
         if workers:
@@ -670,7 +674,7 @@ class OffloadEngine:
         _give_back()
         self.granularity.record_spe(task.function, base_duration)
         # SPE -> PPE completion signal.
-        yield env.timeout(self.machine.signal_latency(ctx.cell_id, spe))
+        yield env.timeout(signal)
         return "ok"
 
     def _offload_tolerant(
@@ -729,7 +733,7 @@ class OffloadEngine:
                         sp.set(spe=spe.name, llp_degree=1 + len(workers))
                     release = True
                 self.stats.offloads += 1
-                if self.sinks is not None:
+                if self._metrics_on:
                     self._m_offloads.inc()
                 start = env.now
                 self.policy.on_dispatch(start)
@@ -753,7 +757,7 @@ class OffloadEngine:
                 if winner is done and status == "ok":
                     self._note_spe_success(spe)
                     self.policy.on_departure(start, env.now)
-                    if self.sinks is not None:
+                    if self._metrics_on:
                         self._m_offload_latency.observe(
                             (env.now - start) * 1e6
                         )
@@ -763,7 +767,7 @@ class OffloadEngine:
                     self.stats.watchdog_timeouts += 1
                     self._m_watchdog.inc()
                 self.stats.offload_retries += 1
-                if self.sinks is not None:
+                if self._metrics_on:
                     self._m_retries.inc()
                 self._note_spe_failure(spe)
                 if self.tracer is not None:

@@ -119,6 +119,7 @@ class MGPSPolicy(SchedulingPolicy):
         )
         if self._auto_max_degree:
             self.max_degree = max(2, n // 2)
+        self._metrics_on = engine._metrics_on
         self._m_decisions = engine.metrics.counter(
             "mgps.decisions", "window-boundary LLP policy evaluations"
         )
@@ -145,7 +146,8 @@ class MGPSPolicy(SchedulingPolicy):
             # present.  (Paper: timer-interrupt-driven adaptation.)
             self.history.reset()
             self._source_samples.clear()
-            self._m_window_resets.inc()
+            if self._metrics_on:
+                self._m_window_resets.inc()
         self._last_dispatch = time
         self._source_samples.append(
             self.engine.current_sources(include_dispatcher=True)
@@ -176,9 +178,10 @@ class MGPSPolicy(SchedulingPolicy):
                 self.llp_active = False
                 self.current_degree = 1
             engine.stats.llp_mode_switches += 1
-            self._m_mode_switches.inc()
-            self._m_degree.set(self.current_degree)
-            self._m_llp_active.set(1 if self.llp_active else 0)
+            if self._metrics_on:
+                self._m_mode_switches.inc()
+                self._m_degree.set(self.current_degree)
+                self._m_llp_active.set(1 if self.llp_active else 0)
         if engine.tracer is not None:
             engine.tracer.emit(
                 engine.env.now, "sched", "mgps", "capacity_change",
@@ -196,14 +199,19 @@ class MGPSPolicy(SchedulingPolicy):
         active, degree = self.history.llp_decision(t)
         degree = min(degree, self.max_degree)
         active = active and degree > 1
-        if active != self.llp_active or (active and degree != self.current_degree):
+        switched = active != self.llp_active or (
+            active and degree != self.current_degree
+        )
+        if switched:
             self.engine.stats.llp_mode_switches += 1
-            self._m_mode_switches.inc()
         self.llp_active = active
         self.current_degree = degree if active else 1
-        self._m_decisions.inc()
-        self._m_degree.set(self.current_degree)
-        self._m_llp_active.set(1 if active else 0)
+        if self._metrics_on:
+            if switched:
+                self._m_mode_switches.inc()
+            self._m_decisions.inc()
+            self._m_degree.set(self.current_degree)
+            self._m_llp_active.set(1 if active else 0)
         if self.engine.tracer is not None:
             self.engine.tracer.emit(
                 self._last_dispatch, "sched", "mgps", "decision",

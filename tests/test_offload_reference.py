@@ -1,0 +1,228 @@
+"""The off-load path's fast paths against slow references.
+
+Three shortcuts sit on every loop-parallel off-load, and each must be
+exactly the computation it skips:
+
+* MGPS counts the dispatches inside a departing task's ``(start, end]``
+  window with two bisections of its time-ordered deque; the reference
+  scans the whole window, as the history did before;
+* ``MFC.transfer_time`` memoizes per ``(nbytes, concurrent)``; the
+  reference evaluates the DMA formula on every call, and invalid
+  arguments must raise on every call (an error is never memoized);
+* ``SPE.load_code`` returns at once when the same image object is
+  resident; the reference always runs the key check, the fit/eviction
+  loop and the local-store install.
+
+Hypothesis drives fast and slow through the same random programs and
+requires identical results, float for float.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.cell.eib import EIB
+from repro.cell.local_store import CodeImage, LocalStoreOverflow
+from repro.cell.mfc import MFC, legal_transfer_size
+from repro.cell.params import CellParams
+from repro.cell.spe import SPE
+from repro.core.history import UtilizationHistory
+from repro.obs.metrics import MetricsRegistry
+from repro.sim.engine import Environment
+
+KB = 1024
+
+
+# -- MGPS window count ----------------------------------------------------------
+
+class LinearScanHistory(UtilizationHistory):
+    """The history window as it was: a full scan on every departure,
+    publishing unconditionally."""
+
+    def note_departure(self, start, end):
+        if end < start:
+            raise ValueError("departure interval is inverted")
+        self.departures += 1
+        u = 1 + sum(1 for t in self._dispatch_times if start < t <= end)
+        u = max(1, min(u, self.n_spes))
+        self._u_samples.append(u)
+        self._m_u.observe(u)
+        estimate = self.u_estimate
+        self._m_u_estimate.set(estimate)
+        self._m_window_util.set(estimate / self.n_spes)
+        return u
+
+
+_step = st.sampled_from([0.0, 0.0, 1e-6, 2.5e-6, 1e-5, 1e-3])
+_history_op = st.one_of(
+    st.tuples(st.just("dispatch"), _step),
+    # Departure window: start picked among the recorded dispatch times
+    # (ties at ``start``) or between them, end likewise at or after it.
+    st.tuples(st.just("depart"), st.integers(0, 300), st.integers(0, 300),
+              st.booleans(), st.booleans()),
+    st.tuples(st.just("reset")),
+    st.tuples(st.just("resize"), st.integers(1, 9)),
+)
+_history_program = st.fixed_dictionaries({
+    "n_spes": st.integers(1, 9),
+    "window": st.one_of(st.none(), st.integers(1, 4)),
+    "metrics": st.booleans(),
+    "ops": st.lists(_history_op, max_size=120),
+})
+
+
+def _run_history(cls, prog):
+    metrics = MetricsRegistry() if prog["metrics"] else None
+    h = cls(prog["n_spes"], prog["window"], metrics=metrics)
+    now = 0.0
+    seen = [0.0]  # every dispatch time so far, for tied windows
+    out = []
+    for op in prog["ops"]:
+        if op[0] == "dispatch":
+            now += op[1]
+            seen.append(now)
+            out.append(h.note_dispatch(now))
+        elif op[0] == "depart":
+            _, i, j, start_mid, end_mid = op
+            start = seen[i % len(seen)]
+            if start_mid:
+                start += 5e-7
+            end = max(start, seen[j % len(seen)])
+            if end_mid:
+                end += 5e-7
+            out.append(h.note_departure(start, end))
+        elif op[0] == "reset":
+            h.reset()
+        else:
+            h.resize(op[1])
+    snap = metrics.snapshot() if metrics is not None else None
+    return out, list(h._u_samples), list(h._dispatch_times), h.window, snap
+
+
+class TestWindowCount:
+    @settings(max_examples=300, deadline=None)
+    @given(_history_program)
+    def test_bisect_count_matches_linear_scan(self, prog):
+        fast = _run_history(UtilizationHistory, prog)
+        slow = _run_history(LinearScanHistory, prog)
+        assert repr(fast) == repr(slow)
+
+    def test_ties_at_both_ends(self):
+        for cls in (UtilizationHistory, LinearScanHistory):
+            h = cls(n_spes=8, window=2)  # keeps the last 8 dispatch times
+            for t in (1.0, 1.0, 2.0, 2.0, 2.0, 3.0):
+                h.note_dispatch(t)
+            # (1, 2]: the three dispatches at 2.0, not the two at 1.0.
+            assert h.note_departure(1.0, 2.0) == 4
+            assert h.note_departure(2.0, 2.0) == 1
+            assert h.note_departure(0.5, 2.0) == 6
+            for t in (4.0, 4.0, 4.0, 4.0):  # evicts both dispatches at 1.0
+                h.note_dispatch(t)
+            assert h.note_departure(0.5, 2.0) == 4
+            assert h.note_departure(2.0, 4.0) == 6
+
+
+# -- memoized DMA timing -------------------------------------------------------
+
+def uncached_transfer_time(mfc, nbytes, concurrent=1):
+    nbytes = legal_transfer_size(nbytes)
+    n_req = mfc.n_requests(nbytes)
+    bw = mfc.effective_bandwidth(concurrent)
+    startup = mfc.params.dma_startup * (1 + 0.2 * (n_req - 1))
+    return startup + nbytes / bw
+
+
+_nbytes = st.one_of(
+    st.integers(1, 64),
+    st.integers(1, 40 * 1024 * 1024),
+    st.sampled_from([16, 16 * KB, 16 * KB + 1, 117 * KB]),
+)
+_transfer_calls = st.lists(
+    st.tuples(_nbytes, st.integers(1, 9)), min_size=1, max_size=60,
+)
+
+
+class TestTransferTime:
+    @settings(max_examples=200, deadline=None)
+    @given(_transfer_calls, st.booleans())
+    def test_memo_matches_uncached_formula(self, calls, with_eib):
+        params = CellParams()
+        mfc = MFC(params, EIB(params) if with_eib else None)
+        for nbytes, concurrent in calls + calls:  # every call again, hot
+            got = mfc.transfer_time(nbytes, concurrent)
+            assert repr(got) == repr(
+                uncached_transfer_time(mfc, nbytes, concurrent)
+            )
+
+    @pytest.mark.parametrize("nbytes,concurrent", [(0, 1), (-16, 1), (16, 0)])
+    def test_errors_raise_on_every_call(self, nbytes, concurrent):
+        mfc = MFC(CellParams())
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                mfc.transfer_time(nbytes, concurrent)
+        assert mfc._transfer_times == {}
+        assert mfc.transfer_time(16, 1) == uncached_transfer_time(mfc, 16, 1)
+
+
+# -- resident code-image hits -----------------------------------------------------
+
+class FullPathSPE(SPE):
+    """``load_code`` without the resident-object shortcut."""
+
+    def load_code(self, image):
+        t = self.code_load_time(image)
+        while not self.local_store.fits_code(image) and self._resident:
+            self._evict_lru()
+        moved = self.local_store.load_code(image)
+        if moved:
+            self.code_loads += 1
+        return t
+
+
+_IMAGES = (
+    CodeImage("raxml", "serial", 117 * KB),
+    CodeImage("raxml", "llp", 123 * KB),
+    CodeImage("raxml", "serial", 117 * KB),   # equal key, another object
+    CodeImage("big", "serial", 200 * KB),
+)
+_spe_op = st.one_of(
+    st.tuples(st.just("code"), st.integers(0, len(_IMAGES) - 1)),
+    st.tuples(st.just("data"), st.sampled_from("abcde"),
+              st.sampled_from([0, 4 * KB, 40 * KB, 100 * KB])),
+)
+
+
+def _run_spe(cls, ops):
+    spe = cls(Environment(), CellParams(), 0, 0)
+    out = []
+    for op in ops:
+        try:
+            if op[0] == "code":
+                out.append(spe.load_code(_IMAGES[op[1]]))
+            else:
+                out.append(spe.load_data(op[1], op[2]))
+        except LocalStoreOverflow as exc:
+            out.append(str(exc))
+        # Residency by object identity: which of the images is installed.
+        image = spe.local_store.code_image
+        out.append((
+            spe.code_loads, spe.data_evictions, spe.resident_keys,
+            next((n for n, i in enumerate(_IMAGES) if i is image), None),
+        ))
+    return out
+
+
+class TestResidentCodeHit:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_spe_op, max_size=40))
+    def test_hit_matches_full_path(self, ops):
+        assert repr(_run_spe(SPE, ops)) == repr(_run_spe(FullPathSPE, ops))
+
+    def test_hit_returns_zero_without_eviction(self):
+        spe = SPE(Environment(), CellParams(), 0, 0)
+        image = _IMAGES[0]
+        assert spe.load_code(image) > 0
+        spe.load_data("a", 100 * KB)
+        assert spe.load_code(image) == 0.0
+        assert (spe.code_loads, spe.data_evictions) == (1, 0)
+        assert spe.resident_keys == ("a",)
+        assert spe.local_store.code_image is image

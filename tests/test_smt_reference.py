@@ -75,6 +75,13 @@ class ReferenceSMTCore(SMTCore):
     def _has_eligible(self, slot):
         return bool(self._ready_aff[slot]) or bool(self._ready)
 
+    def _eligible(self, slot):
+        if self._ready_aff[slot]:
+            return self._ready_aff[slot].popleft()
+        if self._ready:
+            return self._ready.popleft()
+        return None
+
     def _wake(self):
         self._version += 1
         self._advance()
