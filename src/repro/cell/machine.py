@@ -271,10 +271,6 @@ class CellMachine:
         """SPEs still in service (alive and not blacklisted)."""
         return [s for s in self.spes if s.in_service]
 
-    @property
-    def n_live_spes(self) -> int:
-        return self.pool.n_live
-
     # -- latencies -----------------------------------------------------------
     def signal_latency(self, cell_id: int, spe: SPE) -> float:
         """One-way PPE(cell_id) <-> SPE signal latency."""

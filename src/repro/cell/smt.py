@@ -176,14 +176,6 @@ class SMTCore:
         self.switches = 0
 
     # -- public introspection ---------------------------------------------
-    @property
-    def n_running(self) -> int:
-        return len(self._running)
-
-    @property
-    def n_ready(self) -> int:
-        return len(self._ready) + sum(len(q) for q in self._ready_aff)
-
     def thread(self, name: str, affinity: Optional[int] = None) -> CoreThread:
         """Create a new software-thread handle.
 

@@ -166,6 +166,3 @@ class GranularityGovernor:
 
     def measured_spe(self, function: str) -> float:
         return self._measured_spe[function]
-
-    def measured_ppe(self, function: str) -> float:
-        return self._measured_ppe[function]

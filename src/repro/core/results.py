@@ -70,10 +70,6 @@ class ResultLedger:
     def completed(self) -> int:
         return len(self._done)
 
-    @property
-    def open_bootstraps(self) -> int:
-        return len(self._open)
-
     def bootstrap_digests(self) -> Tuple[Tuple[int, str], ...]:
         """``(bootstrap, digest)`` pairs sorted by bootstrap identity.
 

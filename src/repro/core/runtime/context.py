@@ -23,7 +23,7 @@ class ProcContext:
     # f-string per off-load on the hot path.
     owner: str = ""       # SPE-ownership label ("p<rank>")
     actor: str = ""       # trace-actor label ("mpi<rank>")
-    # Off-load executor process name ("exec.p<rank>").
+    # Name of the fault-tolerant path's executor process ("exec.p<rank>").
     exec_name: str = field(init=False, default="")
 
     def __post_init__(self) -> None:

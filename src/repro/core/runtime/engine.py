@@ -33,7 +33,7 @@ from ...faults.tolerance import TolerancePolicy
 from ...obs.metrics import NULL_REGISTRY, registry_of
 from ...obs.spans import SpanRecorder
 from ...sim.engine import Environment
-from ...sim.events import Event
+from ...sim.events import URGENT, Event
 from ...sim.trace import Sinks, Tracer, tracer_of
 from ...workloads.taskspec import BootstrapTrace, TaskSpec
 from ..granularity import GranularityGovernor
@@ -253,7 +253,8 @@ class OffloadEngine:
         trace: BootstrapTrace,
         release: bool,
     ) -> Generator[Event, None, None]:
-        """Run ``task`` on ``spe`` (with optional LLP workers); a process."""
+        """Run ``task`` on ``spe`` (with optional LLP workers), inline in
+        the dispatching process."""
         env = self.env
         # PPE <-> SPE signal latency, paid at start and at completion.
         signal = self.machine.signal_latency(ctx.cell_id, spe)
@@ -384,6 +385,15 @@ class OffloadEngine:
         own SPE and skip the pool; spinning policies busy-wait on the
         PPE; everyone else blocks.  With a fault plan attached the
         tolerant twin below takes over.
+
+        The SPE execution runs inside the calling process rather than
+        as a process of its own, which saves the kernel its start and
+        done events with every simulated time unchanged.  The
+        execution's final timeout is popped with the immediate lane
+        empty, so resuming the dispatcher directly from it keeps the
+        position a done event would have given it.  As a consequence,
+        an interrupt thrown into the calling process while it waits on
+        the SPE lands inside the execution.
         """
         pinned = self.policy.pinned
         if pinned and ctx.pinned_spe is None:
@@ -418,19 +428,23 @@ class OffloadEngine:
                 self._m_offloads.inc()
             start = self.env.now
             self.policy.on_dispatch(start)
-            done = self.env.process(
-                self._spe_exec(ctx, spe, workers, task, trace,
-                               release=release),
-                name=ctx.exec_name,
-            )
             if self.policy.spin:
                 # Busy-wait: the MPI process holds its PPE context while
-                # the SPE computes (the baseline's whole pathology).
-                yield ctx.thread.spin_until(done)
+                # the SPE computes (the baseline's whole pathology).  The
+                # spin is submitted before the execution's first timeout
+                # so the SMT timer it arms keeps the earlier sequence
+                # number.
+                finished = self.env.event()
+                spinning = ctx.thread.spin_until(finished)
+                yield from self._spe_exec(ctx, spe, workers, task, trace,
+                                          release)
+                finished.succeed(None, priority=URGENT)
+                yield spinning
             else:
                 # Block (voluntary context switch): the PPE immediately
                 # serves the next runnable MPI process.
-                yield done
+                yield from self._spe_exec(ctx, spe, workers, task, trace,
+                                          release)
             self.policy.on_departure(start, self.env.now)
             if self._metrics_on:
                 self._m_offload_latency.observe((self.env.now - start) * 1e6)

@@ -62,10 +62,6 @@ class KernelLog:
         if self.record:
             self.events.append((kernel, patterns))
 
-    @property
-    def total_calls(self) -> int:
-        return self.newview_calls + self.evaluate_calls + self.makenewz_calls
-
 
 class LikelihoodEngine:
     """Felsenstein-pruning likelihood for one alignment and model."""

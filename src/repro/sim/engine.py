@@ -82,7 +82,7 @@ class Environment:
     """
 
     __slots__ = (
-        "_now", "_seq", "_active_process", "strict", "sinks",
+        "_now", "_seq", "strict", "sinks",
         "events_processed",
         "_immediate", "_deferred", "_near", "_far", "_horizon",
         "_timeout_pool", "_pool_hits", "_pool_misses",
@@ -100,7 +100,6 @@ class Environment:
     ) -> None:
         self._now = float(initial_time)
         self._seq = 0
-        self._active_process: Optional[Process] = None
         self.strict = strict
         self.sinks = Sinks.resolve(tracer, metrics)
         self.events_processed = 0
@@ -125,11 +124,6 @@ class Environment:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently executing, if any."""
-        return self._active_process
 
     # -- factories ---------------------------------------------------------
     def event(self) -> Event:

@@ -97,7 +97,6 @@ class Process(Event):
     # -- engine plumbing --------------------------------------------------
     def _resume(self, trigger: Event) -> None:
         """Advance the generator with the triggering event's outcome."""
-        self.env._active_process = self
         self._target = None
         try:
             if trigger._ok:
@@ -105,16 +104,13 @@ class Process(Event):
             else:
                 result = self._generator.throw(trigger._value)
         except StopIteration as stop:
-            self.env._active_process = None
             self.succeed(stop.value, priority=URGENT)
             return
         except BaseException as exc:
-            self.env._active_process = None
             if self.env.strict:
                 raise
             self.fail(exc, priority=URGENT)
             return
-        self.env._active_process = None
 
         if not isinstance(result, Event):
             raise TypeError(

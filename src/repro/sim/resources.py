@@ -74,11 +74,6 @@ class Resource:
         """Number of free units."""
         return self.capacity - self._in_use
 
-    @property
-    def queue_length(self) -> int:
-        """Number of pending (ungranted) requests."""
-        return sum(1 for _, _, r in self._waiting if not r.cancelled)
-
     def request(self, priority: int = 0) -> Request:
         """Ask for one unit; the returned event fires when granted."""
         req = Request(self, priority)

@@ -1,7 +1,7 @@
 """The off-load path's fast paths against slow references.
 
-Three shortcuts sit on every loop-parallel off-load, and each must be
-exactly the computation it skips:
+Four shortcuts sit on the off-load path, and each must be exactly the
+computation it skips:
 
 * MGPS counts the dispatches inside a departing task's ``(start, end]``
   window with two bisections of its time-ordered deque; the reference
@@ -11,7 +11,11 @@ exactly the computation it skips:
   arguments must raise on every call (an error is never memoized);
 * ``SPE.load_code`` returns at once when the same image object is
   resident; the reference always runs the key check, the fit/eviction
-  loop and the local-store install.
+  loop and the local-store install;
+* ``OffloadEngine.offload`` runs the SPE execution inline in the
+  dispatching process; the reference starts a process per off-load and
+  waits (or spins) on it, paying two kernel events more per blocking
+  off-load and one more per spinning one.
 
 Hypothesis drives fast and slow through the same random programs and
 requires identical results, float for float.
@@ -20,12 +24,16 @@ requires identical results, float for float.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.core.schedulers
+from repro import Tracer, Workload, run_experiment
 from repro.cell.eib import EIB
 from repro.cell.local_store import CodeImage, LocalStoreOverflow
 from repro.cell.mfc import MFC, legal_transfer_size
-from repro.cell.params import CellParams
+from repro.cell.params import BladeParams, CellParams
 from repro.cell.spe import SPE
 from repro.core.history import UtilizationHistory
+from repro.core.runtime import OffloadEngine
+from repro.core.schedulers import edtlp, linux, mgps, static_hybrid
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Environment
 
@@ -226,3 +234,145 @@ class TestResidentCodeHit:
         assert (spe.code_loads, spe.data_evictions) == (1, 0)
         assert spe.resident_keys == ("a",)
         assert spe.local_store.code_image is image
+
+
+# -- inline SPE execution ------------------------------------------------------
+
+class ProcessPerOffloadEngine(OffloadEngine):
+    """The off-load path as it was: each SPE execution its own process.
+
+    ``offload`` below is the old body verbatim.  The dispatcher waits on
+    the execution's process (blocking) or spins on it (the Linux
+    baseline), so each off-load pays the process's start event and its
+    done event that the inline path does not.
+    """
+
+    def offload(self, ctx, task, trace):
+        pinned = self.policy.pinned
+        if pinned and ctx.pinned_spe is None:
+            raise RuntimeError(f"process {ctx.rank} has no pinned SPE")
+        decision = self.granularity.decide(task)
+        if (
+            not self.offload_enabled
+            or not decision.offload
+            or not self.policy.admit(ctx, task, decision)
+        ):
+            yield from self._ppe_fallback(ctx, task)
+            return
+        if self.faults is not None:
+            yield from self._offload_tolerant(ctx, task, trace, decision)
+            return
+        with self.spans.span("proc", ctx.actor, "offload") as sp:
+            if self.tracer is not None:
+                sp.set(function=task.function, reason=decision.reason)
+            # The process writes the task descriptor / finds an SPE and
+            # ships the descriptor — user-level scheduler work either way.
+            yield ctx.thread.run(self.cell.dispatch_overhead)
+            if pinned:
+                spe, workers, release = ctx.pinned_spe, [], False
+            else:
+                spe = yield from self._acquire_spe(ctx, task)
+                workers = self._acquire_workers(ctx, spe, task)
+                if self.tracer is not None:
+                    sp.set(spe=spe.name, llp_degree=1 + len(workers))
+                release = True
+            self.stats.offloads += 1
+            if self._metrics_on:
+                self._m_offloads.inc()
+            start = self.env.now
+            self.policy.on_dispatch(start)
+            done = self.env.process(
+                self._spe_exec(ctx, spe, workers, task, trace,
+                               release=release),
+                name=ctx.exec_name,
+            )
+            if self.policy.spin:
+                # Busy-wait: the MPI process holds its PPE context while
+                # the SPE computes (the baseline's whole pathology).
+                yield ctx.thread.spin_until(done)
+            else:
+                # Block (voluntary context switch): the PPE immediately
+                # serves the next runnable MPI process.
+                yield done
+            self.policy.on_departure(start, self.env.now)
+            if self._metrics_on:
+                self._m_offload_latency.observe((self.env.now - start) * 1e6)
+            # Completion handling on the PPE before the process continues
+            # (Section 5.2's t_comm bookkeeping on the PPE side).
+            yield ctx.thread.run(self.cell.completion_overhead)
+
+
+_specs = st.one_of(
+    st.just(edtlp()),
+    st.just(linux()),
+    st.builds(static_hybrid, st.integers(2, 8)),
+    st.just(mgps()),
+)
+_runs = st.fixed_dictionaries({
+    "spec": _specs,
+    "bootstraps": st.integers(1, 4),
+    "tasks": st.integers(5, 60),
+    "n_cells": st.integers(1, 2),
+    "traced": st.booleans(),
+})
+
+
+def _offload_run(case, engine):
+    """One blade run with ``engine`` swapped in for ``OffloadEngine``.
+
+    Returns the run's observable outputs and its kernel tallies: events
+    in all, and events per calendar lane.
+    """
+    envs = []
+
+    class Recorded(engine):
+        def __init__(self, env, machine, **kwargs):
+            envs.append(env)
+            super().__init__(env, machine, **kwargs)
+
+    tracer = Tracer() if case["traced"] else None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(repro.core.schedulers, "OffloadEngine", Recorded)
+        r = run_experiment(
+            case["spec"],
+            Workload(case["bootstraps"], case["tasks"], seed=0),
+            blade=BladeParams(n_cells=case["n_cells"]),
+            seed=0, tracer=tracer,
+        )
+    ks = envs[0].kernel_stats()
+    view = (
+        repr(r.makespan), repr(r.ppe_occupancy), r.ppe_context_switches,
+        r.offloads, r.llp_invocations, r.code_loads, r.result_digest,
+        r.bootstrap_digests, tracer.to_jsonl() if tracer else None,
+    )
+    tallies = (r.events_processed, ks["immediate_events"],
+               ks["deferred_events"], ks["heap_events"])
+    return r.offloads, view, tallies
+
+
+def _check_inline_matches_reference(case):
+    offloads, fast, fast_tallies = _offload_run(case, OffloadEngine)
+    _, slow, slow_tallies = _offload_run(case, ProcessPerOffloadEngine)
+    assert fast == slow
+    # Each saved event is an immediate-lane one: a blocking off-load
+    # skips the execution process's start and done events, a spinning
+    # one trades both for the URGENT event its spin waits on.  Nothing
+    # moves between the deferred lane and the timed heap.
+    saved = offloads * (1 if case["spec"].kind == "linux" else 2)
+    events, immediate, deferred, heap = fast_tallies
+    assert slow_tallies == (events + saved, immediate + saved, deferred, heap)
+    return offloads
+
+
+class TestInlineExecution:
+    @settings(max_examples=100, deadline=None)
+    @given(_runs)
+    def test_inline_matches_process_per_offload(self, case):
+        _check_inline_matches_reference(case)
+
+    @pytest.mark.parametrize("spec", [edtlp(), linux(), mgps()],
+                             ids=["edtlp", "linux", "mgps"])
+    def test_table1_and_mgps_runs_match(self, spec):
+        case = {"spec": spec, "bootstraps": 3, "tasks": 120, "n_cells": 1,
+                "traced": True}
+        assert _check_inline_matches_reference(case) > 0

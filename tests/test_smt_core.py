@@ -404,16 +404,18 @@ def test_edtlp_vs_linux_shape_microbenchmark():
     assert t_spin > 1.7 * t_block
 
 
-# Table 1's event stream, recorded before the single-pass wake: any change
-# to the SMT core or the kernel that moves one event, one context switch
-# or one float of the makespan fails here.
+# Table 1's event stream, recorded before the single-pass wake (event
+# counts re-recorded when each off-load's SPE execution moved inline into
+# its dispatching process): any change to the SMT core or the kernel that
+# moves one event, one context switch or one float of the makespan fails
+# here.
 TABLE1_EVENT_STREAM = {
-    ("edtlp", 1): (28.46592959116027, 4210, 0),
-    ("linux", 1): (28.46592959116027, 4810, 0),
-    ("edtlp", 3): (30.216186304709826, 13350, 671),
-    ("linux", 3): (57.674206896128815, 18719, 7),
-    ("edtlp", 8): (39.42198956977871, 40243, 2392),
-    ("linux", 8): (118.33844965280936, 49761, 30),
+    ("edtlp", 1): (28.46592959116027, 3610, 0),
+    ("linux", 1): (28.46592959116027, 4510, 0),
+    ("edtlp", 3): (30.216186304709826, 11550, 671),
+    ("linux", 3): (57.674206896128815, 17819, 7),
+    ("edtlp", 8): (39.42198956977871, 35443, 2392),
+    ("linux", 8): (118.33844965280936, 47361, 30),
 }
 
 
