@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..core.results import ScheduleResult
+from ..obs.runview import registry_value
 
 __all__ = [
     "speedup",
@@ -85,14 +86,6 @@ def best_scheduler(results_by_name: Dict[str, ScheduleResult]) -> str:
 
 
 # -- registry readers ---------------------------------------------------------
-
-def registry_value(registry, name: str, default: float = 0.0) -> float:
-    """Scalar value of a counter/gauge in ``registry`` (or ``default``)."""
-    inst = registry.get(name)
-    if inst is None:
-        return default
-    return float(inst.value)
-
 
 def offload_latency_percentiles(
     registry, percentiles: Sequence[float] = (50, 90, 99)

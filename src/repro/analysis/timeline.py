@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..obs.runview import read_run
 from ..sim.trace import Tracer
 
 __all__ = ["TaskSpan", "extract_spans", "render_timeline", "utilization_bar"]
@@ -33,30 +34,15 @@ class TaskSpan:
 
 
 def extract_spans(tracer: Tracer) -> List[TaskSpan]:
-    """Pair up task_start/task_end records into spans."""
-    open_by_spe: Dict[str, Tuple[float, int, str, Tuple[str, ...]]] = {}
-    spans: List[TaskSpan] = []
-    for rec in tracer.records:
-        if rec.category != "spe":
-            continue
-        if rec.event == "task_start":
-            if rec.actor in open_by_spe:
-                raise ValueError(f"nested task_start on {rec.actor}")
-            open_by_spe[rec.actor] = (
-                rec.time,
-                rec.get("proc"),
-                rec.get("function"),
-                tuple(rec.get("workers", ())),
-            )
-        elif rec.event == "task_end":
-            try:
-                start, proc, function, workers = open_by_spe.pop(rec.actor)
-            except KeyError:
-                raise ValueError(f"task_end without task_start on {rec.actor}")
-            spans.append(
-                TaskSpan(rec.actor, start, rec.time, proc, function, workers)
-            )
-    return spans
+    """Pair up task_start/task_end records into spans, in end order.
+
+    The pairing is :func:`repro.obs.runview.read_run`'s, shared with the
+    HTML report and the health monitor: a nested ``task_start`` or an
+    unmatched ``task_end`` raises :class:`ValueError`; a task still open
+    at the end of the trace yields no span.
+    """
+    return [TaskSpan(t.spe, t.start, t.end, t.proc, t.function, t.workers)
+            for t in read_run(tracer).tasks]
 
 
 def render_timeline(

@@ -51,6 +51,7 @@ from .core.runner import run_experiment
 from .core.schedulers import SchedulerSpec, edtlp, linux, mgps, static_hybrid
 from .obs import MetricsRegistry, write_chrome_trace, write_trace_jsonl
 from .obs.bench import PERF_REGRESSION_TOLERANCE, SECTIONS
+from .obs.runview import read_run, registry_value
 from .sim.trace import Tracer
 from .workloads.traces import Workload
 
@@ -237,9 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Run one representative simulation of the named scenario (or "
             "scheduler), feed its trace and metrics to the health "
-            "monitor's detectors (SPE starvation, MGPS oscillation, "
-            "window-U saturation, LLP imbalance, granularity churn) and "
-            "print the findings.  Exits non-zero if any finding fires."
+            "monitor's eleven detectors (the detector catalogue in "
+            "docs/ARCHITECTURE.md lists them all) and print the "
+            "findings.  Exits non-zero if any finding fires."
         ),
     )
     p.add_argument("--json", action="store_true",
@@ -251,9 +252,12 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Run one representative simulation of the named scenario (or "
             "scheduler) and render a single self-contained HTML file — "
-            "SPE Gantt lanes, the MGPS window-U series, off-load latency "
-            "histogram, LLP adaptation curve and the health monitor's "
-            "findings.  Inline CSS/SVG only; opens offline."
+            "the health monitor's findings, SPE Gantt lanes, the MGPS "
+            "window-U series, off-load latency histogram (with the "
+            "sojourn breakdown for serving runs), LLP adaptation curve, "
+            "the serving and workflow lanes when present, the wall-time "
+            "ledger (#perf) and the fault log.  Inline CSS/SVG only; "
+            "opens offline."
         ),
     )
     p.add_argument("--out", required=True, metavar="PATH",
@@ -1020,11 +1024,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                   f"({faulty.makespan / clean.makespan:.2f}x)"
                   if clean.makespan > 0 else
                   f"  with faults: makespan {faulty.makespan:8.2f} s")
-            inj_fail = metrics.get("faults.offload_failures")
+            inj_fail = registry_value(metrics, "faults.offload_failures")
             print(f"  injected   : {ex.get('spe_kills', 0):.0f} SPE kills, "
                   f"{ex.get('dma_errors', 0):.0f} DMA errors, "
-                  f"{float(inj_fail.value) if inj_fail else 0:.0f} "
-                  f"transient off-load failures")
+                  f"{inj_fail:.0f} transient off-load failures")
             print(f"  recovery   : {ex.get('offload_retries', 0):.0f} "
                   f"retries, {ex.get('retry_fallbacks', 0):.0f} PPE "
                   f"fallbacks, {ex.get('spe_blacklists', 0):.0f} "
@@ -1265,9 +1268,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"  off-loads  : {result.offloads} "
               f"({result.ppe_fallbacks} PPE fallbacks)")
         by_schedule = Counter(
-            r.get("schedule", "?")
-            for r in tracer.records if r.event == "llp_invoke"
-        )
+            inv.schedule for inv in read_run(tracer).loops)
         if by_schedule:
             breakdown = ", ".join(
                 f"{count} {name}" for name, count in sorted(by_schedule.items())

@@ -10,6 +10,8 @@ package makes those decisions observable without perturbing them:
   in a per-run :class:`MetricsRegistry` (no-op when absent);
 * :mod:`repro.obs.export` — Chrome/Perfetto trace-event JSON, JSONL
   record sink, and deterministic metrics snapshots;
+* :mod:`repro.obs.runview` — the single-pass fold of a finished run
+  that the report, the monitor and the timeline read;
 * :mod:`repro.obs.monitor` — rule-based post-run health detectors
   (starvation, oscillation, saturation, imbalance, churn);
 * :mod:`repro.obs.report` — one self-contained HTML performance report

@@ -4,40 +4,41 @@ PR 1 gave runs spans, metrics and exporters; this module *interprets*
 them.  The paper's argument is a set of health properties — EDTLP keeps
 all eight SPEs fed, MGPS throttles LLP on the window utilization ``U``,
 LLP's adaptive unbalancing shrinks join idle — and each detector here
-checks one of them against a run's span stream (:class:`Tracer`) and
+checks one of them against a run's span stream (:class:`Tracer`, read
+once through :func:`~repro.obs.runview.read_run`) and
 :class:`~repro.obs.metrics.MetricsRegistry`:
 
-================  ===========================================================
-detector          fires when
-================  ===========================================================
-spe-starvation    an SPE idles beyond a threshold while the PPE run queue
-                  was non-empty (off-loads blocked waiting for an SPE)
-mgps-oscillation  the MGPS window repeatedly toggles LLP on/off across
-                  consecutive decisions (hysteresis failure)
-window-u-sat      the window shows low exposed TLP (``U`` at or below half
-                  the SPEs) for most decisions yet LLP never fires
-llp-imbalance     master/worker join idle for one loop does not shrink
-                  across invocations (adaptive unbalancing not converging)
-granularity-churn the granularity test flips accept<->reject repeatedly
-                  for the same function (off-load decision flapping)
-fault-storm       injected faults forced a high ratio of retried off-load
-                  attempts (the tolerance machinery is saturating)
-degraded-capacity SPEs were lost to kills or blacklisting; critical when
-                  no SPE survived and everything ran on the PPE
-queue-saturation  the serving front-end shed a high fraction of offered
-                  jobs, or its queues ran near the admission bound for
-                  much of the run (inert unless a serving run recorded
-                  arrivals)
-blade-breaker     a blade's circuit breaker opened; critical when it
-                  flapped open repeatedly without a completed recovery
-                  (inert unless the resilience layer recorded opens)
-hedge-storm       speculative hedges were issued for a high fraction of
-                  dispatched units — the straggler threshold is too low
-                  or the fleet is systemically slow
-deadline-shedding deadline enforcement aborted a high fraction of
-                  admitted jobs (the fleet cannot meet the contracted
-                  deadlines at this load)
-================  ===========================================================
+===================  ========================================================
+detector             fires when
+===================  ========================================================
+spe-starvation       an SPE idles beyond a threshold while the PPE run queue
+                     was non-empty (off-loads blocked waiting for an SPE)
+mgps-oscillation     the MGPS window repeatedly toggles LLP on/off across
+                     consecutive decisions (hysteresis failure)
+window-u-saturation  the window shows low exposed TLP (``U`` at or below half
+                     the SPEs) for most decisions yet LLP never fires
+llp-imbalance        master/worker join idle for one loop does not shrink
+                     across invocations (adaptive unbalancing not converging)
+granularity-churn    the granularity test flips accept<->reject repeatedly
+                     for the same function (off-load decision flapping)
+fault-storm          injected faults forced a high ratio of retried off-load
+                     attempts (the tolerance machinery is saturating)
+degraded-capacity    SPEs were lost to kills or blacklisting; critical when
+                     no SPE survived and everything ran on the PPE
+queue-saturation     the serving front-end shed a high fraction of offered
+                     jobs, or its queues ran near the admission bound for
+                     much of the run (inert unless a serving run recorded
+                     arrivals)
+blade-breaker        a blade's circuit breaker opened; critical when it
+                     flapped open repeatedly without a completed recovery
+                     (inert unless the resilience layer recorded opens)
+hedge-storm          speculative hedges were issued for a high fraction of
+                     dispatched units — the straggler threshold is too low
+                     or the fleet is systemically slow
+deadline-shedding    deadline enforcement aborted a high fraction of
+                     admitted jobs (the fleet cannot meet the contracted
+                     deadlines at this load)
+===================  ========================================================
 
 Findings are structured (:class:`HealthFinding`) so CI can assert on them
 (``repro health`` exits non-zero when any fire) and the HTML report can
@@ -51,7 +52,8 @@ import re
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
-from ..sim.trace import TraceRecord, Tracer
+from ..sim.trace import Tracer
+from .runview import RunView, read_run, registry_value
 
 __all__ = [
     "HealthFinding",
@@ -123,13 +125,10 @@ def resolve_metric(metric: str, summary: Mapping[str, Any], registry) -> float:
     """
     if metric in summary:
         return float(summary[metric])
-    inst = registry.get(metric) if registry is not None else None
-    if inst is not None:
-        return float(inst.value)
-    known = sorted(
-        set(summary)
-        | (set(registry.names()) if registry is not None else set())
-    )
+    names = registry.names() if registry is not None else []
+    if metric in names:
+        return registry_value(registry, metric)
+    known = sorted(set(summary) | set(names))
     raise ValueError(
         f"unknown metric {metric!r}; known metrics: {', '.join(known)}"
     )
@@ -232,14 +231,6 @@ class MonitorConfig:
 
 # -- monitor ------------------------------------------------------------------
 
-def _registry_value(registry, name: str, default: float = 0.0) -> float:
-    inst = registry.get(name) if registry is not None else None
-    if inst is None:
-        return default
-    return float(inst.value)
-
-
-_SPE_UTIL_RE = re.compile(r'^spe\.utilization\{spe="(?P<spe>[^"]+)"\}$')
 _FLIP_PREFIX = "granularity.flips."
 
 
@@ -249,70 +240,18 @@ class HealthMonitor:
     def __init__(self, config: Optional[MonitorConfig] = None) -> None:
         self.config = config or MonitorConfig()
 
-    # -- shared readers ---------------------------------------------------
-    def _makespan(self, tracer: Optional[Tracer], registry) -> float:
-        raw = _registry_value(registry, "run.raw_makespan_s")
-        if raw > 0:
-            return raw
-        if tracer is not None and tracer.records:
-            return max(r.time for r in tracer.records)
-        return 0.0
-
-    def _n_spes(self, tracer: Optional[Tracer], registry) -> int:
-        n = int(_registry_value(registry, "run.n_spes"))
-        if n > 0:
-            return n
-        if tracer is not None:
-            actors = {r.actor for r in tracer.records if r.category == "spe"}
-            if actors:
-                return len(actors)
-        return 8
-
-    def _spe_utilizations(
-        self, tracer: Optional[Tracer], registry, makespan: float
-    ) -> Dict[str, float]:
-        """Per-SPE busy fraction: registry gauges first, trace fallback."""
-        out: Dict[str, float] = {}
-        if registry is not None:
-            for name in registry.names():
-                m = _SPE_UTIL_RE.match(name)
-                if m:
-                    out[m.group("spe")] = float(registry.get(name).value)
-        if out or tracer is None or makespan <= 0:
-            return out
-        busy: Dict[str, float] = {}
-        open_at: Dict[str, float] = {}
-        for r in tracer.records:
-            if r.category != "spe":
-                continue
-            if r.event == "task_start":
-                open_at.setdefault(r.actor, r.time)
-            elif r.event == "task_end" and r.actor in open_at:
-                busy[r.actor] = busy.get(r.actor, 0.0) + r.time - open_at.pop(r.actor)
-        # A task left open by an aborted run is busy through the end.
-        for actor, since in open_at.items():
-            busy[actor] = busy.get(actor, 0.0) + makespan - since
-        return {a: b / makespan for a, b in busy.items()}
-
-    @staticmethod
-    def _decisions(tracer: Optional[Tracer]) -> List[TraceRecord]:
-        if tracer is None:
-            return []
-        return tracer.filter(category="sched", event="decision")
-
     # -- detectors --------------------------------------------------------
     def _detect_spe_starvation(
-        self, tracer, registry, findings: List[HealthFinding]
+        self, run: RunView, registry, findings: List[HealthFinding]
     ) -> None:
         cfg = self.config
-        waits = _registry_value(registry, "runtime.offload_waits")
+        waits = registry_value(registry, "runtime.offload_waits")
         if waits < cfg.starvation_min_waits:
             return  # run queue never backed up: idle SPEs are slack, not starvation
-        makespan = self._makespan(tracer, registry)
-        utils = self._spe_utilizations(tracer, registry, makespan)
+        utils = run.spe_utilization
         if not utils:
             return
-        n_spes = self._n_spes(tracer, registry)
+        n_spes = run.n_spes
         starved = {
             spe: round(1.0 - u, 4)
             for spe, u in sorted(utils.items())
@@ -342,13 +281,13 @@ class HealthMonitor:
         ))
 
     def _detect_mgps_oscillation(
-        self, tracer, registry, findings: List[HealthFinding]
+        self, run: RunView, registry, findings: List[HealthFinding]
     ) -> None:
         cfg = self.config
-        decisions = self._decisions(tracer)
+        decisions = run.decisions
         if len(decisions) < cfg.oscillation_min_decisions:
             return
-        actives = [bool(d.get("active")) for d in decisions]
+        actives = [d.active for d in decisions]
         toggles = sum(1 for a, b in zip(actives, actives[1:]) if a != b)
         if toggles < cfg.oscillation_toggles:
             return
@@ -369,18 +308,18 @@ class HealthMonitor:
         ))
 
     def _detect_window_u_saturation(
-        self, tracer, registry, findings: List[HealthFinding]
+        self, run: RunView, registry, findings: List[HealthFinding]
     ) -> None:
         cfg = self.config
-        decisions = self._decisions(tracer)
+        decisions = run.decisions
         if len(decisions) < cfg.saturation_min_decisions:
             return
-        n_spes = self._n_spes(tracer, registry)
+        n_spes = run.n_spes
         u_low = n_spes * cfg.saturation_u_fraction
-        low = [d for d in decisions if float(d.get("u", 0)) <= u_low]
+        low = [d for d in decisions if d.u <= u_low]
         llp_fired = (
-            any(bool(d.get("active")) for d in decisions)
-            or _registry_value(registry, "llp.invocations") > 0
+            any(d.active for d in decisions)
+            or registry_value(registry, "llp.invocations") > 0
         )
         if llp_fired:
             return
@@ -399,20 +338,18 @@ class HealthMonitor:
                 "decisions": len(decisions),
                 "low_u_decisions": len(low),
                 "u_threshold": u_low,
-                "llp_invocations": _registry_value(registry, "llp.invocations"),
+                "llp_invocations": registry_value(registry, "llp.invocations"),
             },
         ))
 
     def _detect_llp_imbalance(
-        self, tracer, registry, findings: List[HealthFinding]
+        self, run: RunView, registry, findings: List[HealthFinding]
     ) -> None:
         cfg = self.config
-        if tracer is None:
-            return
         series: Dict[Tuple[str, int], List[float]] = {}
-        for r in tracer.filter(event="llp_invoke"):
-            key = (str(r.get("function")), int(r.get("k", 0)))
-            series.setdefault(key, []).append(float(r.get("join_idle_us", 0.0)))
+        for inv in run.loops:
+            series.setdefault((inv.function, int(inv.k)), []).append(
+                inv.join_idle_us)
         for (function, k), idles in sorted(series.items()):
             n = len(idles)
             if n < cfg.imbalance_min_invocations:
@@ -443,7 +380,7 @@ class HealthMonitor:
             ))
 
     def _detect_granularity_churn(
-        self, tracer, registry, findings: List[HealthFinding]
+        self, run: RunView, registry, findings: List[HealthFinding]
     ) -> None:
         cfg = self.config
         if registry is None:
@@ -451,7 +388,7 @@ class HealthMonitor:
         churned: Dict[str, float] = {}
         for name in registry.names():
             if name.startswith(_FLIP_PREFIX):
-                flips = float(registry.get(name).value)
+                flips = registry_value(registry, name)
                 if flips >= cfg.churn_flips:
                     churned[name[len(_FLIP_PREFIX):]] = flips
         if not churned:
@@ -470,12 +407,12 @@ class HealthMonitor:
         ))
 
     def _detect_fault_storm(
-        self, tracer, registry, findings: List[HealthFinding]
+        self, run: RunView, registry, findings: List[HealthFinding]
     ) -> None:
         cfg = self.config
-        offloads = _registry_value(registry, "runtime.offloads")
-        retries = _registry_value(registry, "runtime.offload_retries")
-        fallbacks = _registry_value(registry, "runtime.retry_fallbacks")
+        offloads = registry_value(registry, "runtime.offloads")
+        retries = registry_value(registry, "runtime.offload_retries")
+        fallbacks = registry_value(registry, "runtime.retry_fallbacks")
         attempts = offloads + fallbacks
         if attempts < cfg.storm_min_events:
             return
@@ -501,15 +438,15 @@ class HealthMonitor:
         ))
 
     def _detect_degraded_capacity(
-        self, tracer, registry, findings: List[HealthFinding]
+        self, run: RunView, registry, findings: List[HealthFinding]
     ) -> None:
-        kills = _registry_value(registry, "faults.spe_kills")
-        blacklists = _registry_value(registry, "runtime.spe_blacklists")
+        kills = registry_value(registry, "faults.spe_kills")
+        blacklists = registry_value(registry, "runtime.spe_blacklists")
         lost = kills + blacklists
         if lost <= 0:
             return
-        n_spes = self._n_spes(tracer, registry)
-        live = _registry_value(registry, "run.live_spes", default=n_spes - lost)
+        n_spes = run.n_spes
+        live = registry_value(registry, "run.live_spes", default=n_spes - lost)
         findings.append(HealthFinding(
             detector="degraded-capacity",
             severity="critical" if live <= 0 else "warning",
@@ -531,15 +468,15 @@ class HealthMonitor:
         ))
 
     def _detect_queue_saturation(
-        self, tracer, registry, findings: List[HealthFinding]
+        self, run: RunView, registry, findings: List[HealthFinding]
     ) -> None:
         cfg = self.config
-        arrivals = _registry_value(registry, "serve.arrivals")
+        arrivals = registry_value(registry, "serve.arrivals")
         if arrivals < cfg.queue_min_arrivals:
             return  # not a serving run (or too few jobs to judge)
-        rejected = _registry_value(registry, "serve.rejected")
+        rejected = registry_value(registry, "serve.rejected")
         ratio = rejected / arrivals
-        capacity = _registry_value(registry, "serve.queue_capacity")
+        capacity = registry_value(registry, "serve.queue_capacity")
         depth = registry.get("serve.queue_depth") if registry is not None else None
         depth_p90 = (
             float(depth.percentile(90))
@@ -577,14 +514,14 @@ class HealthMonitor:
         ))
 
     def _detect_blade_breaker(
-        self, tracer, registry, findings: List[HealthFinding]
+        self, run: RunView, registry, findings: List[HealthFinding]
     ) -> None:
         cfg = self.config
-        opens = _registry_value(registry, "serve.breaker_opens")
+        opens = registry_value(registry, "serve.breaker_opens")
         if opens < cfg.breaker_min_opens:
             return
-        closes = _registry_value(registry, "serve.breaker_closes")
-        probes = _registry_value(registry, "serve.breaker_probes")
+        closes = registry_value(registry, "serve.breaker_closes")
+        probes = registry_value(registry, "serve.breaker_probes")
         flapping = opens >= cfg.breaker_flap_opens and closes <= 0
         findings.append(HealthFinding(
             detector="blade-breaker",
@@ -607,17 +544,17 @@ class HealthMonitor:
         ))
 
     def _detect_hedge_storm(
-        self, tracer, registry, findings: List[HealthFinding]
+        self, run: RunView, registry, findings: List[HealthFinding]
     ) -> None:
         cfg = self.config
-        units = _registry_value(registry, "serve.dispatched_units")
+        units = registry_value(registry, "serve.dispatched_units")
         if units < cfg.hedge_min_units:
             return
-        hedges = _registry_value(registry, "serve.hedges")
+        hedges = registry_value(registry, "serve.hedges")
         ratio = hedges / units
         if ratio <= cfg.hedge_storm_ratio:
             return
-        wins = _registry_value(registry, "serve.hedge_wins")
+        wins = registry_value(registry, "serve.hedge_wins")
         findings.append(HealthFinding(
             detector="hedge-storm",
             severity="warning",
@@ -637,13 +574,13 @@ class HealthMonitor:
         ))
 
     def _detect_deadline_shedding(
-        self, tracer, registry, findings: List[HealthFinding]
+        self, run: RunView, registry, findings: List[HealthFinding]
     ) -> None:
         cfg = self.config
-        admitted = _registry_value(registry, "serve.admitted")
+        admitted = registry_value(registry, "serve.admitted")
         if admitted < cfg.queue_min_arrivals:
             return
-        aborts = _registry_value(registry, "serve.deadline_aborts")
+        aborts = registry_value(registry, "serve.deadline_aborts")
         ratio = aborts / admitted
         if ratio <= cfg.deadline_abort_ratio:
             return
@@ -667,18 +604,19 @@ class HealthMonitor:
     # -- entry point ------------------------------------------------------
     def analyze(self, tracer: Optional[Tracer], registry) -> List[HealthFinding]:
         """All findings for one run, in detector-catalogue order."""
+        run = read_run(tracer, registry)
         findings: List[HealthFinding] = []
-        self._detect_spe_starvation(tracer, registry, findings)
-        self._detect_mgps_oscillation(tracer, registry, findings)
-        self._detect_window_u_saturation(tracer, registry, findings)
-        self._detect_llp_imbalance(tracer, registry, findings)
-        self._detect_granularity_churn(tracer, registry, findings)
-        self._detect_fault_storm(tracer, registry, findings)
-        self._detect_degraded_capacity(tracer, registry, findings)
-        self._detect_queue_saturation(tracer, registry, findings)
-        self._detect_blade_breaker(tracer, registry, findings)
-        self._detect_hedge_storm(tracer, registry, findings)
-        self._detect_deadline_shedding(tracer, registry, findings)
+        self._detect_spe_starvation(run, registry, findings)
+        self._detect_mgps_oscillation(run, registry, findings)
+        self._detect_window_u_saturation(run, registry, findings)
+        self._detect_llp_imbalance(run, registry, findings)
+        self._detect_granularity_churn(run, registry, findings)
+        self._detect_fault_storm(run, registry, findings)
+        self._detect_degraded_capacity(run, registry, findings)
+        self._detect_queue_saturation(run, registry, findings)
+        self._detect_blade_breaker(run, registry, findings)
+        self._detect_hedge_storm(run, registry, findings)
+        self._detect_deadline_shedding(run, registry, findings)
         return findings
 
 

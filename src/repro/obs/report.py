@@ -13,18 +13,26 @@ decade later.  Sections (each with a stable anchor, asserted by tests):
 * ``#u-series`` — the MGPS window-``U`` estimate per decision with the
   LLP trigger threshold marked;
 * ``#latency`` — off-load dispatch-to-completion latency histogram;
+  for a serving run also the per-job sojourn phase breakdown (overall,
+  per tenant and percentile exemplars) and windowed gauge sparklines;
 * ``#llp-adaptation`` — the master chunk fraction per loop invocation
   (the adaptive-unbalancing trajectory);
 * ``#serving`` — the serving lane: per-tenant SLO table (tail latency,
   goodput, rejection and deadline-miss rates), job sojourn histogram
   and fleet lifecycle events; present only when the run carried
   ``serve.*`` metrics (``repro serve``);
+* ``#workflows`` — the workflow-DAG lane: stage-cache and bootstop
+  headline numbers and the stage lifecycle log; present only when the
+  run served workflows (``repro dag``);
 * ``#perf`` — the wall-time lane: top layers of the
   :class:`~repro.obs.ledger.Ledger` by self time as self-vs-child bars,
   kernel events/sec and the unattributed remainder (empty state when
   the run was not recorded under a ledger);
 * ``#faults`` — injected faults and the runtime's recovery actions as a
   time-ordered event table (empty state when the run was fault-free).
+
+Every lane reads the run through one :func:`~repro.obs.runview.read_run`
+fold; event tables show at most 200 rows and count the rest.
 
 Charts follow the fixed mark specs (2px lines, thin rounded bars, 2px
 surface gaps, hairline grid) and a categorical palette validated for
@@ -39,72 +47,31 @@ from __future__ import annotations
 import html
 import math
 import re
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+)
 
-from ..sim.trace import Tracer
+from ..sim.trace import Row, Tracer
 from .monitor import HealthFinding
+from .runview import (
+    FAULT_EVENT_LABELS,
+    SERVE_OPS_EVENTS,
+    WORKFLOW_EVENTS,
+    Decision,
+    LoopInvocation,
+    SpeTask,
+    read_run,
+    registry_value,
+)
 
 __all__ = ["render_report", "write_report"]
 
 
 # -- data extraction ----------------------------------------------------------
 
-def _makespan(tracer: Optional[Tracer], registry) -> float:
-    inst = registry.get("run.raw_makespan_s") if registry is not None else None
-    if inst is not None and inst.value > 0:
-        return float(inst.value)
-    if tracer is not None and tracer.records:
-        return max(r.time for r in tracer.records)
-    return 0.0
-
-
-def _value(registry, name: str, default: float = 0.0) -> float:
-    inst = registry.get(name) if registry is not None else None
-    return float(inst.value) if inst is not None else default
-
-
-def _spe_lanes(
-    tracer: Optional[Tracer], registry, makespan: float
-) -> Dict[str, List[Tuple[float, float, str, str]]]:
-    """Per-SPE task intervals: actor -> [(start, end, role, function)].
-
-    Actors known only from the registry's per-SPE utilization gauges
-    (SPEs that never ran a task) get an empty lane, so starvation is
-    *visible* rather than silently cropped.
-    """
-    lanes: Dict[str, List[Tuple[float, float, str, str]]] = {}
-    if registry is not None:
-        for name in registry.names():
-            if name.startswith('spe.utilization{spe="'):
-                lanes.setdefault(name[len('spe.utilization{spe="'):-2], [])
-    open_at: Dict[str, Tuple[float, str, str]] = {}
-    for r in (tracer.records if tracer is not None else ()):
-        if r.category != "spe":
-            continue
-        if r.event == "task_start":
-            role = "worker" if r.get("role") == "worker" else "master"
-            open_at[r.actor] = (r.time, role, str(r.get("function", "")))
-            lanes.setdefault(r.actor, [])
-        elif r.event == "task_end" and r.actor in open_at:
-            t0, role, fn = open_at.pop(r.actor)
-            lanes[r.actor].append((t0, r.time, role, fn))
-    for actor, (t0, role, fn) in open_at.items():
-        lanes[actor].append((t0, makespan, role, fn))
-    return {a: lanes[a] for a in sorted(lanes)}
-
-
-def _u_series(tracer: Optional[Tracer]) -> List[Tuple[float, float, bool]]:
-    """(time, U, llp_active) per MGPS window decision."""
-    if tracer is None:
-        return []
-    return [
-        (r.time, float(r.get("u", 0)), bool(r.get("active")))
-        for r in tracer.filter(category="sched", event="decision")
-    ]
-
-
 def _adaptation_series(
-    tracer: Optional[Tracer],
+    loops: Sequence[LoopInvocation],
 ) -> Dict[str, List[Tuple[int, float, float]]]:
     """Per loop: [(invocation index, master_fraction, join_idle_us)].
 
@@ -113,31 +80,19 @@ def _adaptation_series(
     are distinguishable in the chart legend.
     """
     series: Dict[str, List[Tuple[int, float, float]]] = {}
-    if tracer is None:
-        return series
-    for r in tracer.filter(event="llp_invoke"):
-        schedule = r.get("schedule", "static")
-        suffix = "" if schedule == "static" else f", {schedule}"
-        key = f"{r.get('function')} (k={r.get('k')}{suffix})"
-        seq = series.setdefault(key, [])
-        seq.append((
-            len(seq),
-            float(r.get("master_fraction", 0.0)),
-            float(r.get("join_idle_us", 0.0)),
-        ))
+    for inv in loops:
+        suffix = "" if inv.schedule == "static" else f", {inv.schedule}"
+        seq = series.setdefault(f"{inv.function} (k={inv.k}{suffix})", [])
+        seq.append((len(seq), inv.master_fraction, inv.join_idle_us))
     return series
 
 
-def _llp_schedule_note(tracer: Optional[Tracer]) -> str:
+def _llp_schedule_note(loops: Sequence[LoopInvocation]) -> str:
     """Chart note: active loop schedule(s) with chunk-assignment counts."""
-    if tracer is None:
-        return ""
     per_schedule: Dict[str, Tuple[int, int]] = {}
-    for r in tracer.filter(event="llp_invoke"):
-        name = str(r.get("schedule", "static"))
-        chunks = sum(r.get("chunk_counts", ()) or ())
-        invocations, total_chunks = per_schedule.get(name, (0, 0))
-        per_schedule[name] = (invocations + 1, total_chunks + chunks)
+    for inv in loops:
+        invocations, chunks = per_schedule.get(inv.schedule, (0, 0))
+        per_schedule[inv.schedule] = (invocations + 1, chunks + inv.chunks)
     if not per_schedule:
         return ""
     parts = ", ".join(
@@ -252,11 +207,18 @@ def _legend(entries: Sequence[Tuple[str, str]]) -> str:
     return f'<div class="legend">{items}</div>'
 
 
+def _svg(height: float, label: str, parts: Sequence[str],
+         cls: str = "") -> str:
+    """The chart frame: a full-width ``viewBox`` of ``height`` around
+    ``parts``, announced to screen readers as ``label``."""
+    cls_attr = f' class="{cls}"' if cls else ""
+    return (f'<svg viewBox="0 0 {_W} {height}"{cls_attr} role="img" '
+            f'aria-label="{_esc(label)}">{"".join(parts)}</svg>')
+
+
 # -- charts -------------------------------------------------------------------
 
-def _gantt_svg(
-    lanes: Dict[str, List[Tuple[float, float, str, str]]], makespan: float
-) -> str:
+def _gantt_svg(lanes: Dict[str, List[SpeTask]], makespan: float) -> str:
     if not lanes or makespan <= 0:
         return '<p class="empty">No SPE task intervals recorded.</p>'
     lane_h, gap = 18, 6
@@ -269,22 +231,18 @@ def _gantt_svg(
         y_axis=False,
     )
     parts = [grid]
-    busy_of = {
-        a: sum(e - s for s, e, _r, _f in iv) / makespan
-        for a, iv in lanes.items()
-    }
-    for i, (actor, intervals) in enumerate(lanes.items()):
+    for i, (actor, tasks) in enumerate(lanes.items()):
         y = _PAD_T + i * (lane_h + gap)
+        busy = sum(t.end - t.start for t in tasks) / makespan
         parts.append(
             f'<text class="tick" x="{_PAD_L - 6}" y="{y + lane_h / 2 + 3}" '
-            f'text-anchor="end">{_esc(actor)} '
-            f'{busy_of[actor]:.0%}</text>'
+            f'text-anchor="end">{_esc(actor)} {busy:.0%}</text>'
         )
         parts.append(
             f'<rect class="lane" x="{_PAD_L}" y="{y}" '
             f'width="{_W - _PAD_L - _PAD_R}" height="{lane_h}"/>'
         )
-        for s, e, role, fn in intervals:
+        for _spe, s, e, role, fn, _proc, _workers in tasks:
             x0, x1 = sx(s * unit), sx(e * unit)
             w = max(x1 - x0 - 0.5, 0.75)  # 0.5px surface gap between tasks
             cls = "s3" if role == "worker" else "s1"
@@ -295,29 +253,25 @@ def _gantt_svg(
                 f'width="{w:.2f}" height="{lane_h - 2}">'
                 f'<title>{_esc(title)}</title></rect>'
             )
-    height = _PAD_T + plot_h + _PAD_B
-    svg = (f'<svg viewBox="0 0 {_W} {height}" role="img" '
-           f'aria-label="SPE utilization Gantt">{"".join(parts)}</svg>')
+    svg = _svg(_PAD_T + plot_h + _PAD_B, "SPE utilization Gantt", parts)
     return _legend([("s1", "task (master SPE)"),
                     ("s3", "LLP worker chunk")]) + svg
 
 
-def _u_series_svg(
-    series: List[Tuple[float, float, bool]], n_spes: int, threshold: float
-) -> str:
+def _u_series_svg(series: Sequence[Decision], n_spes: int) -> str:
     if not series:
         return ('<p class="empty">No MGPS window decisions recorded '
                 '(scheduler without a utilization window).</p>')
     plot_h = 180
-    xs = list(range(len(series)))
-    y_hi = max(n_spes, max(u for _t, u, _a in series))
+    y_hi = max(n_spes, max(d.u for d in series))
     grid, sx, sy = _grid_and_axes(
         plot_h, 0, max(len(series) - 1, 1), 0, y_hi,
         "window decision #", "U (exposed task parallelism)",
     )
     pts = " ".join(
-        f"{sx(i):.1f},{sy(u):.1f}" for i, (_t, u, _a) in zip(xs, series)
+        f"{sx(i):.1f},{sy(d.u):.1f}" for i, d in enumerate(series)
     )
+    threshold = n_spes / 2  # the MGPS LLP trigger point
     thr_y = sy(threshold)
     parts = [grid]
     parts.append(
@@ -330,7 +284,7 @@ def _u_series_svg(
         f'LLP trigger (U &#8804; {_fmt(threshold)})</text>'
     )
     parts.append(f'<polyline class="line s1" points="{pts}"/>')
-    for i, (t, u, active) in zip(xs, series):
+    for i, (t, u, active) in enumerate(series):
         state = "LLP on" if active else "LLP off"
         parts.append(
             f'<circle class="dot {"s1" if active else "hollow"}" '
@@ -338,27 +292,33 @@ def _u_series_svg(
             f'<title>decision {i}: U={_fmt(u)}, {state}, '
             f't={t * 1e3:.3f} ms</title></circle>'
         )
-    height = _PAD_T + plot_h + _PAD_B
-    svg = (f'<svg viewBox="0 0 {_W} {height}" role="img" '
-           f'aria-label="Window utilization U per decision">'
-           f'{"".join(parts)}</svg>')
+    svg = _svg(_PAD_T + plot_h + _PAD_B,
+               "Window utilization U per decision", parts)
     return _legend([("s1", "U estimate (filled dot: LLP active)")]) + svg
 
 
-def _latency_svg(registry) -> str:
-    hist = registry.get("runtime.offload_latency_us") if registry else None
+def _histogram_svg(
+    registry, metric: str, cls: str, quantity: str, unit: str, noun: str,
+    label: str, empty: str, stats: bool = False,
+) -> str:
+    """Bar chart of one histogram's buckets, one rounded bar per bucket.
+
+    ``quantity`` and ``unit`` name the x axis, ``noun`` the counted
+    things; ``stats`` adds a p50/p90/p99/max note above the chart.
+    """
+    hist = registry.get(metric) if registry else None
     if hist is None or getattr(hist, "count", 0) == 0:
-        return '<p class="empty">No off-load latency samples recorded.</p>'
+        return f'<p class="empty">{empty}</p>'
     snap = hist.snapshot()
     buckets = snap["buckets"]
     if not buckets:
-        return '<p class="empty">No off-load latency samples recorded.</p>'
+        return f'<p class="empty">{empty}</p>'
     plot_h = 180
     n = len(buckets)
     max_count = max(c for _b, c in buckets)
     grid, _sx, sy = _grid_and_axes(
         plot_h, 0, n, 0, max_count,
-        "latency bucket [us, upper bound]", "off-loads",
+        f"{quantity} bucket [{unit}, upper bound]", noun,
         x_ticks=False,  # buckets are categorical bins, labeled per bar
     )
     plot_w = _W - _PAD_L - _PAD_R
@@ -370,29 +330,27 @@ def _latency_svg(registry) -> str:
         y = sy(count)
         h = _PAD_T + plot_h - y
         r = min(4.0, h / 2, bar_w / 2)
-        label = "+inf" if bound == "+inf" else _fmt(float(bound))
+        tick = "+inf" if bound == "+inf" else _fmt(float(bound))
         # Rounded data end, square baseline.
         parts.append(
-            f'<path class="s1" d="M{x:.1f},{_PAD_T + plot_h:.1f} '
+            f'<path class="{cls}" d="M{x:.1f},{_PAD_T + plot_h:.1f} '
             f'V{y + r:.1f} Q{x:.1f},{y:.1f} {x + r:.1f},{y:.1f} '
             f'H{x + bar_w - r:.1f} Q{x + bar_w:.1f},{y:.1f} '
             f'{x + bar_w:.1f},{y + r:.1f} V{_PAD_T + plot_h:.1f} Z">'
-            f'<title>&#8804; {_esc(label)} us: {count} off-loads</title>'
+            f'<title>&#8804; {_esc(tick)} {unit}: {count} {noun}</title>'
             f'</path>'
         )
         parts.append(
             f'<text class="tick" x="{x + bar_w / 2:.1f}" '
             f'y="{_PAD_T + plot_h + 14}" text-anchor="middle">'
-            f'{_esc(label)}</text>'
+            f'{_esc(tick)}</text>'
         )
-    stats = (f'p50 {_fmt(snap["p50"])} us &#183; '
-             f'p90 {_fmt(snap["p90"])} us &#183; '
-             f'p99 {_fmt(snap["p99"])} us &#183; '
-             f'max {_fmt(snap["max"])} us')
-    height = _PAD_T + plot_h + _PAD_B
-    svg = (f'<svg viewBox="0 0 {_W} {height}" role="img" '
-           f'aria-label="Off-load latency histogram">{"".join(parts)}</svg>')
-    return f'<p class="chart-note">{stats}</p>{svg}'
+    svg = _svg(_PAD_T + plot_h + _PAD_B, label, parts)
+    if not stats:
+        return svg
+    note = " &#183; ".join(f'{p} {_fmt(snap[p])} {unit}'
+                           for p in ("p50", "p90", "p99", "max"))
+    return f'<p class="chart-note">{note}</p>{svg}'
 
 
 _PHASE_CLASS = {
@@ -429,48 +387,39 @@ def _stacked_bar(label: str, shares: Dict[str, float], detail: str) -> str:
             f'{share:.1%}{_esc(detail)}</title></rect>'
         )
         x += w
-    return (f'<svg viewBox="0 0 {_W} {bar_h}" class="phase-bar" '
-            f'role="img" aria-label="Phase breakdown: {_esc(label)}">'
-            f'{"".join(parts)}</svg>')
+    return _svg(bar_h, f"Phase breakdown: {label}", parts, "phase-bar")
 
 
 def _sparkline(label: str, values: Sequence[float], note: str = "") -> str:
     """A small inline trend line for one windowed gauge series."""
     h, label_w = 34, 150
     plot_w = _W - label_w - _PAD_R
-    hi = max(values) if values else 0.0
-    if hi <= 0.0:
-        hi = 1.0
+    peak = max(values) if values else 0.0
+    hi = peak if peak > 0.0 else 1.0
     n = max(1, len(values) - 1)
     pts = " ".join(
         f"{label_w + i / n * plot_w:.1f},"
         f"{2 + (h - 4) * (1 - v / hi):.1f}"
         for i, v in enumerate(values)
     )
-    peak = max(values) if values else 0.0
     tail = note or f"peak {_fmt(peak)}"
-    return (
-        f'<svg viewBox="0 0 {_W} {h}" class="spark-row" role="img" '
-        f'aria-label="{_esc(label)} over time">'
+    return _svg(h, f"{label} over time", [
         f'<text class="tick" x="{label_w - 8}" y="{h / 2 + 3:.1f}" '
         f'text-anchor="end">{_esc(label)}</text>'
         f'<polyline class="spark" points="{pts}"/>'
         f'<text class="tick" x="{_W - _PAD_R}" y="{h / 2 + 3:.1f}" '
-        f'text-anchor="end">{_esc(tail)}</text></svg>'
-    )
+        f'text-anchor="end">{_esc(tail)}</text>'
+    ], "spark-row")
 
 
-def _attribution_html(tracer) -> str:
+def _attribution_html(tracer: Optional[Tracer], has_serve: bool) -> str:
     """Serve phase-breakdown bars + windowed sparklines for #latency.
 
     Returns '' for non-serving runs (the off-load histogram already
     covers them); a serving run with zero completed jobs gets an
     explicit empty state instead of a division by zero.
     """
-    if tracer is None:
-        return ""
-    records = getattr(tracer, "records", ())
-    if not any(r.category == "serve" for r in records):
+    if not has_serve:
         return ""
     from .attribution import aggregate_breakdown
     from .causal import build_job_trees
@@ -487,12 +436,10 @@ def _attribution_html(tracer) -> str:
         )
         return "".join(parts)
     overall = breakdown["overall"]
-    legend = [(_phase_class(name), name)
-              for name in overall["phase_shares"]]
-    seen = set()
-    legend = [e for e in legend
-              if not (e[0] in seen or seen.add(e[0]))]
-    parts.append(_legend(legend))
+    legend: Dict[str, str] = {}  # first phase name per color class
+    for name in overall["phase_shares"]:
+        legend.setdefault(_phase_class(name), name)
+    parts.append(_legend(list(legend.items())))
     parts.append(_stacked_bar(
         f"all jobs ({overall['jobs']})", overall["phase_shares"],
         f" &#183; mean sojourn {overall['mean_sojourn_s']:.2f} s",
@@ -557,9 +504,7 @@ def _adaptation_svg(series: Dict[str, List[Tuple[int, float, float]]]) -> str:
             f'{len(seq)} invocations (join idle {last_j:.2f} us)</title>'
             f'</circle>'
         )
-    height = _PAD_T + plot_h + _PAD_B
-    svg = (f'<svg viewBox="0 0 {_W} {height}" role="img" '
-           f'aria-label="LLP chunk adaptation">{"".join(parts)}</svg>')
+    svg = _svg(_PAD_T + plot_h + _PAD_B, "LLP chunk adaptation", parts)
     note = ""
     if folded:
         note = (f'<p class="chart-note">{len(folded)} further loop '
@@ -567,105 +512,97 @@ def _adaptation_svg(series: Dict[str, List[Tuple[int, float, float]]]) -> str:
     return _legend(list(zip(slot_classes, shown))) + svg + note
 
 
-_FAULT_EVENT_LABELS = {
-    "spe_kill": ("injected", "SPE failed permanently"),
-    "spe_blacklist": ("recovery", "SPE blacklisted by the runtime"),
-    "offload_fail": ("injected", "transient off-load failure"),
-    "dma_error": ("injected", "DMA transfer error"),
-    "offload_retry": ("recovery", "off-load retried after backoff"),
-    "retry_fallback": ("recovery", "task fell back to the PPE"),
-    "llp_recovery": ("recovery", "loop chunks reclaimed from dead worker"),
-    "task_abort": ("injected", "task aborted by SPE death"),
-    # fleet-tier faults and the resilience layer's responses
-    "blade-kill": ("injected", "node fault: blade died"),
-    "blade-slow": ("injected", "blade became a straggler"),
-    "blade-recover": ("recovery", "straggler blade returned to speed"),
-    "blade-flap": ("injected", "blade crashed (will rejoin)"),
-    "blade-rejoin": ("recovery", "flapped blade rejoined on probation"),
-    "link-degrade": ("injected", "dispatch link latency degraded"),
-    "link-restore": ("recovery", "dispatch link latency restored"),
-    "breaker": ("recovery", "circuit breaker changed state"),
-    "hedge": ("recovery", "straggling unit speculatively re-dispatched"),
-    "hedge-win": ("recovery", "hedge clone finished first"),
-    "hedge-cancel": ("recovery", "losing hedge copy cancelled"),
-    "deadline-abort": ("injected", "job shed: deadline unreachable"),
-}
-
-# Serve-category events that belong in the fault lane alongside the
-# category="fault" records of the offline runtime.
-_SERVE_FAULT_EVENTS = frozenset({
-    "blade-kill", "blade-slow", "blade-recover", "blade-flap",
-    "blade-rejoin", "link-degrade", "link-restore", "breaker",
-    "hedge", "hedge-win", "hedge-cancel", "deadline-abort",
-})
+_TABLE_ROWS = 200  # event-table rows shown; the rest are counted
 
 
-def _fault_events(tracer: Optional[Tracer]) -> List[Any]:
-    """Time-ordered fault-category records (plus SPE-death task aborts
-    and the serving layer's fleet-fault / resilience events)."""
-    if tracer is None:
-        return []
-    return [
-        r for r in tracer.records
-        if r.category == "fault"
-        or (r.category == "spe" and r.event == "task_abort")
-        or (r.category == "serve" and r.event in _SERVE_FAULT_EVENTS)
-    ]
+def _table(head: Sequence[str], rows: Iterable[str]) -> str:
+    """A table with header cells ``head`` over prebuilt ``<tr>`` rows."""
+    th = "".join(f"<th>{h}</th>" for h in head)
+    return (f'<table><thead><tr>{th}</tr></thead>'
+            f'<tbody>{"".join(rows)}</tbody></table>')
 
 
-def _faults_html(tracer: Optional[Tracer], registry) -> str:
-    events = _fault_events(tracer)
+def _event_table(events: Sequence[Row], head: Sequence[str],
+                 cells: Callable[[Row], str], noun: str) -> str:
+    """A time-ordered event table, one ``cells(row)`` row per event up
+    to 200; a note counts the ``noun`` cut beyond that."""
+    shown = events[:_TABLE_ROWS]
+    table = _table(head, (f"<tr>{cells(row)}</tr>" for row in shown))
+    if len(events) == len(shown):
+        return table
+    return (f'{table}<p class="chart-note">{len(events) - len(shown)} '
+            f'further {noun} omitted.</p>')
+
+
+def _detail_cell(description: str, payload: Dict[str, Any],
+                 skip: str = "") -> str:
+    """The description cell, with the payload (minus ``skip``) as
+    evidence."""
+    detail = "; ".join(
+        f"{k}={v}" for k, v in sorted(payload.items()) if k != skip
+    )
+    return (f'<td>{_esc(description)}'
+            f'<div class="evidence">{_esc(detail)}</div></td>')
+
+
+def _fault_cells(row: Row) -> str:
+    time, _cat, actor, event, payload = row
+    kind, desc = FAULT_EVENT_LABELS.get(event, ("injected", event))
+    chip = "critical" if kind == "injected" else "warning"
+    return (f'<td class="mono">{time * 1e3:.3f} ms</td>'
+            f'<td><span class="chip {chip}">{_esc(kind)}</span></td>'
+            f'<td class="mono">{_esc(event)}</td>'
+            f'<td class="mono">{_esc(actor)}</td>'
+            + _detail_cell(desc, payload, skip="function"))
+
+
+def _serve_log(events: Sequence[Row], descriptions: Dict[str, str],
+               chips: Dict[str, str], noun: str) -> str:
+    """A serve event log; ``chips`` colors an event (default warning)."""
+    def cells(row: Row) -> str:
+        time, _cat, actor, event, payload = row
+        return (f'<td class="mono">{time:.1f} s</td>'
+                f'<td><span class="chip {chips.get(event, "warning")}">'
+                f'{_esc(event)}</span></td>'
+                f'<td class="mono">{_esc(actor)}</td>'
+                + _detail_cell(descriptions[event], payload))
+    return _event_table(events, ("time", "event", "actor", "detail"),
+                        cells, noun)
+
+
+_FAULT_COUNTERS = (
+    ("retries", "runtime.offload_retries"),
+    ("PPE fallbacks after retries", "runtime.retry_fallbacks"),
+    ("watchdog timeouts", "runtime.watchdog_timeouts"),
+    ("DMA errors", "faults.dma_errors"),
+    ("SPE kills", "faults.spe_kills"),
+    ("blacklists", "runtime.spe_blacklists"),
+    ("live SPEs at end", "run.live_spes"),
+    ("blade deaths", "serve.blade_deaths"),
+    ("blade crashes (flap)", "serve.blade_crashes"),
+    ("blade rejoins", "serve.blade_rejoins"),
+    ("breaker opens", "serve.breaker_opens"),
+    ("breaker closes", "serve.breaker_closes"),
+    ("breaker probes", "serve.breaker_probes"),
+    ("hedges", "serve.hedges"),
+    ("hedge wins", "serve.hedge_wins"),
+    ("deadline aborts", "serve.deadline_aborts"),
+)
+
+
+def _faults_html(events: Sequence[Row], registry) -> str:
     if not events:
         return ('<p class="empty">No faults injected or detected &#8212; '
                 'the run was fault-free.</p>')
-    counters = [
-        ("retries", _value(registry, "runtime.offload_retries")),
-        ("PPE fallbacks after retries",
-         _value(registry, "runtime.retry_fallbacks")),
-        ("watchdog timeouts", _value(registry, "runtime.watchdog_timeouts")),
-        ("DMA errors", _value(registry, "faults.dma_errors")),
-        ("SPE kills", _value(registry, "faults.spe_kills")),
-        ("blacklists", _value(registry, "runtime.spe_blacklists")),
-        ("live SPEs at end", _value(registry, "run.live_spes")),
-        ("blade deaths", _value(registry, "serve.blade_deaths")),
-        ("blade crashes (flap)", _value(registry, "serve.blade_crashes")),
-        ("blade rejoins", _value(registry, "serve.blade_rejoins")),
-        ("breaker opens", _value(registry, "serve.breaker_opens")),
-        ("breaker closes", _value(registry, "serve.breaker_closes")),
-        ("breaker probes", _value(registry, "serve.breaker_probes")),
-        ("hedges", _value(registry, "serve.hedges")),
-        ("hedge wins", _value(registry, "serve.hedge_wins")),
-        ("deadline aborts", _value(registry, "serve.deadline_aborts")),
-    ]
+    counters = ((label, registry_value(registry, name))
+                for label, name in _FAULT_COUNTERS)
     note = " &#183; ".join(
-        f"{_esc(lab)} {_fmt(v)}" for lab, v in counters if v > 0
+        f"{_esc(label)} {_fmt(v)}" for label, v in counters if v > 0
     )
-    rows = []
-    shown = events if len(events) <= 200 else events[:200]
-    for r in shown:
-        kind, desc = _FAULT_EVENT_LABELS.get(r.event, ("injected", r.event))
-        chip = "critical" if kind == "injected" else "warning"
-        detail = "; ".join(
-            f"{k}={v}" for k, v in sorted(r.data) if k != "function"
-        )
-        rows.append(
-            f'<tr><td class="mono">{r.time * 1e3:.3f} ms</td>'
-            f'<td><span class="chip {chip}">{_esc(kind)}</span></td>'
-            f'<td class="mono">{_esc(r.event)}</td>'
-            f'<td class="mono">{_esc(r.actor)}</td>'
-            f'<td>{_esc(desc)}'
-            f'<div class="evidence">{_esc(detail)}</div></td></tr>'
-        )
-    extra = ""
-    if len(events) > len(shown):
-        extra = (f'<p class="chart-note">{len(events) - len(shown)} further '
-                 f'fault events omitted.</p>')
     head = f'<p class="chart-note">{note}</p>' if note else ""
-    return (
-        f"{head}"
-        '<table><thead><tr><th>time</th><th>kind</th><th>event</th>'
-        '<th>actor</th><th>detail</th></tr></thead>'
-        f'<tbody>{"".join(rows)}</tbody></table>{extra}'
+    return head + _event_table(
+        events, ("time", "kind", "event", "actor", "detail"),
+        _fault_cells, "fault events",
     )
 
 
@@ -675,103 +612,37 @@ _SERVE_TENANT_RE = re.compile(
     r'\{tenant="(?P<tenant>[^"]+)"\}$'
 )
 
-_SERVE_OPS_EVENTS = {
-    "scale-up": "autoscaler activated one more blade",
-    "scale-down": "autoscaler drained and parked one blade",
-    "blade-kill": "node fault: blade died",
-    "failover": "orphaned jobs re-dispatched to surviving blades",
-    "lost": "job lost to total fleet failure",
-    "blade-slow": "node fault: blade service times stretched",
-    "blade-recover": "blade slowdown ended; nominal speed restored",
-    "blade-flap": "node fault: blade crashed (will rejoin)",
-    "blade-rejoin": "flapped blade rejoined the fleet on probation",
-    "link-degrade": "node fault: dispatch link latency added",
-    "link-restore": "dispatch link latency removed",
-    "breaker": "circuit breaker changed state",
-    "hedge": "straggling unit speculatively re-dispatched",
-    "hedge-win": "hedge copy finished first",
-    "hedge-cancel": "losing hedge twin cancelled",
-    "deadline-abort": "unit shed: deadline unreachable",
-    "workflow-cancel": "queued job cancelled: bootstop converged",
-}
-
-# Workflow-DAG lifecycle events rendered in the ``#workflows`` lane.
-_WORKFLOW_EVENTS = {
-    "workflow-start": "workflow submitted; first stages released",
-    "stage-ready": "stage dependencies met; fan-out submitted",
-    "cache-hit": "stage served from the digest-keyed result cache",
-    "bootstop-converged": "support values stable: fan-out suffix cancelled",
-    "stage-done": "stage resolved; downstream stages released",
-    "workflow-done": "workflow complete; consensus digest folded",
-}
+_OPS_CHIPS = dict.fromkeys(
+    ("blade-kill", "blade-flap", "lost", "deadline-abort"), "critical")
+_WORKFLOW_CHIPS = dict.fromkeys(
+    ("cache-hit", "bootstop-converged", "workflow-done"), "good")
 
 
-def _serve_latency_svg(registry) -> str:
-    hist = registry.get("serve.latency_s") if registry else None
-    if hist is None or getattr(hist, "count", 0) == 0:
-        return '<p class="empty">No completed jobs recorded.</p>'
-    snap = hist.snapshot()
-    buckets = snap["buckets"]
-    if not buckets:
-        return '<p class="empty">No completed jobs recorded.</p>'
-    plot_h = 180
-    n = len(buckets)
-    max_count = max(c for _b, c in buckets)
-    grid, _sx, sy = _grid_and_axes(
-        plot_h, 0, n, 0, max_count,
-        "sojourn bucket [s, upper bound]", "jobs",
-        x_ticks=False,
-    )
-    plot_w = _W - _PAD_L - _PAD_R
-    slot = plot_w / n
-    bar_w = min(24.0, slot - 2.0)  # 2px surface gap between bars
-    parts = [grid]
-    for i, (bound, count) in enumerate(buckets):
-        x = _PAD_L + i * slot + (slot - bar_w) / 2
-        y = sy(count)
-        h = _PAD_T + plot_h - y
-        r = min(4.0, h / 2, bar_w / 2)
-        label = "+inf" if bound == "+inf" else _fmt(float(bound))
-        parts.append(
-            f'<path class="s2" d="M{x:.1f},{_PAD_T + plot_h:.1f} '
-            f'V{y + r:.1f} Q{x:.1f},{y:.1f} {x + r:.1f},{y:.1f} '
-            f'H{x + bar_w - r:.1f} Q{x + bar_w:.1f},{y:.1f} '
-            f'{x + bar_w:.1f},{y + r:.1f} V{_PAD_T + plot_h:.1f} Z">'
-            f'<title>&#8804; {_esc(label)} s: {count} jobs</title>'
-            f'</path>'
-        )
-        parts.append(
-            f'<text class="tick" x="{x + bar_w / 2:.1f}" '
-            f'y="{_PAD_T + plot_h + 14}" text-anchor="middle">'
-            f'{_esc(label)}</text>'
-        )
-    height = _PAD_T + plot_h + _PAD_B
-    return (f'<svg viewBox="0 0 {_W} {height}" role="img" '
-            f'aria-label="Job sojourn time histogram">{"".join(parts)}</svg>')
-
-
-def _serving_html(tracer: Optional[Tracer], registry) -> Optional[str]:
+def _serving_html(ops: Sequence[Row], registry) -> Optional[str]:
     """The serving lane, or None when the run had no serving metrics."""
-    arrivals = _value(registry, "serve.arrivals")
+    value = partial(registry_value, registry)
+    arrivals = value("serve.arrivals")
     if arrivals <= 0:
         return None
     headline = [
         ("offered", _fmt(arrivals)),
-        ("admitted", _fmt(_value(registry, "serve.admitted"))),
-        ("rejected", _fmt(_value(registry, "serve.rejected"))),
-        ("completed", _fmt(_value(registry, "serve.completed"))),
-        ("p50", f"{_value(registry, 'serve.latency_p50_s'):.1f} s"),
-        ("p95", f"{_value(registry, 'serve.latency_p95_s'):.1f} s"),
-        ("p99", f"{_value(registry, 'serve.latency_p99_s'):.1f} s"),
-        ("goodput", f"{_value(registry, 'serve.goodput_jps') * 3600:.1f} jobs/h"),
-        ("rejection rate", f"{_value(registry, 'serve.rejection_rate'):.1%}"),
-        ("deadline misses", _fmt(_value(registry, "serve.deadline_misses"))),
-        ("failovers", _fmt(_value(registry, "serve.failovers"))),
-        ("active blades", _fmt(_value(registry, "serve.active_blades"))),
+        ("admitted", _fmt(value("serve.admitted"))),
+        ("rejected", _fmt(value("serve.rejected"))),
+        ("completed", _fmt(value("serve.completed"))),
+        ("p50", f"{value('serve.latency_p50_s'):.1f} s"),
+        ("p95", f"{value('serve.latency_p95_s'):.1f} s"),
+        ("p99", f"{value('serve.latency_p99_s'):.1f} s"),
+        ("goodput", f"{value('serve.goodput_jps') * 3600:.1f} jobs/h"),
+        ("rejection rate", f"{value('serve.rejection_rate'):.1%}"),
+        ("deadline misses", _fmt(value("serve.deadline_misses"))),
+        ("failovers", _fmt(value("serve.failovers"))),
+        ("active blades", _fmt(value("serve.active_blades"))),
     ]
     note = " &#183; ".join(f"{_esc(k)} {_esc(v)}" for k, v in headline)
     parts = [f'<p class="chart-note">{note}</p>',
-             _serve_latency_svg(registry)]
+             _histogram_svg(registry, "serve.latency_s", "s2", "sojourn",
+                            "s", "jobs", "Job sojourn time histogram",
+                            "No completed jobs recorded.")]
     # Per-tenant SLO table from the labeled summary gauges.
     tenants: Dict[str, Dict[str, float]] = {}
     if registry is not None:
@@ -779,7 +650,7 @@ def _serving_html(tracer: Optional[Tracer], registry) -> Optional[str]:
             m = _SERVE_TENANT_RE.match(name)
             if m:
                 tenants.setdefault(m.group("tenant"), {})[m.group("key")] = (
-                    float(registry.get(name).value)
+                    value(name)
                 )
     if tenants:
         rows = []
@@ -795,92 +666,45 @@ def _serving_html(tracer: Optional[Tracer], registry) -> Optional[str]:
                 f'<td class="mono">{t.get("deadline_miss_rate", 0):.1%}</td>'
                 f'</tr>'
             )
-        parts.append(
-            '<table><thead><tr><th>tenant</th><th>p50 [s]</th>'
-            '<th>p95 [s]</th><th>p99 [s]</th><th>goodput [jobs/h]</th>'
-            '<th>rejected</th><th>deadline misses</th></tr></thead>'
-            f'<tbody>{"".join(rows)}</tbody></table>'
-        )
+        parts.append(_table(
+            ("tenant", "p50 [s]", "p95 [s]", "p99 [s]", "goodput [jobs/h]",
+             "rejected", "deadline misses"), rows))
     # Fleet lifecycle events (scaling, node deaths, failover).
-    ops = [
-        r for r in (tracer.records if tracer is not None else ())
-        if r.category == "serve" and r.event in _SERVE_OPS_EVENTS
-    ]
     if ops:
-        rows = []
-        for r in ops[:200]:
-            detail = "; ".join(f"{k}={v}" for k, v in sorted(r.data))
-            chip = ("critical"
-                    if r.event in ("blade-kill", "blade-flap", "lost",
-                                   "deadline-abort")
-                    else "warning")
-            rows.append(
-                f'<tr><td class="mono">{r.time:.1f} s</td>'
-                f'<td><span class="chip {chip}">{_esc(r.event)}</span></td>'
-                f'<td class="mono">{_esc(r.actor)}</td>'
-                f'<td>{_esc(_SERVE_OPS_EVENTS[r.event])}'
-                f'<div class="evidence">{_esc(detail)}</div></td></tr>'
-            )
-        parts.append(
-            '<table><thead><tr><th>time</th><th>event</th><th>actor</th>'
-            '<th>detail</th></tr></thead>'
-            f'<tbody>{"".join(rows)}</tbody></table>'
-        )
+        parts.append(_serve_log(ops, SERVE_OPS_EVENTS, _OPS_CHIPS,
+                                "serving-ops events"))
     return "".join(parts)
 
 
-def _workflows_html(tracer: Optional[Tracer], registry) -> Optional[str]:
+def _workflows_html(events: Sequence[Row], registry) -> Optional[str]:
     """The workflow-DAG lane, or None when the run served no workflows."""
-    workflows = _value(registry, "serve.dag.workflows")
+    value = partial(registry_value, registry)
+    workflows = value("serve.dag.workflows")
     if workflows <= 0:
         return None
-    hits = _value(registry, "serve.dag.cache_hits")
-    misses = _value(registry, "serve.dag.cache_misses")
+    hits = value("serve.dag.cache_hits")
+    misses = value("serve.dag.cache_misses")
     lookups = hits + misses
     headline = [
         ("workflows", _fmt(workflows)),
-        ("stages", _fmt(_value(registry, "serve.dag.stages"))),
+        ("stages", _fmt(value("serve.dag.stages"))),
         ("cache hits", _fmt(hits)),
         ("cache misses", _fmt(misses)),
         ("hit rate", f"{hits / lookups if lookups else 0.0:.1%}"),
         ("wasted work avoided",
-         f"{_value(registry, 'serve.dag.wasted_work_avoided_s'):.1f} s"),
-        ("bootstop cancelled",
-         _fmt(_value(registry, "serve.dag.bootstop_cancelled"))),
-        ("bootstop savings",
-         f"{_value(registry, 'serve.dag.bootstop_savings'):.1%}"),
-        ("service-s saved",
-         f"{_value(registry, 'serve.dag.bootstop_saved_s'):.1f} s"),
+         f"{value('serve.dag.wasted_work_avoided_s'):.1f} s"),
+        ("bootstop cancelled", _fmt(value("serve.dag.bootstop_cancelled"))),
+        ("bootstop savings", f"{value('serve.dag.bootstop_savings'):.1%}"),
+        ("service-s saved", f"{value('serve.dag.bootstop_saved_s'):.1f} s"),
     ]
     note = " &#183; ".join(f"{_esc(k)} {_esc(v)}" for k, v in headline)
     parts = [f'<p class="chart-note">{note}</p>']
     # Stage lifecycle log: submissions, cache hits, bootstop, resolution.
-    events = [
-        r for r in (tracer.records if tracer is not None else ())
-        if r.category == "serve" and (r.event in _WORKFLOW_EVENTS
-                                      or r.event == "workflow-cancel")
-    ]
     if events:
-        rows = []
-        shown = [r for r in events if r.event != "workflow-cancel"]
+        shown = [r for r in events if r[3] != "workflow-cancel"]
         cancels = len(events) - len(shown)
-        for r in shown[:200]:
-            detail = "; ".join(f"{k}={v}" for k, v in sorted(r.data))
-            chip = ("good" if r.event in ("cache-hit", "bootstop-converged",
-                                          "workflow-done")
-                    else "warning")
-            rows.append(
-                f'<tr><td class="mono">{r.time:.1f} s</td>'
-                f'<td><span class="chip {chip}">{_esc(r.event)}</span></td>'
-                f'<td class="mono">{_esc(r.actor)}</td>'
-                f'<td>{_esc(_WORKFLOW_EVENTS[r.event])}'
-                f'<div class="evidence">{_esc(detail)}</div></td></tr>'
-            )
-        parts.append(
-            '<table><thead><tr><th>time</th><th>event</th><th>actor</th>'
-            '<th>detail</th></tr></thead>'
-            f'<tbody>{"".join(rows)}</tbody></table>'
-        )
+        parts.append(_serve_log(shown, WORKFLOW_EVENTS, _WORKFLOW_CHIPS,
+                                "workflow events"))
         if cancels:
             parts.append(
                 f'<p class="chart-note">{cancels} workflow-cancel '
@@ -899,9 +723,9 @@ def _kernel_note(registry) -> str:
     """
     if registry is None or registry.get("run.kernel.pool_hit_rate") is None:
         return ""
-    pool = _value(registry, "run.kernel.pool_hit_rate")
-    batch = _value(registry, "run.kernel.batch_advance_fraction")
-    occ = _value(registry, "run.kernel.near_occupancy_p95")
+    pool = registry_value(registry, "run.kernel.pool_hit_rate")
+    batch = registry_value(registry, "run.kernel.batch_advance_fraction")
+    occ = registry_value(registry, "run.kernel.near_occupancy_p95")
     pool_chip = "good" if pool >= 0.9 else "warning"
     return (
         '<p class="chart-note">event kernel &#183; '
@@ -964,9 +788,7 @@ def _perf_html(profile: Optional[Dict[str, Any]], registry=None) -> str:
             f'x="{label_w + max(self_w, 1.0) + child_w + 6:.1f}" '
             f'y="{y + row_h - 6}">{row["total_s"] * 1e3:.1f} ms</text>'
         )
-    height = len(top) * (row_h + gap)
-    svg = (f'<svg viewBox="0 0 {_W} {height}" role="img" '
-           f'aria-label="Top wall-time layers">{"".join(parts)}</svg>')
+    svg = _svg(len(top) * (row_h + gap), "Top wall-time layers", parts)
     rows = []
     for name, row in top:
         rows.append(
@@ -977,12 +799,8 @@ def _perf_html(profile: Optional[Dict[str, Any]], registry=None) -> str:
             f'<td class="mono">{row["p50_us"]:.1f}</td>'
             f'<td class="mono">{row["p95_us"]:.1f}</td></tr>'
         )
-    table = (
-        '<table><thead><tr><th>layer</th><th>calls</th>'
-        '<th>total [ms]</th><th>self [ms]</th><th>p50 [us]</th>'
-        '<th>p95 [us]</th></tr></thead>'
-        f'<tbody>{"".join(rows)}</tbody></table>'
-    )
+    table = _table(("layer", "calls", "total [ms]", "self [ms]",
+                    "p50 [us]", "p95 [us]"), rows)
     legend = _legend([
         ("s1", "self (exclusive) time"),
         ("s3", "time in nested layers"),
@@ -1007,11 +825,7 @@ def _findings_table(findings: Sequence[HealthFinding]) -> str:
             f'<td>{_esc(f.summary)}'
             f'<div class="evidence">{_esc(evidence)}</div></td></tr>'
         )
-    return (
-        '<table><thead><tr><th>severity</th><th>detector</th>'
-        '<th>finding</th></tr></thead>'
-        f'<tbody>{"".join(rows)}</tbody></table>'
-    )
+    return _table(("severity", "detector", "finding"), rows)
 
 
 # -- page ---------------------------------------------------------------------
@@ -1122,19 +936,14 @@ def render_report(
     absent, keeping the section anchors stable).
     """
     findings = list(findings or [])
-    makespan = _makespan(tracer, registry)
-    n_spes = int(_value(registry, "run.n_spes", 0))
-    lanes = _spe_lanes(tracer, registry, makespan)
-    if n_spes == 0:
-        n_spes = len(lanes) or 8
-    u_series = _u_series(tracer)
-    threshold = n_spes / 2
+    run = read_run(tracer, registry)
+    value = partial(registry_value, registry)
     tiles = [
-        ("makespan", f"{_value(registry, 'run.makespan_s'):.2f} s"),
-        ("SPE utilization", f"{_value(registry, 'run.spe_utilization'):.0%}"),
-        ("off-loads", _fmt(_value(registry, "runtime.offloads"))),
-        ("LLP invocations", _fmt(_value(registry, "llp.invocations"))),
-        ("PPE fallbacks", _fmt(_value(registry, "runtime.ppe_fallbacks"))),
+        ("makespan", f"{value('run.makespan_s'):.2f} s"),
+        ("SPE utilization", f"{value('run.spe_utilization'):.0%}"),
+        ("off-loads", _fmt(value("runtime.offloads"))),
+        ("LLP invocations", _fmt(value("llp.invocations"))),
+        ("PPE fallbacks", _fmt(value("runtime.ppe_fallbacks"))),
         ("findings", str(len(findings))),
     ]
     tiles_html = "".join(
@@ -1144,28 +953,34 @@ def render_report(
     )
     sections = [
         ("findings", "Health findings", _findings_table(findings)),
-        ("gantt", "SPE utilization timeline", _gantt_svg(lanes, makespan)),
+        ("gantt", "SPE utilization timeline",
+         _gantt_svg(run.lanes, run.makespan)),
         ("u-series",
          "Window utilization U per MGPS decision",
-         _u_series_svg(u_series, n_spes, threshold)),
+         _u_series_svg(run.decisions, run.n_spes)),
         ("latency", "Off-load latency",
-         _latency_svg(registry) + _attribution_html(tracer)),
+         _histogram_svg(registry, "runtime.offload_latency_us", "s1",
+                        "latency", "us", "off-loads",
+                        "Off-load latency histogram",
+                        "No off-load latency samples recorded.", stats=True)
+         + _attribution_html(tracer, run.has_serve)),
         ("llp-adaptation",
          "LLP adaptive unbalancing",
-         _llp_schedule_note(tracer)
-         + _adaptation_svg(_adaptation_series(tracer))),
+         _llp_schedule_note(run.loops)
+         + _adaptation_svg(_adaptation_series(run.loops))),
     ]
-    serving = _serving_html(tracer, registry)
+    serving = _serving_html(run.ops_events, registry)
     if serving is not None:
         sections.append(("serving", "Serving layer", serving))
-    workflows = _workflows_html(tracer, registry)
+    workflows = _workflows_html(run.workflow_events, registry)
     if workflows is not None:
         sections.append(("workflows", "Workflow DAG", workflows))
     sections.append(
         ("perf", "Wall-time ledger", _perf_html(profile, registry))
     )
     sections.append(
-        ("faults", "Faults and recovery", _faults_html(tracer, registry))
+        ("faults", "Faults and recovery",
+         _faults_html(run.fault_events, registry))
     )
     body = "".join(
         f'<section id="{sid}"><h2>{_esc(heading)}</h2>{content}</section>'

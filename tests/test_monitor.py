@@ -7,6 +7,8 @@ detector; the threshold mini-language parses and rejects correctly;
 self-contained HTML file with the expected sections.
 """
 
+import inspect
+import pathlib
 import re
 
 import pytest
@@ -15,8 +17,10 @@ from repro.cli import main
 from repro.core.llp import LLPConfig
 from repro.core.runner import run_experiment
 from repro.core.schedulers import mgps
+from repro.obs import monitor as monitor_module
 from repro.obs import (
     HealthFinding,
+    HealthMonitor,
     MetricsRegistry,
     MonitorConfig,
     analyze_run,
@@ -281,6 +285,41 @@ class TestFindingOutput:
         f = HealthFinding("d", "critical", "s", {"a": 1})
         assert f.to_dict() == {"detector": "d", "severity": "critical",
                                "summary": "s", "evidence": {"a": 1}}
+
+
+# -- detector catalogue -------------------------------------------------------
+
+def _emitted_detectors():
+    """detector name -> the ``_detect_*`` method that emits it."""
+    out = {}
+    for attr in dir(HealthMonitor):
+        if attr.startswith("_detect_"):
+            source = inspect.getsource(getattr(HealthMonitor, attr))
+            (name,) = set(re.findall(r'detector="([a-z-]+)"', source))
+            out[name] = attr
+    return out
+
+
+class TestDetectorCatalogue:
+    def test_each_detector_is_named_after_its_method(self):
+        emitted = _emitted_detectors()
+        assert len(emitted) == 11
+        for name, attr in emitted.items():
+            assert attr == "_detect_" + name.replace("-", "_")
+
+    def test_module_docstring_lists_every_detector(self):
+        doc = monitor_module.__doc__
+        table = doc[doc.index("fires when"):doc.index("Findings are")]
+        listed = re.findall(r"^([a-z][a-z-]+)  ", table, flags=re.M)
+        assert sorted(listed) == sorted(_emitted_detectors())
+
+    def test_architecture_catalogue_lists_every_detector(self):
+        text = (pathlib.Path(__file__).parents[1] / "docs"
+                / "ARCHITECTURE.md").read_text()
+        section = text[text.index("### Detector catalogue"):]
+        section = section[:section.index("\n### ", 1)]
+        listed = re.findall(r"^\| `([a-z-]+)` \|", section, flags=re.M)
+        assert sorted(listed) == sorted(_emitted_detectors())
 
 
 # -- CLI: health / report -----------------------------------------------------
