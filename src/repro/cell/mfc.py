@@ -131,26 +131,3 @@ class MFC:
             startup = self.params.dma_startup * (1 + 0.2 * (n_req - 1))
             t = self._transfer_times[key] = startup + nbytes / bw
         return t
-
-    def transfer_time_with_retries(
-        self,
-        nbytes: int,
-        n_errors: int = 0,
-        concurrent: int = 1,
-        retry_penalty: float = 1.0,
-    ) -> float:
-        """Transfer time when ``n_errors`` DMA errors force re-issues.
-
-        Each error costs ``retry_penalty`` times the clean transfer time
-        (the MFC detects the fault after the transfer window, tears the
-        list down and re-issues it).  ``n_errors == 0`` is exactly
-        :meth:`transfer_time` — the fault-free path pays nothing.
-        """
-        if n_errors < 0:
-            raise ValueError("n_errors must be non-negative")
-        if retry_penalty < 0:
-            raise ValueError("retry_penalty must be non-negative")
-        base = self.transfer_time(nbytes, concurrent)
-        if n_errors == 0:
-            return base
-        return base * (1.0 + retry_penalty * n_errors)

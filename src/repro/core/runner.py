@@ -98,6 +98,113 @@ def _build_injector(env, machine, faults):
     return faults
 
 
+def _start_ranks(env, machine, runtime, n_procs, prefix, body):
+    """Start one process per rank, round-robin over the Cells.
+
+    A *pinned* policy (the Linux baseline and lookalikes) owns no SPE
+    pool: each process gets a per-CPU affinity and one pinned SPE.
+    ``body(ctx)`` is the rank's process generator.
+    """
+    pinned = runtime.policy.pinned
+    if pinned and n_procs > machine.n_spes:
+        raise ValueError(
+            f"the Linux baseline pins one SPE per process: "
+            f"{n_procs} processes > {machine.n_spes} SPEs"
+        )
+    procs = []
+    for rank in range(n_procs):
+        cell_id = rank % len(machine.cores)
+        core = machine.core_for(rank)
+        local_index = rank // len(machine.cores)  # position among this cell's procs
+        if pinned:
+            # Linux 2.6 keeps per-CPU run queues: processes effectively
+            # stick to one SMT context, producing Table 1's stair pattern.
+            affinity = local_index % core.n_contexts
+        else:
+            affinity = None
+        ctx = ProcContext(
+            rank=rank,
+            cell_id=cell_id,
+            thread=core.thread(f"{prefix}{rank}", affinity=affinity),
+        )
+        if pinned:
+            # Pin one SPE of the process's own Cell.
+            own = [s for s in machine.spes if s.cell_id == cell_id]
+            ctx.pinned_spe = own[local_index % len(own)]
+        procs.append(env.process(body(ctx), name=f"{prefix}{rank}"))
+    return procs
+
+
+def _run_to_result(
+    env, machine, runtime, injector, metrics, procs, scale, *,
+    scheduler, bootstraps, n_processes, extras,
+) -> ScheduleResult:
+    """Run the ranks to completion and assemble the blade run's result.
+
+    ``extras`` are the caller's own extras; the runtime's and, under a
+    fault plan, the fault-tolerance counters are added to them.
+    """
+    wall_start = time.perf_counter()
+    env.run_until_complete(env.all_of(procs))
+    sim_wall = time.perf_counter() - wall_start
+    raw = env.now
+
+    occupancy = (
+        sum(c.occupancy(raw) * c.n_contexts for c in machine.cores)
+        / sum(c.n_contexts for c in machine.cores)
+        if raw > 0
+        else 0.0
+    )
+    st = runtime.stats
+    if metrics is not None:
+        _publish_run_metrics(
+            metrics, env, machine, raw, scale, occupancy, sim_wall
+        )
+        metrics.gauge(
+            "run.live_spes", "SPEs still in service at run end"
+        ).set(machine.pool.n_live)
+    extras = {
+        **extras,
+        "granularity_throttled": float(runtime.granularity.throttled),
+        "llp_join_idle": runtime.llp_model.total_join_idle,
+        "llp_invocations_model": float(runtime.llp_model.invocations),
+    }
+    if injector is not None:
+        extras.update(
+            spe_kills=float(injector.kills_delivered),
+            spe_blacklists=float(st.spe_blacklists),
+            offload_retries=float(st.offload_retries),
+            retry_fallbacks=float(st.retry_fallbacks),
+            watchdog_timeouts=float(st.watchdog_timeouts),
+            dma_errors=float(st.dma_errors),
+            llp_recoveries=float(st.llp_recoveries),
+            live_spes=float(machine.pool.n_live),
+        )
+    return ScheduleResult(
+        scheduler=scheduler,
+        bootstraps=bootstraps,
+        n_processes=n_processes,
+        makespan=raw * scale,
+        raw_makespan=raw,
+        scale=scale,
+        spe_utilization=machine.spe_utilization(raw),
+        ppe_occupancy=occupancy,
+        offloads=st.offloads,
+        ppe_fallbacks=st.ppe_fallbacks,
+        offload_waits=st.offload_waits,
+        llp_invocations=st.llp_invocations,
+        llp_mode_switches=st.llp_mode_switches,
+        code_loads=st.code_loads,
+        ppe_context_switches=sum(c.switches for c in machine.cores),
+        per_spe_busy=tuple(s.utilization(raw) for s in machine.spes),
+        extras=extras,
+        result_digest=runtime.ledger.run_digest(),
+        bootstraps_completed=runtime.ledger.completed,
+        bootstrap_digests=runtime.ledger.bootstrap_digests(),
+        events_processed=env.events_processed,
+    )
+
+
 def run_experiment(
     spec: SchedulerSpec,
     workload: Workload,
@@ -125,104 +232,16 @@ def run_experiment(
     machine = CellMachine(env, blade)
     injector = _build_injector(env, machine, faults)
     runtime = spec.build(env, machine, faults=injector, tolerance=tolerance)
-
-    # A *pinned* policy (the Linux baseline and lookalikes) owns no SPE
-    # pool: each process gets a per-CPU affinity and one pinned SPE.
-    pinned = runtime.policy.pinned
     n_procs = spec.default_processes(machine.n_spes, workload.bootstraps)
-    if pinned and n_procs > machine.n_spes:
-        raise ValueError(
-            f"the Linux baseline pins one SPE per process: "
-            f"{n_procs} processes > {machine.n_spes} SPEs"
-        )
-
     dispenser = WorkDispenser(env, workload.bootstraps, n_procs)
-    procs = []
-    for rank in range(n_procs):
-        cell_id = rank % len(machine.cores)
-        core = machine.core_for(rank)
-        local_index = rank // len(machine.cores)  # position among this cell's procs
-        if pinned:
-            # Linux 2.6 keeps per-CPU run queues: processes effectively
-            # stick to one SMT context, producing Table 1's stair pattern.
-            affinity = local_index % core.n_contexts
-        else:
-            affinity = None
-        ctx = ProcContext(
-            rank=rank,
-            cell_id=cell_id,
-            thread=core.thread(f"mpi{rank}", affinity=affinity),
-        )
-        if pinned:
-            # Pin one SPE of the process's own Cell.
-            own = [s for s in machine.spes if s.cell_id == cell_id]
-            ctx.pinned_spe = own[local_index % len(own)]
-        procs.append(
-            env.process(
-                mpi_worker(ctx, runtime, dispenser, workload),
-                name=f"mpi{rank}",
-            )
-        )
-
-    wall_start = time.perf_counter()
-    env.run_until_complete(env.all_of(procs))
-    sim_wall = time.perf_counter() - wall_start
-    raw = env.now
-    scale = workload.scale
-
-    per_spe = tuple(s.utilization(raw) for s in machine.spes)
-    occupancy = (
-        sum(c.occupancy(raw) * c.n_contexts for c in machine.cores)
-        / sum(c.n_contexts for c in machine.cores)
-        if raw > 0
-        else 0.0
+    procs = _start_ranks(
+        env, machine, runtime, n_procs, "mpi",
+        lambda ctx: mpi_worker(ctx, runtime, dispenser, workload),
     )
-    st = runtime.stats
-    if metrics is not None:
-        _publish_run_metrics(
-            metrics, env, machine, raw, scale, occupancy, sim_wall
-        )
-        metrics.gauge(
-            "run.live_spes", "SPEs still in service at run end"
-        ).set(machine.pool.n_live)
-    extras = {
-        "granularity_throttled": float(runtime.granularity.throttled),
-        "llp_join_idle": runtime.llp_model.total_join_idle,
-        "llp_invocations_model": float(runtime.llp_model.invocations),
-    }
-    if injector is not None:
-        extras.update(
-            spe_kills=float(injector.kills_delivered),
-            spe_blacklists=float(st.spe_blacklists),
-            offload_retries=float(st.offload_retries),
-            retry_fallbacks=float(st.retry_fallbacks),
-            watchdog_timeouts=float(st.watchdog_timeouts),
-            dma_errors=float(st.dma_errors),
-            llp_recoveries=float(st.llp_recoveries),
-            live_spes=float(machine.pool.n_live),
-        )
-    return ScheduleResult(
-        scheduler=spec.name,
-        bootstraps=workload.bootstraps,
-        n_processes=n_procs,
-        makespan=raw * scale,
-        raw_makespan=raw,
-        scale=scale,
-        spe_utilization=machine.spe_utilization(raw),
-        ppe_occupancy=occupancy,
-        offloads=st.offloads,
-        ppe_fallbacks=st.ppe_fallbacks,
-        offload_waits=st.offload_waits,
-        llp_invocations=st.llp_invocations,
-        llp_mode_switches=st.llp_mode_switches,
-        code_loads=st.code_loads,
-        ppe_context_switches=sum(c.switches for c in machine.cores),
-        per_spe_busy=per_spe,
-        extras=extras,
-        result_digest=runtime.ledger.run_digest(),
-        bootstraps_completed=runtime.ledger.completed,
-        bootstrap_digests=runtime.ledger.bootstrap_digests(),
-        events_processed=env.events_processed,
+    return _run_to_result(
+        env, machine, runtime, injector, metrics, procs, workload.scale,
+        scheduler=spec.name, bootstraps=workload.bootstraps,
+        n_processes=n_procs, extras={},
     )
 
 
@@ -240,7 +259,8 @@ def run_bsp_experiment(
 
     One software thread per BSP rank; iterations are separated by a
     global barrier.  Reported times are scaled by ``workload.scale``
-    (1.0 by default: BSP workloads are simulated in full).
+    (1.0 by default: BSP workloads are simulated in full).  ``faults``
+    and ``tolerance`` work as in :func:`run_experiment`.
     """
     from ..mpi.process import bsp_worker
     from ..sim.resources import Barrier
@@ -249,75 +269,16 @@ def run_bsp_experiment(
     machine = CellMachine(env, blade)
     injector = _build_injector(env, machine, faults)
     runtime = spec.build(env, machine, faults=injector, tolerance=tolerance)
-    pinned = runtime.policy.pinned
-    if pinned and workload.n_processes > machine.n_spes:
-        raise ValueError("the Linux baseline pins one SPE per process")
-
     barrier = Barrier(env, workload.n_processes)
-    procs = []
-    for rank in range(workload.n_processes):
-        cell_id = rank % len(machine.cores)
-        core = machine.core_for(rank)
-        local_index = rank // len(machine.cores)
-        affinity = (
-            local_index % core.n_contexts if pinned else None
-        )
-        ctx = ProcContext(
-            rank=rank,
-            cell_id=cell_id,
-            thread=core.thread(f"bsp{rank}", affinity=affinity),
-        )
-        if pinned:
-            own = [s for s in machine.spes if s.cell_id == cell_id]
-            ctx.pinned_spe = own[local_index % len(own)]
-        procs.append(
-            env.process(
-                bsp_worker(ctx, runtime, workload, barrier),
-                name=f"bsp{rank}",
-            )
-        )
-
-    wall_start = time.perf_counter()
-    env.run_until_complete(env.all_of(procs))
-    sim_wall = time.perf_counter() - wall_start
-    raw = env.now
-    scale = workload.scale
-    st = runtime.stats
-    occupancy = (
-        sum(c.occupancy(raw) * c.n_contexts for c in machine.cores)
-        / sum(c.n_contexts for c in machine.cores)
-        if raw > 0
-        else 0.0
+    procs = _start_ranks(
+        env, machine, runtime, workload.n_processes, "bsp",
+        lambda ctx: bsp_worker(ctx, runtime, workload, barrier),
     )
-    if metrics is not None:
-        _publish_run_metrics(
-            metrics, env, machine, raw, scale, occupancy, sim_wall
-        )
-    return ScheduleResult(
-        scheduler=spec.name,
-        bootstraps=workload.iterations,
+    return _run_to_result(
+        env, machine, runtime, injector, metrics, procs, workload.scale,
+        scheduler=spec.name, bootstraps=workload.iterations,
         n_processes=workload.n_processes,
-        makespan=raw * scale,
-        raw_makespan=raw,
-        scale=scale,
-        spe_utilization=machine.spe_utilization(raw),
-        ppe_occupancy=occupancy,
-        offloads=st.offloads,
-        ppe_fallbacks=st.ppe_fallbacks,
-        offload_waits=st.offload_waits,
-        llp_invocations=st.llp_invocations,
-        llp_mode_switches=st.llp_mode_switches,
-        code_loads=st.code_loads,
-        ppe_context_switches=sum(c.switches for c in machine.cores),
-        per_spe_busy=tuple(s.utilization(raw) for s in machine.spes),
-        extras={
-            "barrier_generations": float(workload.iterations),
-            "granularity_throttled": float(runtime.granularity.throttled),
-        },
-        result_digest=runtime.ledger.run_digest(),
-        bootstraps_completed=runtime.ledger.completed,
-        bootstrap_digests=runtime.ledger.bootstrap_digests(),
-        events_processed=env.events_processed,
+        extras={"barrier_generations": float(workload.iterations)},
     )
 
 

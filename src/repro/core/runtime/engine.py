@@ -4,10 +4,18 @@ One :class:`OffloadEngine` drives the :class:`~repro.cell.CellMachine`
 for all schedulers.  It owns everything the paper's runtimes have in
 common — SPE acquisition against the pool, code-image residency, working
 set staging (DMA timing), the granularity test, cross-task memory
-contention, the result ledger, and the *single* fault-tolerant off-load
-path (retry/backoff/watchdog/PPE-fallback/blacklist) — and delegates
-every decision to a bound
-:class:`~repro.core.runtime.policy.SchedulingPolicy`.
+contention, the result ledger, and the fault-tolerant off-load
+(retry/backoff/watchdog/PPE-fallback/blacklist) — and delegates every
+decision to a bound :class:`~repro.core.runtime.policy.SchedulingPolicy`.
+
+An off-load is one SPE execution body, :meth:`OffloadEngine._spe_exec`
+(signal, code image, data staging, the task or its LLP split, signal
+back), behind two off-load paths that share its dispatch and departure steps:
+``offload`` runs it inline in the dispatching process when no fault
+plan is attached, and ``_offload_tolerant`` runs it as a process raced
+against a watchdog when one is.  The body's fault hooks sit behind
+``faults is not None`` guards, so a fault-free run pays nothing for
+them.
 
 Two policy attributes select the wait discipline without duplicating the
 off-load path per scheduler:
@@ -94,9 +102,11 @@ class OffloadEngine:
         self.stats = RuntimeStats()
         self._active_sources: Set[int] = set()
         # Fault tolerance: ``faults`` is the injector realizing a plan on
-        # this machine (None = fault-free fast path, byte-identical to the
-        # pre-fault-tolerance runtime); ``tolerance`` configures the
-        # retry/watchdog/blacklist/fallback machinery.
+        # this machine.  None skips every guarded fault hook in
+        # ``_spe_exec`` and selects the inline off-load path, byte-identical to
+        # the pre-fault-tolerance runtime; ``tolerance`` configures the
+        # retry/watchdog/blacklist/fallback machinery of the tolerant
+        # path.
         self.faults = faults
         self.tolerance = tolerance or TolerancePolicy()
         self._consec_failures: Dict[str, int] = {}
@@ -252,13 +262,35 @@ class OffloadEngine:
         task: TaskSpec,
         trace: BootstrapTrace,
         release: bool,
-    ) -> Generator[Event, None, None]:
-        """Run ``task`` on ``spe`` (with optional LLP workers), inline in
-        the dispatching process."""
+    ) -> Generator[Event, None, str]:
+        """Run ``task`` on ``spe`` (with optional LLP workers).
+
+        The one SPE execution behind both off-load paths: :meth:`offload` runs
+        it inline in the dispatching process, :meth:`_offload_tolerant`
+        as a process raced against its watchdog.  Returns ``"ok"`` or,
+        under a fault plan, why the attempt failed: ``"offload-fail"``
+        (transient dispatch loss), ``"dma-fail"`` (transfer abandoned) or
+        ``"spe-dead"`` (master died before or during execution).  It
+        reports failure by status rather than by raising (the simulation
+        runs strict, so an exception would abort the whole run), and it
+        returns its SPEs itself, so a watchdog-abandoned attempt cleans
+        up after itself when it eventually finishes.
+
+        Every fault hook sits behind ``faults is not None``: a fault-free
+        run makes no extra call and no extra yield.
+        """
         env = self.env
+        faults = self.faults
+        if faults is not None:
+            death = faults.death_time(spe)
+            if death <= env.now or not spe.in_service:
+                return self._give_back(spe, workers, release, "spe-dead")
         # PPE <-> SPE signal latency, paid at start and at completion.
         signal = self.machine.signal_latency(ctx.cell_id, spe)
         yield env.timeout(signal)
+        # Transient dispatch loss: the descriptor/signal never arrives.
+        if faults is not None and faults.offload_fails(spe):
+            return self._give_back(spe, workers, release, "offload-fail")
         # Make the right code image resident (t_code; Section 5.4 notes the
         # replacement cost when toggling between serial and LLP variants).
         image = trace.llp_image if workers else trace.code_image
@@ -269,7 +301,12 @@ class OffloadEngine:
             self.stats.code_loads += 1
             if self._metrics_on:
                 self._m_code_loads.inc()
+            ok = True
+            if faults is not None:
+                t_load, ok = self._faulty_dma_time(spe, t_load)
             yield env.timeout(t_load)
+            if not ok:
+                return self._give_back(spe, workers, release, "dma-fail")
 
         # Stage the task's working set (memory-aware extension): a hit
         # costs nothing, a miss pays the DMA of the data set.
@@ -280,7 +317,13 @@ class OffloadEngine:
                 self.stats.data_bytes_transferred += moved
                 if self._metrics_on:
                     self._m_data_misses.inc()
-                yield env.timeout(spe.mfc.transfer_time(moved))
+                t_data = spe.mfc.transfer_time(moved)
+                ok = True
+                if faults is not None:
+                    t_data, ok = self._faulty_dma_time(spe, t_data)
+                yield env.timeout(t_data)
+                if not ok:
+                    return self._give_back(spe, workers, release, "dma-fail")
             else:
                 self.stats.data_hits += 1
                 if self._metrics_on:
@@ -307,6 +350,10 @@ class OffloadEngine:
                     schedule=inv.schedule,
                     chunk_counts=inv.chunk_counts,
                 )
+            if faults is not None and task.loop is not None:
+                duration = self._reclaim_dead_chunks(
+                    spe, workers, task, inv.chunks, duration
+                )
         else:
             duration = self._exec_time(task)
         owner = ctx.owner
@@ -320,6 +367,9 @@ class OffloadEngine:
             self.cell.memory_contention_cap,
             self.cell.memory_contention_quadratic * busy_others**2,
         )
+        if faults is not None:
+            # Slow-SPE noise: multiplicative service-time perturbation.
+            duration *= faults.service_factor(spe)
 
         for w in workers:
             w.mark_busy(owner)
@@ -334,6 +384,30 @@ class OffloadEngine:
                     env.now, "spe", w.name, "task_start",
                     proc=ctx.rank, function=task.function, role="worker",
                 )
+        if faults is not None and death < env.now + duration:
+            # Master death inside the busy window loses the task: occupy
+            # the SPE only until its planned death, then report the
+            # failure.  The workers go idle with it.
+            avail = max(0.0, death - env.now)
+            spe.mark_busy(owner)
+            try:
+                if avail > 0:
+                    yield env.timeout(avail)
+            finally:
+                spe.mark_idle()
+                for w in workers:
+                    w.mark_idle()
+            if self.tracer is not None:
+                self.tracer.emit(
+                    env.now, "spe", spe.name, "task_abort",
+                    proc=ctx.rank, function=task.function, reason="spe_kill",
+                )
+                for w in workers:
+                    self.tracer.emit(
+                        env.now, "spe", w.name, "task_end",
+                        proc=ctx.rank, function=task.function, role="worker",
+                    )
+            return self._give_back(spe, workers, release, "spe-dead")
         try:
             yield from spe.occupy(duration, owner)
         finally:
@@ -359,6 +433,18 @@ class OffloadEngine:
         self.granularity.record_spe(task.function, base_duration)
         # SPE -> PPE completion signal.
         yield env.timeout(signal)
+        return "ok"
+
+    def _give_back(
+        self, spe: SPE, workers: List[SPE], release: bool, status: str
+    ) -> str:
+        """Return a failed attempt's SPEs to the pool when it owns them;
+        passes ``status`` through for the execution to return."""
+        if release:
+            for w in workers:
+                self.machine.pool.release(w)
+            self.machine.pool.release(spe)
+        return status
 
     def _ppe_fallback(
         self, ctx: ProcContext, task: TaskSpec
@@ -384,7 +470,8 @@ class OffloadEngine:
         One path for every scheduler: pinned policies use the process's
         own SPE and skip the pool; spinning policies busy-wait on the
         PPE; everyone else blocks.  With a fault plan attached the
-        tolerant twin below takes over.
+        tolerant path below takes over; both paths share the
+        dispatch steps, the SPE execution and the departure steps.
 
         The SPE execution runs inside the calling process rather than
         as a process of its own, which saves the kernel its start and
@@ -395,8 +482,7 @@ class OffloadEngine:
         an interrupt thrown into the calling process while it waits on
         the SPE lands inside the execution.
         """
-        pinned = self.policy.pinned
-        if pinned and ctx.pinned_spe is None:
+        if self.policy.pinned and ctx.pinned_spe is None:
             raise RuntimeError(f"process {ctx.rank} has no pinned SPE")
         decision = self.granularity.decide(task)
         if (
@@ -412,22 +498,9 @@ class OffloadEngine:
         with self.spans.span("proc", ctx.actor, "offload") as sp:
             if self.tracer is not None:
                 sp.set(function=task.function, reason=decision.reason)
-            # The process writes the task descriptor / finds an SPE and
-            # ships the descriptor — user-level scheduler work either way.
-            yield ctx.thread.run(self.cell.dispatch_overhead)
-            if pinned:
-                spe, workers, release = ctx.pinned_spe, [], False
-            else:
-                spe = yield from self._acquire_spe(ctx, task)
-                workers = self._acquire_workers(ctx, spe, task)
-                if self.tracer is not None:
-                    sp.set(spe=spe.name, llp_degree=1 + len(workers))
-                release = True
-            self.stats.offloads += 1
-            if self._metrics_on:
-                self._m_offloads.inc()
-            start = self.env.now
-            self.policy.on_dispatch(start)
+            spe, workers, release, start = yield from self._dispatch(
+                ctx, task, sp
+            )
             if self.policy.spin:
                 # Busy-wait: the MPI process holds its PPE context while
                 # the SPE computes (the baseline's whole pathology).  The
@@ -445,12 +518,46 @@ class OffloadEngine:
                 # serves the next runnable MPI process.
                 yield from self._spe_exec(ctx, spe, workers, task, trace,
                                           release)
-            self.policy.on_departure(start, self.env.now)
-            if self._metrics_on:
-                self._m_offload_latency.observe((self.env.now - start) * 1e6)
-            # Completion handling on the PPE before the process continues
-            # (Section 5.2's t_comm bookkeeping on the PPE side).
-            yield ctx.thread.run(self.cell.completion_overhead)
+            yield self._depart(ctx, start)
+
+    def _dispatch(
+        self, ctx: ProcContext, task: TaskSpec, sp
+    ) -> Generator[Event, None, Optional[tuple]]:
+        """The dispatch steps both off-load paths share, up to the execution.
+
+        Returns ``(spe, workers, release, start)``, or ``None`` when no
+        live SPE is left to acquire (possible only under a fault plan).
+        """
+        # The process writes the task descriptor / finds an SPE and
+        # ships the descriptor — user-level scheduler work either way.
+        yield ctx.thread.run(self.cell.dispatch_overhead)
+        if self.policy.pinned:
+            spe, workers, release = ctx.pinned_spe, [], False
+        else:
+            spe = yield from self._acquire_spe(ctx, task)
+            if spe is None:
+                return None
+            workers = self._acquire_workers(ctx, spe, task)
+            if self.tracer is not None:
+                sp.set(spe=spe.name, llp_degree=1 + len(workers))
+            release = True
+        self.stats.offloads += 1
+        if self._metrics_on:
+            self._m_offloads.inc()
+        start = self.env.now
+        self.policy.on_dispatch(start)
+        return spe, workers, release, start
+
+    def _depart(self, ctx: ProcContext, start: float) -> Event:
+        """The departure steps both off-load paths share after a successful
+        execution; returns the PPE completion-handling event to wait on."""
+        now = self.env.now
+        self.policy.on_departure(start, now)
+        if self._metrics_on:
+            self._m_offload_latency.observe((now - start) * 1e6)
+        # Completion handling on the PPE before the process continues
+        # (Section 5.2's t_comm bookkeeping on the PPE side).
+        return ctx.thread.run(self.cell.completion_overhead)
 
     # -- fault-tolerant mechanics ---------------------------------------------
     def _note_spe_failure(self, spe: SPE) -> None:
@@ -490,10 +597,11 @@ class OffloadEngine:
     def _faulty_dma_time(self, spe: SPE, base: float) -> "tuple[float, bool]":
         """(time to pay, succeeded) for one DMA under the fault plan.
 
-        Mirrors :meth:`~repro.cell.mfc.MFC.transfer_time_with_retries`
-        for a transfer whose clean duration is already known: each error
-        costs ``dma_retry_penalty`` extra transfers; more errors than the
-        policy absorbs means the transfer is abandoned.
+        ``base`` is the transfer's clean duration.  Each error costs
+        ``dma_retry_penalty`` extra transfers (the MFC detects the fault
+        after the transfer window, tears the list down and re-issues
+        it); more errors than the policy absorbs means the transfer is
+        abandoned.
         """
         errors = self.faults.dma_errors(spe, self.tolerance.max_dma_retries)
         if errors == 0:
@@ -502,202 +610,58 @@ class OffloadEngine:
         t = base * (1.0 + self.faults.plan.dma_retry_penalty * errors)
         return t, errors <= self.tolerance.max_dma_retries
 
-    def _spe_exec_faulty(
+    def _reclaim_dead_chunks(
         self,
-        ctx: ProcContext,
         spe: SPE,
         workers: List[SPE],
         task: TaskSpec,
-        trace: BootstrapTrace,
-        release: bool,
-    ) -> Generator[Event, None, str]:
-        """Fault-aware twin of :meth:`_spe_exec`; a process.
+        chunks: "tuple[int, ...]",
+        duration: float,
+    ) -> float:
+        """Mid-loop recovery; returns the loop's duration after it.
 
-        Returns a status string as the process value instead of raising
-        (the simulation runs strict, so an exception here would abort the
-        whole run): ``"ok"``, ``"offload-fail"`` (transient dispatch
-        loss), ``"dma-fail"`` (transfer abandoned), ``"spe-dead"``
-        (master died before or during execution).  Always returns its
-        resources — released here, not by the dispatching process, so a
-        watchdog-abandoned attempt cleans up after itself when it
-        eventually finishes.
+        A worker that dies inside the busy window forfeits the
+        unexecuted tail of its chunk; the master reclaims and re-executes
+        those iterations serially after the join (plus a signal to
+        detect the loss).
         """
-        env = self.env
-        faults = self.faults
-        policy = self.tolerance
-
-        def _give_back() -> None:
-            if release:
-                for w in workers:
-                    self.machine.pool.release(w)
-                self.machine.pool.release(spe)
-
-        death = faults.death_time(spe)
-        if death <= env.now or not spe.in_service:
-            _give_back()
-            return "spe-dead"
-
-        # PPE <-> SPE signal latency, paid at start and at completion.
-        signal = self.machine.signal_latency(ctx.cell_id, spe)
-        yield env.timeout(signal)
-        # Transient dispatch loss: the descriptor/signal never arrives.
-        if faults.offload_fails(spe):
-            _give_back()
-            return "offload-fail"
-
-        image = trace.llp_image if workers else trace.code_image
-        t_load = spe.load_code(image)
-        for w in workers:
-            t_load = max(t_load, w.load_code(trace.llp_image))
-        if t_load > 0:
-            self.stats.code_loads += 1
-            if self._metrics_on:
-                self._m_code_loads.inc()
-            t_load, ok = self._faulty_dma_time(spe, t_load)
-            yield env.timeout(t_load)
-            if not ok:
-                _give_back()
-                return "dma-fail"
-
-        if task.working_set > 0 and task.data_key is not None:
-            moved = spe.load_data(task.data_key, task.working_set)
-            if moved:
-                self.stats.data_misses += 1
-                self.stats.data_bytes_transferred += moved
-                if self._metrics_on:
-                    self._m_data_misses.inc()
-                errors = faults.dma_errors(spe, policy.max_dma_retries)
-                if errors:
-                    self.stats.dma_errors += errors
-                yield env.timeout(
-                    spe.mfc.transfer_time_with_retries(
-                        moved,
-                        n_errors=errors,
-                        retry_penalty=faults.plan.dma_retry_penalty,
-                    )
-                )
-                if errors > policy.max_dma_retries:
-                    _give_back()
-                    return "dma-fail"
-            else:
-                self.stats.data_hits += 1
-                if self._metrics_on:
-                    self._m_data_hits.inc()
-
-        if workers:
-            cross = sum(1 for w in workers if w.cell_id != spe.cell_id)
-            inv = self.llp_model.invoke(task, 1 + len(workers), cross,
-                                         actor=spe.name)
-            duration = inv.duration
-            self.stats.llp_invocations += 1
-            self.stats.llp_worker_seconds += duration * len(workers)
+        now = self.env.now
+        t_iter = task.spe_time * task.loop.coverage / task.loop.iterations
+        for j, w in enumerate(workers):
+            # The window grows with each reclaimed chunk.
+            w_death = self.faults.death_time(w)
+            if w_death >= now + duration:
+                continue
+            frac = (
+                1.0
+                if duration <= 0
+                else (now + duration - max(w_death, now)) / duration
+            )
+            chunk = chunks[j + 1] if j + 1 < len(chunks) else 0
+            reclaimed = int(math.ceil(chunk * min(1.0, frac)))
+            extra = reclaimed * t_iter + self.machine.spe_signal_latency(
+                w, spe
+            )
+            duration += extra
+            self.stats.llp_recoveries += 1
+            self._m_llp_recoveries.inc()
             if self.tracer is not None:
                 self.tracer.emit(
-                    env.now, "llp", spe.name, "llp_invoke",
-                    function=task.function, k=inv.k,
-                    join_idle_us=inv.join_idle * 1e6,
-                    master_fraction=inv.master_fraction,
-                    chunks=inv.chunks,
-                    schedule=inv.schedule,
-                    chunk_counts=inv.chunk_counts,
+                    now, "fault", spe.name, "llp_recovery",
+                    worker=w.name, died_at=w_death,
+                    reclaimed_iterations=reclaimed,
+                    extra_seconds=extra,
                 )
-            # Mid-loop recovery: a worker that dies inside the busy
-            # window forfeits the unexecuted tail of its chunk; the
-            # master reclaims and re-executes those iterations serially
-            # after the join (plus a signal to detect the loss).
-            if task.loop is not None:
-                t_iter = (
-                    task.spe_time * task.loop.coverage / task.loop.iterations
-                )
-                for j, w in enumerate(workers):
-                    w_death = faults.death_time(w)
-                    if w_death >= env.now + duration:
-                        continue
-                    frac = (
-                        1.0
-                        if duration <= 0
-                        else (env.now + duration - max(w_death, env.now))
-                        / duration
-                    )
-                    chunk = inv.chunks[j + 1] if j + 1 < len(inv.chunks) else 0
-                    reclaimed = int(math.ceil(chunk * min(1.0, frac)))
-                    extra = reclaimed * t_iter + self.machine.spe_signal_latency(
-                        w, spe
-                    )
-                    duration += extra
-                    self.stats.llp_recoveries += 1
-                    self._m_llp_recoveries.inc()
-                    if self.tracer is not None:
-                        self.tracer.emit(
-                            env.now, "fault", spe.name, "llp_recovery",
-                            worker=w.name, died_at=w_death,
-                            reclaimed_iterations=reclaimed,
-                            extra_seconds=extra,
-                        )
-        else:
-            duration = self._exec_time(task)
-
-        owner = ctx.owner
-        busy_others = self.machine.busy_others(spe.cell_id, owner)
-        base_duration = duration
-        duration *= 1.0 + min(
-            self.cell.memory_contention_cap,
-            self.cell.memory_contention_quadratic * busy_others**2,
-        )
-        # Slow-SPE noise: multiplicative service-time perturbation.
-        duration *= faults.service_factor(spe)
-
-        for w in workers:
-            w.mark_busy(owner)
-        if self.tracer is not None:
-            self.tracer.emit(
-                env.now, "spe", spe.name, "task_start",
-                proc=ctx.rank, function=task.function, duration=duration,
-                workers=tuple(w.name for w in workers),
-            )
-        # Master death inside the busy window loses the task: occupy the
-        # SPE only until its planned death, then report the failure.
-        if death < env.now + duration:
-            avail = max(0.0, death - env.now)
-            spe.mark_busy(owner)
-            try:
-                if avail > 0:
-                    yield env.timeout(avail)
-            finally:
-                spe.mark_idle()
-                for w in workers:
-                    w.mark_idle()
-            if self.tracer is not None:
-                self.tracer.emit(
-                    env.now, "spe", spe.name, "task_abort",
-                    proc=ctx.rank, function=task.function, reason="spe_kill",
-                )
-            _give_back()
-            return "spe-dead"
-
-        try:
-            yield from spe.occupy(duration, owner)
-        finally:
-            for w in workers:
-                w.mark_idle()
-        if self.tracer is not None:
-            self.tracer.emit(
-                env.now, "spe", spe.name, "task_end",
-                proc=ctx.rank, function=task.function,
-            )
-        _give_back()
-        self.granularity.record_spe(task.function, base_duration)
-        # SPE -> PPE completion signal.
-        yield env.timeout(signal)
-        return "ok"
+        return duration
 
     def _offload_tolerant(
         self, ctx: ProcContext, task: TaskSpec, trace: BootstrapTrace, decision
     ) -> Generator[Event, None, None]:
         """THE fault-tolerant off-load path — the only one in the tree.
 
-        Each attempt dispatches and observes the outcome under the
-        policy's discipline:
+        It shares :meth:`_dispatch`, :meth:`_spe_exec` and
+        :meth:`_depart` with the fault-free path and differs in how it
+        observes each attempt:
 
         * *pinned* policies retry against the same SPE (the baseline has
           no pool to fail over to; a dead or blacklisted pinned SPE means
@@ -705,9 +669,10 @@ class OffloadEngine:
           *spinning* process observes the attempt's fate directly, so no
           watchdog is armed;
         * *pooled* policies acquire a (possibly different) SPE per
-          attempt and race the execution against a watchdog deadline; a
-          watchdog-abandoned attempt becomes a harmless zombie that
-          releases its SPE when it eventually finishes.
+          attempt and race the execution, run as a process of its own,
+          against a watchdog deadline; a watchdog-abandoned attempt
+          becomes a harmless zombie that releases its SPE when it
+          eventually finishes.
 
         Failed attempts back off exponentially in simulated time; after
         ``max_attempts`` failures — or when no live SPE remains — the
@@ -716,7 +681,7 @@ class OffloadEngine:
         env = self.env
         tol = self.tolerance
         pinned = self.policy.pinned
-        spe = ctx.pinned_spe if pinned else None
+        spe = ctx.pinned_spe
         with self.spans.span("proc", ctx.actor, "offload") as sp:
             if self.tracer is not None:
                 sp.set(function=task.function, reason=decision.reason)
@@ -732,29 +697,13 @@ class OffloadEngine:
                         "offload_attempt",
                         function=task.function, attempt=attempt,
                     )
-                if pinned:
-                    yield ctx.thread.run(self.cell.dispatch_overhead)
-                    workers: List[SPE] = []
-                    release = False
-                else:
-                    yield ctx.thread.run(self.cell.dispatch_overhead)
-                    spe = yield from self._acquire_spe(ctx, task)
-                    if spe is None:
-                        # Capacity exhausted: every SPE dead or blacklisted.
-                        break
-                    workers = self._acquire_workers(ctx, spe, task)
-                    if self.tracer is not None:
-                        sp.set(spe=spe.name, llp_degree=1 + len(workers))
-                    release = True
-                self.stats.offloads += 1
-                if self._metrics_on:
-                    self._m_offloads.inc()
-                start = env.now
-                self.policy.on_dispatch(start)
+                dispatched = yield from self._dispatch(ctx, task, sp)
+                if dispatched is None:
+                    # Capacity exhausted: every SPE dead or blacklisted.
+                    break
+                spe, workers, release, start = dispatched
                 done = env.process(
-                    self._spe_exec_faulty(
-                        ctx, spe, workers, task, trace, release=release
-                    ),
+                    self._spe_exec(ctx, spe, workers, task, trace, release),
                     name=ctx.exec_name,
                 )
                 if self.policy.spin:
@@ -770,12 +719,7 @@ class OffloadEngine:
                     )
                 if winner is done and status == "ok":
                     self._note_spe_success(spe)
-                    self.policy.on_departure(start, env.now)
-                    if self._metrics_on:
-                        self._m_offload_latency.observe(
-                            (env.now - start) * 1e6
-                        )
-                    yield ctx.thread.run(self.cell.completion_overhead)
+                    yield self._depart(ctx, start)
                     return
                 if status == "watchdog-timeout":
                     self.stats.watchdog_timeouts += 1

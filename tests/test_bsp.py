@@ -4,6 +4,8 @@ import pytest
 
 from repro.core import run_bsp_experiment
 from repro.core.schedulers import edtlp, linux, mgps, static_hybrid
+from repro.faults import FaultPlan, SPEKill
+from repro.obs.metrics import MetricsRegistry
 from repro.sim import Barrier, Environment
 from repro.workloads import BSPWorkload
 
@@ -137,3 +139,22 @@ class TestBSPExperiments:
         wl = BSPWorkload(n_processes=9, iterations=1)
         with pytest.raises(ValueError):
             run_bsp_experiment(linux(), wl)
+
+    def test_faulted_run_reports_fault_extras(self):
+        wl = self._wl(imbalance=1.0)
+        clean = run_bsp_experiment(mgps(), wl)
+        metrics = MetricsRegistry()
+        r = run_bsp_experiment(
+            mgps(), wl, metrics=metrics,
+            faults=FaultPlan(offload_fail_rate=0.05,
+                             spe_kills=(SPEKill(2, 2e-4),)),
+        )
+        assert r.result_digest == clean.result_digest
+        assert r.extras["barrier_generations"] == 4
+        assert r.extras["spe_kills"] == 1
+        assert r.extras["offload_retries"] > 0
+        assert r.extras["live_spes"] == 7
+        for key in ("spe_blacklists", "retry_fallbacks", "watchdog_timeouts",
+                    "dma_errors", "llp_recoveries"):
+            assert key in r.extras
+        assert metrics.snapshot()["run.live_spes"]["value"] == 7

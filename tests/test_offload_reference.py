@@ -19,13 +19,21 @@ computation it skips:
 
 Hypothesis drives fast and slow through the same random programs and
 requires identical results, float for float.
+
+Faulted off-loads run the same execution body as clean ones, its fault
+hooks behind guards.  ``FaultyTwinEngine`` keeps the separate faulty
+body and its off-load path as they were; a faulted run must match it on every
+output and on its trace once the LLP worker rows, which the twin never
+wrote, are dropped.
 """
+
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.core.schedulers
-from repro import Tracer, Workload, run_experiment
+from repro import Tracer, Workload, run_bsp_experiment, run_experiment
 from repro.cell.eib import EIB
 from repro.cell.local_store import CodeImage, LocalStoreOverflow
 from repro.cell.mfc import MFC, legal_transfer_size
@@ -34,8 +42,11 @@ from repro.cell.spe import SPE
 from repro.core.history import UtilizationHistory
 from repro.core.runtime import OffloadEngine
 from repro.core.schedulers import edtlp, linux, mgps, static_hybrid
+from repro.faults import FaultPlan, SlowSPE, SPEKill, TolerancePolicy
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.runview import read_run
 from repro.sim.engine import Environment
+from repro.workloads import BSPWorkload
 
 KB = 1024
 
@@ -376,3 +387,461 @@ class TestInlineExecution:
         case = {"spec": spec, "bootstraps": 3, "tasks": 120, "n_cells": 1,
                 "traced": True}
         assert _check_inline_matches_reference(case) > 0
+
+
+# -- one SPE execution body for clean and faulty off-loads ---------------------
+
+def _transfer_time_with_retries(mfc, nbytes, n_errors=0, retry_penalty=1.0):
+    """The MFC's retry formula as the faulty twin called it."""
+    base = mfc.transfer_time(nbytes)
+    if n_errors == 0:
+        return base
+    return base * (1.0 + retry_penalty * n_errors)
+
+
+class FaultyTwinEngine(OffloadEngine):
+    """The fault-tolerant off-load path as it was: its own execution body.
+
+    ``_spe_exec_faulty`` and ``_offload_tolerant`` below are the old
+    bodies verbatim, except that data staging calls the module's copy of
+    the MFC retry formula.  The twin never emitted the LLP workers'
+    ``task_start``/``task_end`` rows; everything else it did, the shared
+    body must do too.
+    """
+
+    def _spe_exec_faulty(self, ctx, spe, workers, task, trace, release):
+        env = self.env
+        faults = self.faults
+        policy = self.tolerance
+
+        def _give_back() -> None:
+            if release:
+                for w in workers:
+                    self.machine.pool.release(w)
+                self.machine.pool.release(spe)
+
+        death = faults.death_time(spe)
+        if death <= env.now or not spe.in_service:
+            _give_back()
+            return "spe-dead"
+
+        # PPE <-> SPE signal latency, paid at start and at completion.
+        signal = self.machine.signal_latency(ctx.cell_id, spe)
+        yield env.timeout(signal)
+        # Transient dispatch loss: the descriptor/signal never arrives.
+        if faults.offload_fails(spe):
+            _give_back()
+            return "offload-fail"
+
+        image = trace.llp_image if workers else trace.code_image
+        t_load = spe.load_code(image)
+        for w in workers:
+            t_load = max(t_load, w.load_code(trace.llp_image))
+        if t_load > 0:
+            self.stats.code_loads += 1
+            if self._metrics_on:
+                self._m_code_loads.inc()
+            t_load, ok = self._faulty_dma_time(spe, t_load)
+            yield env.timeout(t_load)
+            if not ok:
+                _give_back()
+                return "dma-fail"
+
+        if task.working_set > 0 and task.data_key is not None:
+            moved = spe.load_data(task.data_key, task.working_set)
+            if moved:
+                self.stats.data_misses += 1
+                self.stats.data_bytes_transferred += moved
+                if self._metrics_on:
+                    self._m_data_misses.inc()
+                errors = faults.dma_errors(spe, policy.max_dma_retries)
+                if errors:
+                    self.stats.dma_errors += errors
+                yield env.timeout(
+                    _transfer_time_with_retries(
+                        spe.mfc,
+                        moved,
+                        n_errors=errors,
+                        retry_penalty=faults.plan.dma_retry_penalty,
+                    )
+                )
+                if errors > policy.max_dma_retries:
+                    _give_back()
+                    return "dma-fail"
+            else:
+                self.stats.data_hits += 1
+                if self._metrics_on:
+                    self._m_data_hits.inc()
+
+        if workers:
+            cross = sum(1 for w in workers if w.cell_id != spe.cell_id)
+            inv = self.llp_model.invoke(task, 1 + len(workers), cross,
+                                         actor=spe.name)
+            duration = inv.duration
+            self.stats.llp_invocations += 1
+            self.stats.llp_worker_seconds += duration * len(workers)
+            if self.tracer is not None:
+                self.tracer.emit(
+                    env.now, "llp", spe.name, "llp_invoke",
+                    function=task.function, k=inv.k,
+                    join_idle_us=inv.join_idle * 1e6,
+                    master_fraction=inv.master_fraction,
+                    chunks=inv.chunks,
+                    schedule=inv.schedule,
+                    chunk_counts=inv.chunk_counts,
+                )
+            # Mid-loop recovery: a worker that dies inside the busy
+            # window forfeits the unexecuted tail of its chunk; the
+            # master reclaims and re-executes those iterations serially
+            # after the join (plus a signal to detect the loss).
+            if task.loop is not None:
+                t_iter = (
+                    task.spe_time * task.loop.coverage / task.loop.iterations
+                )
+                for j, w in enumerate(workers):
+                    w_death = faults.death_time(w)
+                    if w_death >= env.now + duration:
+                        continue
+                    frac = (
+                        1.0
+                        if duration <= 0
+                        else (env.now + duration - max(w_death, env.now))
+                        / duration
+                    )
+                    chunk = inv.chunks[j + 1] if j + 1 < len(inv.chunks) else 0
+                    reclaimed = int(math.ceil(chunk * min(1.0, frac)))
+                    extra = reclaimed * t_iter + self.machine.spe_signal_latency(
+                        w, spe
+                    )
+                    duration += extra
+                    self.stats.llp_recoveries += 1
+                    self._m_llp_recoveries.inc()
+                    if self.tracer is not None:
+                        self.tracer.emit(
+                            env.now, "fault", spe.name, "llp_recovery",
+                            worker=w.name, died_at=w_death,
+                            reclaimed_iterations=reclaimed,
+                            extra_seconds=extra,
+                        )
+        else:
+            duration = self._exec_time(task)
+
+        owner = ctx.owner
+        busy_others = self.machine.busy_others(spe.cell_id, owner)
+        base_duration = duration
+        duration *= 1.0 + min(
+            self.cell.memory_contention_cap,
+            self.cell.memory_contention_quadratic * busy_others**2,
+        )
+        # Slow-SPE noise: multiplicative service-time perturbation.
+        duration *= faults.service_factor(spe)
+
+        for w in workers:
+            w.mark_busy(owner)
+        if self.tracer is not None:
+            self.tracer.emit(
+                env.now, "spe", spe.name, "task_start",
+                proc=ctx.rank, function=task.function, duration=duration,
+                workers=tuple(w.name for w in workers),
+            )
+        # Master death inside the busy window loses the task: occupy the
+        # SPE only until its planned death, then report the failure.
+        if death < env.now + duration:
+            avail = max(0.0, death - env.now)
+            spe.mark_busy(owner)
+            try:
+                if avail > 0:
+                    yield env.timeout(avail)
+            finally:
+                spe.mark_idle()
+                for w in workers:
+                    w.mark_idle()
+            if self.tracer is not None:
+                self.tracer.emit(
+                    env.now, "spe", spe.name, "task_abort",
+                    proc=ctx.rank, function=task.function, reason="spe_kill",
+                )
+            _give_back()
+            return "spe-dead"
+
+        try:
+            yield from spe.occupy(duration, owner)
+        finally:
+            for w in workers:
+                w.mark_idle()
+        if self.tracer is not None:
+            self.tracer.emit(
+                env.now, "spe", spe.name, "task_end",
+                proc=ctx.rank, function=task.function,
+            )
+        _give_back()
+        self.granularity.record_spe(task.function, base_duration)
+        # SPE -> PPE completion signal.
+        yield env.timeout(signal)
+        return "ok"
+
+    def _offload_tolerant(self, ctx, task, trace, decision):
+        env = self.env
+        tol = self.tolerance
+        pinned = self.policy.pinned
+        spe = ctx.pinned_spe if pinned else None
+        with self.spans.span("proc", ctx.actor, "offload") as sp:
+            if self.tracer is not None:
+                sp.set(function=task.function, reason=decision.reason)
+            for attempt in range(tol.max_attempts):
+                if pinned and not spe.in_service:
+                    break
+                if self.tracer is not None:
+                    # Attempt boundary: lets the causal layer rebuild
+                    # retries as sibling spans with the backoff waits
+                    # between them.
+                    self.tracer.emit(
+                        env.now, "fault", ctx.actor,
+                        "offload_attempt",
+                        function=task.function, attempt=attempt,
+                    )
+                if pinned:
+                    yield ctx.thread.run(self.cell.dispatch_overhead)
+                    workers = []
+                    release = False
+                else:
+                    yield ctx.thread.run(self.cell.dispatch_overhead)
+                    spe = yield from self._acquire_spe(ctx, task)
+                    if spe is None:
+                        # Capacity exhausted: every SPE dead or blacklisted.
+                        break
+                    workers = self._acquire_workers(ctx, spe, task)
+                    if self.tracer is not None:
+                        sp.set(spe=spe.name, llp_degree=1 + len(workers))
+                    release = True
+                self.stats.offloads += 1
+                if self._metrics_on:
+                    self._m_offloads.inc()
+                start = env.now
+                self.policy.on_dispatch(start)
+                done = env.process(
+                    self._spe_exec_faulty(
+                        ctx, spe, workers, task, trace, release=release
+                    ),
+                    name=ctx.exec_name,
+                )
+                if self.policy.spin:
+                    yield ctx.thread.spin_until(done)
+                    winner, status = done, done.value
+                else:
+                    deadline = tol.attempt_deadline(
+                        self._expected_attempt_time(task)
+                    )
+                    winner = yield env.any_of([done, env.timeout(deadline)])
+                    status = (
+                        done.value if winner is done else "watchdog-timeout"
+                    )
+                if winner is done and status == "ok":
+                    self._note_spe_success(spe)
+                    self.policy.on_departure(start, env.now)
+                    if self._metrics_on:
+                        self._m_offload_latency.observe(
+                            (env.now - start) * 1e6
+                        )
+                    yield ctx.thread.run(self.cell.completion_overhead)
+                    return
+                if status == "watchdog-timeout":
+                    self.stats.watchdog_timeouts += 1
+                    self._m_watchdog.inc()
+                self.stats.offload_retries += 1
+                if self._metrics_on:
+                    self._m_retries.inc()
+                self._note_spe_failure(spe)
+                if self.tracer is not None:
+                    self.tracer.emit(
+                        env.now, "fault", ctx.actor, "offload_retry",
+                        function=task.function, status=status,
+                        attempt=attempt, spe=spe.name,
+                    )
+                yield env.timeout(tol.backoff(attempt))
+            self.stats.retry_fallbacks += 1
+            self._m_retry_fallbacks.inc()
+            if self.tracer is not None:
+                self.tracer.emit(
+                    env.now, "fault", ctx.actor, "retry_fallback",
+                    function=task.function,
+                )
+        yield from self._ppe_fallback(ctx, task)
+
+
+@st.composite
+def _faulty_runs(draw):
+    n_cells = draw(st.integers(1, 2))
+    n_spes = 8 * n_cells
+    killed = draw(st.lists(st.integers(0, n_spes - 1), max_size=2,
+                           unique=True))
+    plan = FaultPlan(
+        offload_fail_rate=draw(st.floats(0.0, 0.2, exclude_max=True)),
+        dma_error_rate=draw(st.floats(0.0, 0.2, exclude_max=True)),
+        spe_kills=tuple(
+            SPEKill(spe, draw(st.floats(0.0, 6e-4))) for spe in killed
+        ),
+        slow_spes=tuple(
+            SlowSPE(draw(st.integers(0, n_spes - 1)),
+                    draw(st.floats(1.0, 4.0)), draw(st.floats(0.0, 0.5)))
+            for _ in range(draw(st.integers(0, 2)))
+        ),
+        seed=draw(st.integers(0, 3)),
+    )
+    return {
+        "spec": draw(_specs),
+        "workload": Workload(draw(st.integers(1, 4)),
+                             draw(st.integers(5, 60)), seed=0),
+        "n_cells": n_cells,
+        "traced": draw(st.booleans()),
+        "plan": plan,
+    }
+
+
+def _without(tracer, drop):
+    """``tracer``'s JSON Lines without the rows ``drop`` selects."""
+    kept = Tracer()
+    kept.rows = [row for row in tracer.rows if not drop(row)]
+    return kept.to_jsonl()
+
+
+def _is_worker_row(row):
+    return row[4].get("role") == "worker"
+
+
+def _faulty_run(case, engine):
+    """One faulted blade run with ``engine`` swapped in; returns every
+    output the fault path can move and the run's tracer."""
+    envs = []
+
+    class Recorded(engine):
+        def __init__(self, env, machine, **kwargs):
+            envs.append(env)
+            super().__init__(env, machine, **kwargs)
+
+    tracer = Tracer() if case["traced"] else None
+    workload = case["workload"]
+    run = (run_bsp_experiment if isinstance(workload, BSPWorkload)
+           else run_experiment)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(repro.core.schedulers, "OffloadEngine", Recorded)
+        r = run(
+            case["spec"], workload,
+            blade=BladeParams(n_cells=case["n_cells"]),
+            seed=0, tracer=tracer, faults=case["plan"],
+            tolerance=case.get("tolerance"),
+        )
+    ks = envs[0].kernel_stats()
+    view = (
+        repr(r.makespan), repr(r.ppe_occupancy), r.ppe_context_switches,
+        r.offloads, sorted(r.extras.items()), r.result_digest,
+        r.bootstrap_digests, r.events_processed, ks["immediate_events"],
+        ks["deferred_events"], ks["heap_events"],
+    )
+    return view, tracer
+
+
+def _check_faulty_matches_twin(case):
+    fast, fast_trace = _faulty_run(case, OffloadEngine)
+    slow, slow_trace = _faulty_run(case, FaultyTwinEngine)
+    assert fast == slow
+    if case["traced"]:
+        assert _without(fast_trace, _is_worker_row) == slow_trace.to_jsonl()
+        assert not any(_is_worker_row(row) for row in slow_trace.rows)
+        read_run(fast_trace)  # every worker row pairs
+    return fast_trace
+
+
+class TestFaultyExecution:
+    @settings(max_examples=100, deadline=None)
+    @given(_faulty_runs())
+    def test_shared_body_matches_faulty_twin(self, case):
+        _check_faulty_matches_twin(case)
+
+    @pytest.mark.parametrize("spec", [static_hybrid(4), mgps()],
+                             ids=["llp4", "mgps"])
+    def test_llp_runs_gain_only_worker_rows(self, spec):
+        case = {"spec": spec, "workload": Workload(3, 120, seed=0),
+                "n_cells": 1, "traced": True,
+                "plan": FaultPlan(offload_fail_rate=0.05,
+                                  dma_error_rate=0.05,
+                                  spe_kills=(SPEKill(2, 2e-4),))}
+        trace = _check_faulty_matches_twin(case)
+        assert any(_is_worker_row(row) for row in trace.rows)
+
+    @pytest.mark.parametrize("spec", [edtlp(), mgps()], ids=["edtlp", "mgps"])
+    def test_abandoned_transfers_and_watchdog_zombies(self, spec):
+        # BSP tasks stage a working set, so data DMA errors occur; no
+        # retry budget abandons every erroring transfer, and a tight
+        # watchdog abandons the attempts on the slowed SPEs.
+        case = {"spec": spec,
+                "workload": BSPWorkload(n_processes=8, iterations=3,
+                                        tasks_per_iteration=20,
+                                        imbalance=2.0, seed=3),
+                "n_cells": 1, "traced": True,
+                "plan": FaultPlan(dma_error_rate=0.15,
+                                  offload_fail_rate=0.05,
+                                  spe_kills=(SPEKill(1, 3e-4),),
+                                  slow_spes=(SlowSPE(3, 4.0, 0.3),
+                                             SlowSPE(5, 3.0))),
+                "tolerance": TolerancePolicy(max_dma_retries=0,
+                                             timeout_factor=1.0,
+                                             timeout_floor=0.0)}
+        _check_faulty_matches_twin(case)
+
+
+_NULL_PLAN_SPECS = [edtlp(), linux(), mgps(), static_hybrid(4)]
+
+
+def _traced_run(spec, faults=None):
+    tracer = Tracer()
+    run_experiment(spec, Workload(3, 120, seed=0), seed=0, tracer=tracer,
+                   faults=faults)
+    return tracer
+
+
+def _assert_worker_rows_pair(tracer):
+    """Every worker ``task_start`` is closed by a worker ``task_end``
+    on the same SPE before that SPE starts anything else."""
+    open_workers = set()
+    for _t, cat, actor, event, p in tracer.rows:
+        if cat != "spe":
+            continue
+        if event == "task_start":
+            assert actor not in open_workers
+            if p.get("role") == "worker":
+                open_workers.add(actor)
+        elif event == "task_end" and p.get("role") == "worker":
+            open_workers.remove(actor)
+    assert not open_workers
+
+
+class TestNullPlanInvariant:
+    @pytest.mark.parametrize(
+        "spec", _NULL_PLAN_SPECS,
+        ids=["edtlp", "linux", "mgps", "static_hybrid4"],
+    )
+    def test_null_plan_trace_is_the_fault_free_trace(self, spec):
+        clean = _traced_run(spec)
+        null = _traced_run(spec, FaultPlan())
+        assert _without(null, lambda row: row[3] == "offload_attempt") == (
+            clean.to_jsonl()
+        )
+
+    def test_master_killed_during_llp_closes_worker_rows(self):
+        # Kill the master of the first LLP off-load halfway through it.
+        rows = _traced_run(mgps(), FaultPlan()).rows
+        t, _, master, _, p = next(
+            row for row in rows
+            if row[3] == "task_start" and row[4].get("workers")
+        )
+        index = int(master.rsplit("spe", 1)[1])
+        tracer = _traced_run(
+            mgps(), FaultPlan(spe_kills=(SPEKill(index, t + p["duration"] / 2),))
+        )
+        aborts = [row for row in tracer.rows
+                  if row[3] == "task_abort" and row[2] == master]
+        assert len(aborts) == 1
+        assert any(_is_worker_row(row) for row in tracer.rows)
+        read_run(tracer)
+        _assert_worker_rows_pair(tracer)
