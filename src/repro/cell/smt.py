@@ -26,6 +26,14 @@ The model is a work-conserving multi-context processor:
   this lets a Linux-mode thread alternate compute and spin segments
   without being bounced through the run queue.
 
+The core schedules a timer or a linger expiry only when it can act.  A
+wake that completed a thread arms no timer: the thread's resubmit or
+its linger expiry wakes the core again at the same instant, before that
+timer could fire, so it would always be stale.  A lingering thread that
+resubmits positive work cannot complete (and linger) again at this
+instant, so its pending linger would expire into a no-op: the core
+takes it back off the calendar.
+
 Threads interact through :class:`CoreThread`:
 
 * ``run(work)`` — compute ``work`` seconds of full-speed work;
@@ -75,6 +83,7 @@ class CoreThread:
         "slot",
         "affinity",
         "work_done",
+        "linger",
     )
 
     def __init__(self, core: "SMTCore", name: str,
@@ -94,6 +103,10 @@ class CoreThread:
         self.slot: Optional[int] = None
         self.affinity = affinity
         self.work_done = 0.0  # lifetime full-speed work completed
+        # The reusable linger expiry (see ``SMTCore._complete``); its
+        # ``_cb0`` is set exactly while it waits on the calendar.
+        self.linger = Event(core.env)
+        self.linger._value = self
 
     def run(self, work: float) -> Event:
         """Request ``work`` seconds of computation; returns a done event."""
@@ -203,8 +216,9 @@ class SMTCore:
                 f"thread {thread.name!r} submitted a request while {thread.state}"
             )
         if kind == _WORK:
-            if work < 0:
-                raise ValueError("work must be non-negative")
+            # ``not <=`` also rejects NaN; infinite work never completes.
+            if not 0.0 <= work < _INF:
+                raise ValueError(f"work must be finite and >= 0, got {work!r}")
         elif target is None:
             raise ValueError("spin requires a target event")
 
@@ -219,6 +233,16 @@ class SMTCore:
             # Continue on the same context: no switch cost, quantum keeps
             # ticking.  This is the back-to-back fast path.
             thread.state = _RUNNING
+            if work > _EPS:
+                # Positive work cannot complete at this instant, so the
+                # thread cannot linger again before its pending linger
+                # fires: that expiry would be a no-op.  Take it back.  A
+                # spin or zero-work request could complete right away and
+                # make it live, so those keep it.
+                linger = thread.linger
+                if linger._cb0 is not None:
+                    linger._cb0 = None
+                    self.env._withdraw(linger)
         else:
             thread.state = _READY
             self._enqueue(thread)
@@ -303,11 +327,18 @@ class SMTCore:
         thread.kind = None
         thread.spin_target = None
         thread.state = _LINGER
-        # Linger expires after every same-timestamp callback has run; a
-        # NORMAL-priority zero timeout sorts after the URGENT completion
-        # exactly like a NORMAL succeed would, and is pool-recyclable.
-        # A fresh timeout has an empty first-callback slot.
-        self.env.timeout(0.0, thread)._cb0 = self._linger_cb
+        # Linger expires after every same-timestamp callback has run: a
+        # NORMAL zero-delay expiry sorts after the URGENT completion.
+        # The thread's own reusable event carries it; only when that one
+        # is still pending (a second completion at this instant) does a
+        # pooled timeout stand in.
+        linger = thread.linger
+        if linger._cb0 is None:
+            linger._cb0 = self._linger_cb
+            linger._scheduled = False
+            self.env._schedule(linger)
+        else:
+            self.env.timeout(0.0, thread)._cb0 = self._linger_cb
         done.succeed(None, priority=URGENT)
 
     def _on_linger_expire(self, ev: Event) -> None:
@@ -329,7 +360,8 @@ class SMTCore:
 
         One pass per wake: account elapsed time, reap completions, then
         (only while threads wait) preempt expired quanta and fill free
-        contexts, and finally arm a timer for the soonest state change.
+        contexts, and finally, unless a thread completed, arm a timer
+        for the soonest state change.
         """
         self._version += 1
         self._advance()
@@ -408,6 +440,14 @@ class SMTCore:
                 running.append(t)
             waiting = bool(ready) or any(ready_aff)
 
+        # A wake that completed a thread arms nothing: before any timer
+        # it armed could fire, the completed thread's linger expiry or
+        # its resubmit (both at this instant, and a zero-horizon timer
+        # would sort behind the linger) wakes the core again and bumps
+        # ``_version``, so that timer would always be stale.
+        if completed is not None:
+            return
+
         # Arm the timer at the soonest state change: a work completion, a
         # noticed spin target, or (while a successor waits) quantum expiry.
         n = len(running)
@@ -443,9 +483,10 @@ class SMTCore:
             return
         if horizon < 0.0:
             horizon = 0.0
-        # The timer carries its arming version; a superseded timer fires
-        # into a no-op.  Carrying it as the timeout value (instead of a
-        # closure) keeps the timer pool-recyclable.
+        # The timer carries its arming version; one superseded by a wake
+        # in another cascade fires into a no-op.  Carrying it as the
+        # timeout value (instead of a closure) keeps the timer
+        # pool-recyclable.
         self.env.timeout(horizon, self._version)._cb0 = self._timer_cb
 
     def _on_timer(self, ev: Event) -> None:

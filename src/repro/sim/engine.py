@@ -148,9 +148,10 @@ class Environment:
             tries -= 1
             t = pool.popleft()
             if getrefcount(t) == 2:
-                if delay < 0:
+                # ``not >=`` also rejects NaN, which would poison the clock.
+                if not delay >= 0:
                     pool.appendleft(t)
-                    raise ValueError(f"negative delay {delay!r}")
+                    raise ValueError(f"delay must be >= 0, got {delay!r}")
                 t.delay = delay
                 t._value = value
                 t._ok = True
@@ -207,6 +208,22 @@ class Environment:
                 heappush(self._near, entry)
             else:
                 heappush(self._far, entry)
+
+    def _withdraw(self, event: Event) -> None:
+        """Take a pending zero-delay NORMAL event back off the calendar.
+
+        Such an event waits on the deferred lane; the newest entry is
+        checked first because a withdrawn event is usually the one just
+        scheduled.  Removing an entry leaves the relative order of the
+        others unchanged, and the event may be scheduled again.
+        """
+        dfr = self._deferred
+        for i in range(len(dfr) - 1, -1, -1):
+            if dfr[i][1] is event:
+                del dfr[i]
+                event._scheduled = False
+                return
+        raise ValueError(f"{event!r} is not on the deferred lane")
 
     def _refill(self) -> None:
         """Promote the soonest far-heap batch into the empty near heap.

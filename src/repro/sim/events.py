@@ -182,8 +182,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
+        if not delay >= 0:  # ``not >=`` also rejects NaN
+            raise ValueError(f"delay must be >= 0, got {delay!r}")
         super().__init__(env)
         self.delay = delay
         self._value = value

@@ -9,9 +9,10 @@ inlined dispatch loops) must dispatch events in exactly that order.
 
 Hypothesis programs drive both kernels through zero-delay and
 same-instant fan-out, URGENT/NORMAL triggers, ``any_of``/``all_of``,
-callback removal (composite ``detach`` and process interrupts) and
-wide timer fans that refill the near heap while processed timeouts are
-recycled.  Whole runs then swap the reference in for fig8 and
+callback removal (composite ``detach`` and process interrupts), events
+withdrawn from the calendar (the newest deferred entry or an older
+one) and rescheduled, and wide timer fans that refill the near heap
+while processed timeouts are recycled.  Whole runs then swap the reference in for fig8 and
 ``serve_small`` and must reproduce every digest and event count.
 """
 
@@ -50,6 +51,15 @@ class HeapEnvironment(Environment):
         self._seq += 1
         heapq.heappush(
             self.heap, (self._now + delay, priority, self._seq, event))
+
+    def _withdraw(self, event):
+        for i, entry in enumerate(self.heap):
+            if entry[3] is event:
+                del self.heap[i]
+                heapq.heapify(self.heap)
+                event._scheduled = False
+                return
+        raise ValueError(f"{event!r} is not on the calendar")
 
     def peek(self):
         return self.heap[0][0] if self.heap else _INF
@@ -126,6 +136,20 @@ def run_program(env_cls, program, split):
                     for k in range(n):
                         t = env.timeout(delay * (k % 40) / 8)
                         t.add_callback(record((tag, k)))
+                elif kind == "withdraw":
+                    # A zero-delay event taken back before it fires: the
+                    # newest deferred entry, or one with a younger entry
+                    # scheduled behind it; optionally scheduled again.
+                    ev = env.event()
+                    ev._value = tag
+                    ev.add_callback(record(("withdrawable", tag)))
+                    env._schedule(ev)
+                    if not op[1]:
+                        env.timeout(0.0).add_callback(record(("kept", tag)))
+                    env._withdraw(ev)
+                    if op[2]:
+                        env._schedule(ev)
+                        yield ev
                 elif kind == "interrupt":
                     other = procs[op[1] % len(procs)]
                     if other.is_alive and other._target is not None:
@@ -154,6 +178,7 @@ _op = st.one_of(
     st.tuples(st.just("all"), _delays, _delays),
     st.tuples(st.just("fan"), st.integers(1, 150), _delays),
     st.tuples(st.just("interrupt"), st.integers(0, 5)),
+    st.tuples(st.just("withdraw"), st.booleans(), st.booleans()),
 )
 _program = st.lists(st.lists(_op, max_size=10), min_size=1, max_size=6)
 
@@ -175,6 +200,8 @@ class TestDispatchOrder:
             [("any", 1e-3, 0), ("fire", 1, NORMAL), ("all", 0.0, 1e-3)],
             [("wait", 2), ("sleep", 1.0)],
             [("sleep", 1e-3), ("interrupt", 3), ("interrupt", 2)],
+            [("withdraw", True, False), ("withdraw", False, True),
+             ("withdraw", True, True), ("withdraw", False, False)],
         ]
         env, fast = run_program(Environment, program, 1e-3)
         stats = env.kernel_stats()
@@ -183,6 +210,9 @@ class TestDispatchOrder:
         assert stats["pool_hit_rate"] > 0.4
         assert any(entry[-1] == ("interrupted", (4, 1))
                    for entry in fast["log"] if len(entry) == 3)
+        # Only the rescheduled withdrawals fire.
+        assert [entry[1][1] for entry in fast["log"] if len(entry) == 3
+                and entry[1][0] == "withdrawable"] == [(5, 1), (5, 2)]
         assert fast == run_program(HeapEnvironment, program, 1e-3)[1]
 
 

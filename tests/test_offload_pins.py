@@ -8,9 +8,10 @@ events_processed, ppe_context_switches, llp_invocations,
 result_digest)``, recorded before the off-load fast paths (resident
 code-image hits, memoized DMA timing, the bisected MGPS window and the
 metrics-off shortcuts), with the event counts re-recorded when each
-off-load's SPE execution moved inline into its dispatching process; any
-change that moves one event, one context switch or one float of the
-makespan fails here.
+off-load's SPE execution moved inline into its dispatching process and
+again when the SMT core stopped arming provably stale timers and took
+back no-op lingers; any change that moves one event, one context switch
+or one float of the makespan fails here.
 
 The metrics pins hold the other side of those shortcuts: a run with a
 registry must publish exactly what it published before, and a run with
@@ -30,12 +31,12 @@ from repro.serve.jobs import job_seed
 _DIGEST = "00b8f78c4ceb529327aeb55f4efeb7c2fcce5683e6379b6031a4aaf529200fe4"
 
 LLP_EVENT_STREAM = {
-    "edtlp-llp2": (27.13518938839407, 21620, 1473, 1600, _DIGEST),
-    "edtlp-llp4": (41.43867714225659, 20125, 411, 1600, _DIGEST),
-    "edtlp-llp8": (78.59514359137029, 19225, 0, 1600, _DIGEST),
-    "mgps": (27.095775174049695, 21624, 1470, 1592, _DIGEST),
+    "edtlp-llp2": (27.13518938839407, 16817, 1473, 1600, _DIGEST),
+    "edtlp-llp4": (41.43867714225659, 16254, 411, 1600, _DIGEST),
+    "edtlp-llp8": (78.59514359137029, 16022, 0, 1600, _DIGEST),
+    "mgps": (27.095775174049695, 16834, 1470, 1592, _DIGEST),
     "medium-bag": (
-        21.762782612990755, 3769, 49, 284,
+        21.762782612990755, 3078, 49, 284,
         "5568efea116fe756917f765784d53348f4e0dbab3f59f90d34708a89ca95c3a8",
     ),
 }

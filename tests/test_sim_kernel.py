@@ -38,6 +38,45 @@ def test_negative_timeout_rejected():
         env.timeout(-1)
 
 
+@pytest.mark.parametrize("delay", [float("nan"), -1e-9])
+def test_invalid_delay_rejected_on_pooled_and_fresh_paths(delay):
+    # A NaN delay used to pass the ``< 0`` check and become the run
+    # clock.  Both the recycled-timeout path and ``Timeout.__init__``
+    # reject it at the call, and the run goes on unharmed.
+    env = Environment()
+    env.timeout(1.0)
+    env.run()
+    pool = list(env._timeout_pool)
+    assert pool  # the next timeout would be a recycled one
+    with pytest.raises(ValueError):
+        env.timeout(delay)
+    assert list(env._timeout_pool) == pool
+    with pytest.raises(ValueError):
+        Environment().timeout(delay)  # empty pool: a fresh Timeout
+    env.timeout(1.0)
+    assert env.run() == 2.0
+
+
+def test_withdrawn_event_never_fires_and_can_be_rescheduled():
+    env = Environment()
+    log = []
+    events = []
+    for tag in "abc":
+        ev = env.event()
+        ev._value = tag
+        ev.add_callback(lambda e: log.append(e.value))
+        env._schedule(ev)
+        events.append(ev)
+    env._withdraw(events[2])  # the newest deferred entry
+    env._withdraw(events[0])  # an older one
+    with pytest.raises(ValueError):
+        env._withdraw(events[0])
+    env._schedule(events[0])
+    env.run()
+    assert log == ["b", "a"]
+    assert env.events_processed == 2
+
+
 def test_timeout_carries_value():
     env = Environment()
 

@@ -300,6 +300,48 @@ def test_negative_work_rejected():
         t.run(-1.0)
 
 
+@pytest.mark.parametrize("work", [float("nan"), float("inf")])
+def test_non_finite_work_rejected(work):
+    # Both used to be accepted and end the run in a misleading
+    # "deadlock: calendar empty".
+    env, core = make_core()
+    t = core.thread("a")
+    with pytest.raises(ValueError):
+        t.run(work)
+    assert (t.state, t.kind, t.done_event) == ("idle", None, None)
+
+    def proc():
+        yield t.run(1e-3)
+        return env.now
+
+    assert env.run_until_complete(env.process(proc())) == pytest.approx(1e-3)
+
+
+def test_lingering_resubmit_takes_back_only_a_no_op_linger():
+    # Positive work cannot complete at the instant it is submitted, so a
+    # lingering thread that resubmits it takes its pending linger back.
+    # Zero work keeps it: the thread completes again at once, and that
+    # second linger is a pooled timeout because the first is pending.
+    env, core = make_core()
+    t = core.thread("a")
+    seen = []
+
+    def proc():
+        yield t.run(1e-3)
+        seen.append(t.linger._cb0 is not None)
+        yield t.run(0.0)
+        seen.append(t.linger._cb0 is not None)
+        done = t.run(1e-3)
+        seen.append(t.linger._cb0 is not None)
+        yield done
+        seen.append(env.now)
+
+    env.process(proc())
+    env.run()
+    assert seen == [True, True, False, pytest.approx(2e-3)]
+    assert t.state == "idle" and sorted(core._slot_free) == [0, 1]
+
+
 def test_spin_without_target_rejected():
     env, core = make_core()
     t = core.thread("a")
@@ -406,16 +448,17 @@ def test_edtlp_vs_linux_shape_microbenchmark():
 
 # Table 1's event stream, recorded before the single-pass wake (event
 # counts re-recorded when each off-load's SPE execution moved inline into
-# its dispatching process): any change to the SMT core or the kernel that
-# moves one event, one context switch or one float of the makespan fails
-# here.
+# its dispatching process, and again when the core stopped arming timers
+# from completing wakes and took back no-op lingers): any change to the
+# SMT core or the kernel that moves one event, one context switch or one
+# float of the makespan fails here.
 TABLE1_EVENT_STREAM = {
-    ("edtlp", 1): (28.46592959116027, 3610, 0),
-    ("linux", 1): (28.46592959116027, 4510, 0),
-    ("edtlp", 3): (30.216186304709826, 11550, 671),
-    ("linux", 3): (57.674206896128815, 17819, 7),
-    ("edtlp", 8): (39.42198956977871, 35443, 2392),
-    ("linux", 8): (118.33844965280936, 47361, 30),
+    ("edtlp", 1): (28.46592959116027, 3010, 0),
+    ("linux", 1): (28.46592959116027, 3610, 0),
+    ("edtlp", 3): (30.216186304709826, 9217, 671),
+    ("linux", 3): (57.674206896128815, 11698, 7),
+    ("edtlp", 8): (39.42198956977871, 26632, 2392),
+    ("linux", 8): (118.33844965280936, 31166, 30),
 }
 
 
