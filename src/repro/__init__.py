@@ -27,7 +27,6 @@ from .core import (
     run_bsp_experiment,
     run_cluster_experiment,
     run_experiment,
-    run_sweep,
     static_hybrid,
 )
 from .obs import (
@@ -35,7 +34,6 @@ from .obs import (
     SpanRecorder,
     chrome_trace,
     write_chrome_trace,
-    write_metrics_snapshot,
     write_trace_jsonl,
 )
 from .serve import (
@@ -68,7 +66,6 @@ __all__ = [
     "static_hybrid",
     "mgps",
     "run_experiment",
-    "run_sweep",
     "run_bsp_experiment",
     "run_cluster_experiment",
     "ScheduleResult",
@@ -88,6 +85,5 @@ __all__ = [
     "SpanRecorder",
     "chrome_trace",
     "write_chrome_trace",
-    "write_metrics_snapshot",
     "write_trace_jsonl",
 ]

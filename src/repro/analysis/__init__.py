@@ -19,18 +19,13 @@ from .efficiency_study import (
     PlatformEconomics,
     efficiency_table,
 )
-from .parallel import parallel_sweep, run_points
 from .metrics import (
-    best_scheduler,
     crossover,
-    efficiency,
     llp_chunk_profile,
     offload_latency_percentiles,
     registry_value,
     render_scheduler_summary,
-    scaling_efficiency,
     scheduler_summary,
-    speedup,
 )
 from .report import format_series, format_table, paper_comparison
 from .timeline import TaskSpan, extract_spans, render_timeline, utilization_bar
@@ -48,11 +43,7 @@ __all__ = [
     "PAPER_SEC51",
     "SWEEP_SMALL",
     "SWEEP_LARGE",
-    "speedup",
-    "efficiency",
-    "scaling_efficiency",
     "crossover",
-    "best_scheduler",
     "registry_value",
     "offload_latency_percentiles",
     "llp_chunk_profile",
@@ -68,6 +59,4 @@ __all__ = [
     "PlatformEconomics",
     "DEFAULT_ECONOMICS",
     "efficiency_table",
-    "parallel_sweep",
-    "run_points",
 ]

@@ -1,63 +1,26 @@
-"""Derived metrics over schedule results and observability registries.
+"""Derived metrics over figure curves and observability registries.
 
-Two families live here: pure functions over :class:`ScheduleResult`
-records (speedup, efficiency, crossover) and readers over a run's
-:class:`~repro.obs.metrics.MetricsRegistry`.  The registry readers
-*consume* what the runtime already measured — window utilization ``U``,
-context switches, granularity outcomes, chunk sizes, off-load latencies
-— instead of recomputing them from raw trace records.
+Two families live here: the crossover point of two figure curves and
+readers over a run's :class:`~repro.obs.metrics.MetricsRegistry`.  The
+registry readers *consume* what the runtime already measured — window
+utilization ``U``, context switches, granularity outcomes, chunk sizes,
+off-load latencies — instead of recomputing them from raw trace records.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from ..core.results import ScheduleResult
 from ..obs.runview import registry_value
 
 __all__ = [
-    "speedup",
-    "efficiency",
-    "scaling_efficiency",
     "crossover",
-    "best_scheduler",
     "registry_value",
     "offload_latency_percentiles",
     "llp_chunk_profile",
     "scheduler_summary",
     "render_scheduler_summary",
 ]
-
-
-def speedup(baseline: ScheduleResult, improved: ScheduleResult) -> float:
-    """baseline/improved makespan ratio (>1 means ``improved`` is faster)."""
-    if improved.makespan <= 0:
-        raise ValueError("improved makespan must be positive")
-    return baseline.makespan / improved.makespan
-
-
-def efficiency(result: ScheduleResult, serial_seconds: float) -> float:
-    """Parallel efficiency vs a serial estimate on the result's SPEs.
-
-    ``serial_seconds`` is one worker's total time; efficiency 1.0 means
-    perfect scaling over the SPEs that were busy.
-    """
-    if result.makespan <= 0:
-        raise ValueError("makespan must be positive")
-    n = max(1, len(result.per_spe_busy))
-    return serial_seconds / (result.makespan * n)
-
-
-def scaling_efficiency(results: Sequence[ScheduleResult]) -> List[float]:
-    """Throughput of each result relative to the first, per bootstrap.
-
-    For a perfectly scalable scheduler the values stay at 1.0 as the
-    bootstrap count grows.
-    """
-    if not results:
-        return []
-    base = results[0].makespan / results[0].bootstraps
-    return [base / (r.makespan / r.bootstraps) for r in results]
 
 
 def crossover(
@@ -76,13 +39,6 @@ def crossover(
         if a > b:
             return x
     return -1
-
-
-def best_scheduler(results_by_name: Dict[str, ScheduleResult]) -> str:
-    """Name of the scheduler with the smallest makespan."""
-    if not results_by_name:
-        raise ValueError("no results")
-    return min(results_by_name.items(), key=lambda kv: kv[1].makespan)[0]
 
 
 # -- registry readers ---------------------------------------------------------

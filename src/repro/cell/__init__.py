@@ -9,7 +9,7 @@ documented transfer rules, and the Element Interconnect Bus.
 from .eib import EIB
 from .local_store import CodeImage, LocalStore, LocalStoreOverflow
 from .machine import CellMachine, SPEPool
-from .mfc import MFC, DmaRequest, legal_transfer_size
+from .mfc import MFC, legal_transfer_size
 from .params import BladeParams, CellParams, DEFAULT_BLADE, DEFAULT_CELL
 from .smt import CoreThread, SMTCore
 from .spe import SPE
@@ -25,7 +25,6 @@ __all__ = [
     "SMTCore",
     "CoreThread",
     "MFC",
-    "DmaRequest",
     "legal_transfer_size",
     "EIB",
     "LocalStore",

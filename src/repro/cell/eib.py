@@ -1,21 +1,16 @@
 """Element Interconnect Bus model.
 
 The EIB is a four-ring coherent bus moving 96 bytes/cycle (204.8 GB/s at
-3.2 GHz) between PPE, SPEs, memory and I/O.  For scheduling purposes two
-aspects matter and both are modeled:
-
-* **bandwidth sharing** — when ``k`` transfers are in flight they share the
-  aggregate bandwidth, but a single transfer can never use more than one
-  ring's worth; and
-* **occupancy tracking** — a counted resource lets simulation processes
-  register in-flight DMAs so concurrent transfer counts are observable.
+3.2 GHz) between PPE, SPEs, memory and I/O.  For scheduling purposes one
+aspect matters: **bandwidth sharing**.  When ``k`` transfers are in
+flight they share the aggregate bandwidth, but a single transfer can
+never use more than one ring's worth.  The caller names ``k``:
+:meth:`repro.cell.mfc.MFC.effective_bandwidth` passes the concurrent
+transfer count it was asked about.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..sim.engine import Environment
 from .params import CellParams
 
 __all__ = ["EIB"]
@@ -24,57 +19,19 @@ __all__ = ["EIB"]
 class EIB:
     """Bandwidth arbiter for one Cell's on-chip interconnect."""
 
-    def __init__(self, params: CellParams, env: Optional[Environment] = None) -> None:
+    def __init__(self, params: CellParams) -> None:
         self.params = params
-        self.env = env
-        self._in_flight = 0
-
-    @property
-    def in_flight(self) -> int:
-        """Number of currently registered transfers."""
-        return self._in_flight
 
     @property
     def ring_bandwidth(self) -> float:
         """Peak bandwidth of a single ring (aggregate / #rings)."""
         return self.params.eib_bandwidth / self.params.eib_rings
 
-    def share(self, concurrent: Optional[int] = None) -> float:
+    def share(self, concurrent: int) -> float:
         """Bandwidth available to one transfer among ``concurrent``.
 
-        With ``concurrent=None`` the current registered in-flight count is
-        used (minimum 1).  A single transfer is capped at one ring.
+        A single transfer is capped at one ring.
         """
-        if concurrent is None:
-            concurrent = max(1, self._in_flight)
         if concurrent < 1:
             raise ValueError("concurrent must be >= 1")
         return min(self.ring_bandwidth, self.params.eib_bandwidth / concurrent)
-
-    # -- occupancy registration ------------------------------------------
-    def register(self, n: int = 1) -> None:
-        """Mark ``n`` transfers as having entered the bus."""
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        self._in_flight += n
-
-    def unregister(self, n: int = 1) -> None:
-        """Mark ``n`` transfers as having left the bus."""
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        if self._in_flight - n < 0:
-            raise RuntimeError("EIB unregister below zero in-flight")
-        self._in_flight -= n
-
-    def contention_factor(self, concurrent: int) -> float:
-        """Slowdown factor a transfer sees with ``concurrent`` streams.
-
-        1.0 while the streams fit in the aggregate bandwidth; grows
-        linearly once they oversubscribe it.  Used by the closed-form LLP
-        loop model (see :mod:`repro.core.llp`).
-        """
-        if concurrent < 1:
-            raise ValueError("concurrent must be >= 1")
-        single = self.share(1)
-        shared = self.share(concurrent)
-        return single / shared

@@ -199,7 +199,7 @@ class CellMachine:
             for c in range(self.params.n_cells)
         ]
         self.eibs: List[EIB] = [
-            EIB(cell, env) for _ in range(self.params.n_cells)
+            EIB(cell) for _ in range(self.params.n_cells)
         ]
         self.spes: List[SPE] = []
         # Busy-book: incremental counts maintained by SPE.mark_busy /
@@ -265,11 +265,6 @@ class CellMachine:
     @property
     def n_spes(self) -> int:
         return len(self.spes)
-
-    @property
-    def live_spes(self) -> List[SPE]:
-        """SPEs still in service (alive and not blacklisted)."""
-        return [s for s in self.spes if s.in_service]
 
     # -- latencies -----------------------------------------------------------
     def signal_latency(self, cell_id: int, spe: SPE) -> float:

@@ -1,12 +1,12 @@
-"""Memory Flow Controller: DMA timing and transfer decomposition.
+"""Memory Flow Controller: DMA timing.
 
-Each SPE reaches main memory only through its MFC.  The model implements
-the documented DMA rules (Section 4 of the paper):
+Each SPE reaches main memory only through its MFC.  The model times
+transfers by the documented DMA rules (Section 4 of the paper):
 
-* a single request moves at most 16 KB;
+* a single request moves at most 16 KB, so a larger transfer is a DMA
+  list of several requests, each paying a (pipelined) startup;
 * transfers must be 1, 2, 4, 8 or a multiple of 16 bytes, 128-bit aligned
-  (the model rounds sizes up to a legal transfer size);
-* larger transfers are decomposed into DMA lists of up to 2048 requests.
+  (the model rounds sizes up to a legal transfer size).
 
 Transfer time = per-request startup + bytes / effective bandwidth, where
 effective bandwidth is the lesser of the SPE's MFC port and the share of
@@ -16,15 +16,14 @@ the EIB the transfer gets (see :mod:`repro.cell.eib`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Tuple, TYPE_CHECKING
+from typing import Dict, Tuple, TYPE_CHECKING
 
 from .params import CellParams
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .eib import EIB
 
-__all__ = ["DmaRequest", "MFC", "legal_transfer_size"]
+__all__ = ["MFC", "legal_transfer_size"]
 
 _LEGAL_SMALL = (1, 2, 4, 8)
 
@@ -44,24 +43,13 @@ def legal_transfer_size(nbytes: int) -> int:
     return 16 * math.ceil(nbytes / 16)
 
 
-@dataclass(frozen=True)
-class DmaRequest:
-    """One element of a DMA list: a legal-size chunk."""
-
-    nbytes: int
-
-    def __post_init__(self) -> None:
-        if self.nbytes not in _LEGAL_SMALL and self.nbytes % 16 != 0:
-            raise ValueError(f"illegal DMA request size {self.nbytes}")
-
-
 class MFC:
     """DMA engine of one SPE.
 
-    The MFC provides *timing* (how long a transfer takes) and
-    *decomposition* (how a byte count maps onto DMA requests/lists).  The
-    actual waiting is done by callers via the environment, so this class
-    is a pure, deterministic model that is easy to property-test.
+    The MFC provides *timing*: how long a transfer takes and how many DMA
+    requests it needs.  The actual waiting is done by callers via the
+    environment, so this class is a pure, deterministic model that is
+    easy to property-test.
 
     ``eib`` is fixed at construction: :meth:`transfer_time` is a pure
     function of ``(nbytes, concurrent)`` given the params and the bus, and
@@ -73,31 +61,12 @@ class MFC:
         self.eib = eib
         self._transfer_times: Dict[Tuple[int, int], float] = {}
 
-    # -- decomposition ---------------------------------------------------
-    def decompose(self, nbytes: int) -> List[DmaRequest]:
-        """Split ``nbytes`` into legal DMA requests (a DMA list).
-
-        Raises if more than ``dma_list_max`` requests would be needed.
-        """
-        nbytes = legal_transfer_size(nbytes)
-        maxreq = self.params.dma_max_request
-        full, rest = divmod(nbytes, maxreq)
-        reqs = [DmaRequest(maxreq)] * full
-        if rest:
-            reqs.append(DmaRequest(legal_transfer_size(rest)))
-        if len(reqs) > self.params.dma_list_max:
-            raise ValueError(
-                f"{nbytes} B needs {len(reqs)} DMA requests; the MFC list "
-                f"limit is {self.params.dma_list_max}"
-            )
-        return reqs
-
+    # -- timing ----------------------------------------------------------
     def n_requests(self, nbytes: int) -> int:
         """Number of DMA requests needed for ``nbytes``."""
         nbytes = legal_transfer_size(nbytes)
         return max(1, math.ceil(nbytes / self.params.dma_max_request))
 
-    # -- timing ----------------------------------------------------------
     def effective_bandwidth(self, concurrent: int = 1) -> float:
         """Bandwidth one transfer sees with ``concurrent`` active DMAs.
 

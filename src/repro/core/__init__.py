@@ -4,9 +4,9 @@ from .cluster import ClusterResult, run_cluster_experiment
 from .granularity import GranularityGovernor, OffloadDecision
 from .history import UtilizationHistory
 from .llp import LLPConfig, LLPInvocation, LoopParallelModel, split_iterations
-from .oracle import OracleChoice, OracleSelector, default_candidates
+from .oracle import OracleChoice, OracleSelector
 from .results import ScheduleResult
-from .runner import run_bsp_experiment, run_experiment, run_sweep
+from .runner import run_bsp_experiment, run_experiment
 from .runtime import ProcContext, RuntimeStats
 from .schedulers import SchedulerSpec, edtlp, linux, mgps, static_hybrid
 
@@ -17,7 +17,6 @@ __all__ = [
     "static_hybrid",
     "mgps",
     "run_experiment",
-    "run_sweep",
     "run_bsp_experiment",
     "run_cluster_experiment",
     "ClusterResult",
@@ -33,5 +32,4 @@ __all__ = [
     "split_iterations",
     "OracleSelector",
     "OracleChoice",
-    "default_candidates",
 ]

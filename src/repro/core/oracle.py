@@ -12,25 +12,15 @@ oracle (see ``tests/test_paper_claims.py`` and the Figure 8 bench).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from ..cell.params import BladeParams, DEFAULT_BLADE
 from ..workloads.traces import Workload
 from .results import ScheduleResult
 from .runner import run_experiment
-from .schedulers import SchedulerSpec, edtlp, static_hybrid
+from .schedulers import SchedulerSpec
 
-__all__ = ["OracleChoice", "OracleSelector", "default_candidates"]
-
-
-def default_candidates(n_spes: int = 8) -> List[SchedulerSpec]:
-    """EDTLP plus every static hybrid degree that divides the machine."""
-    specs: List[SchedulerSpec] = [edtlp()]
-    degree = 2
-    while degree <= n_spes:
-        specs.append(static_hybrid(degree))
-        degree *= 2
-    return specs
+__all__ = ["OracleChoice", "OracleSelector"]
 
 
 @dataclass(frozen=True)
@@ -44,30 +34,19 @@ class OracleChoice:
     def best_name(self) -> str:
         return self.best.scheduler
 
-    def margin_over(self, name: str) -> float:
-        """How much slower scheduler ``name`` is than the oracle pick."""
-        for r in self.all_results:
-            if r.scheduler == name:
-                return r.makespan / self.best.makespan
-        raise KeyError(f"no candidate named {name!r}")
-
 
 class OracleSelector:
     """Chooses the best static scheduler by trying all of them."""
 
     def __init__(
         self,
-        candidates: Optional[Sequence[SchedulerSpec]] = None,
+        candidates: Sequence[SchedulerSpec],
         blade: BladeParams = DEFAULT_BLADE,
         seed: int = 0,
     ) -> None:
         self.blade = blade
         self.seed = seed
-        self.candidates = (
-            list(candidates)
-            if candidates is not None
-            else default_candidates(blade.total_spes)
-        )
+        self.candidates = list(candidates)
         if not self.candidates:
             raise ValueError("oracle needs at least one candidate")
 
@@ -79,17 +58,3 @@ class OracleSelector:
         )
         best = min(results, key=lambda r: r.makespan)
         return OracleChoice(best=best, all_results=results)
-
-    def sweep(
-        self, bootstrap_counts: Sequence[int], tasks_per_bootstrap: int = 300
-    ) -> Dict[int, OracleChoice]:
-        """Oracle verdicts across a bootstrap-count sweep."""
-        out: Dict[int, OracleChoice] = {}
-        for b in bootstrap_counts:
-            wl = Workload(
-                bootstraps=b,
-                tasks_per_bootstrap=tasks_per_bootstrap,
-                seed=self.seed,
-            )
-            out[b] = self.choose(wl)
-        return out

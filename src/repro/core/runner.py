@@ -16,7 +16,7 @@ same result; different schedulers see byte-identical workload traces.
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Sequence
+from typing import Optional
 
 from ..cell.machine import CellMachine
 from ..cell.params import BladeParams, DEFAULT_BLADE
@@ -29,7 +29,7 @@ from .results import ScheduleResult
 from .runtime import ProcContext
 from .schedulers import SchedulerSpec
 
-__all__ = ["run_experiment", "run_sweep", "run_bsp_experiment"]
+__all__ = ["run_experiment", "run_bsp_experiment"]
 
 
 def _publish_run_metrics(
@@ -280,20 +280,3 @@ def run_bsp_experiment(
         n_processes=workload.n_processes,
         extras={"barrier_generations": float(workload.iterations)},
     )
-
-
-def run_sweep(
-    spec: SchedulerSpec,
-    bootstrap_counts: Sequence[int],
-    tasks_per_bootstrap: int = 400,
-    blade: BladeParams = DEFAULT_BLADE,
-    seed: int = 0,
-) -> List[ScheduleResult]:
-    """Run ``spec`` over a series of bootstrap counts (one figure curve)."""
-    out = []
-    for b in bootstrap_counts:
-        wl = Workload(
-            bootstraps=b, tasks_per_bootstrap=tasks_per_bootstrap, seed=seed
-        )
-        out.append(run_experiment(spec, wl, blade=blade, seed=seed))
-    return out

@@ -24,10 +24,52 @@ bisectable, never flaky.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Dict, Tuple
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from typing import Any, Callable, Dict, Tuple
 
-__all__ = ["SPEKill", "SlowSPE", "FaultPlan"]
+__all__ = ["SPEKill", "SlowSPE", "FaultPlan", "parse_entries"]
+
+
+def parse_entries(kind: str, cls, converters: Dict[str, Callable[[Any], Any]],
+                  entries) -> tuple:
+    """Build ``cls`` instances from a JSON list of objects.
+
+    ``converters`` maps each accepted key to the function that converts
+    its value.  A non-list ``entries``, a non-object entry, an unknown or
+    missing key, or a value its converter rejects raises
+    :class:`ValueError` naming ``kind``; both fault-plan readers (this
+    module's and :class:`repro.serve.fleet.FleetFaultPlan`'s) parse
+    through here.
+    """
+    if not isinstance(entries, list):
+        raise ValueError(f"{kind} entries must be a JSON list, "
+                         f"got {entries!r}")
+    required = [f.name for f in fields(cls)
+                if f.default is MISSING and f.default_factory is MISSING]
+    out = []
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise ValueError(f"expected a JSON object for a {kind}, "
+                             f"got {entry!r}")
+        bad = set(entry) - set(converters)
+        if bad:
+            raise ValueError(
+                f"unknown {kind} key {sorted(bad)[0]!r}; "
+                f"known keys: {', '.join(sorted(converters))}"
+            )
+        missing = [name for name in required if name not in entry]
+        if missing:
+            raise ValueError(f"{kind} {entry!r} is missing key "
+                             f"{missing[0]!r}")
+        kwargs = {}
+        for name, conv in converters.items():
+            if name in entry:
+                try:
+                    kwargs[name] = conv(entry[name])
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"{kind} key {name!r}: {exc}") from None
+        out.append(cls(**kwargs))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -110,32 +152,18 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "FaultPlan":
-        known = {
-            "seed", "offload_fail_rate", "dma_error_rate",
-            "dma_retry_penalty", "spe_kills", "slow_spes",
-        }
-        unknown = set(payload) - known
-        if unknown:
-            raise ValueError(
-                f"unknown fault-plan key {sorted(unknown)[0]!r}; "
-                f"known keys: {', '.join(sorted(known))}"
-            )
-        kills = tuple(
-            SPEKill(**k) if isinstance(k, dict) else SPEKill(*k)
-            for k in payload.get("spe_kills", ())
-        )
-        slows = tuple(
-            SlowSPE(**s) if isinstance(s, dict) else SlowSPE(*s)
-            for s in payload.get("slow_spes", ())
-        )
-        return cls(
-            seed=int(payload.get("seed", 0)),
-            offload_fail_rate=float(payload.get("offload_fail_rate", 0.0)),
-            dma_error_rate=float(payload.get("dma_error_rate", 0.0)),
-            dma_retry_penalty=float(payload.get("dma_retry_penalty", 1.0)),
-            spe_kills=kills,
-            slow_spes=slows,
-        )
+        (plan,) = parse_entries("fault-plan", cls, {
+            "seed": int,
+            "offload_fail_rate": float,
+            "dma_error_rate": float,
+            "dma_retry_penalty": float,
+            "spe_kills": lambda v: parse_entries(
+                "spe kill", SPEKill, {"spe": int, "time": float}, v),
+            "slow_spes": lambda v: parse_entries(
+                "slow spe", SlowSPE,
+                {"spe": int, "factor": float, "jitter": float}, v),
+        }, [payload])
+        return plan
 
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":

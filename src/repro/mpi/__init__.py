@@ -1,7 +1,6 @@
-"""Simulated MPI substrate: communicator, master-worker, worker processes."""
+"""Simulated MPI substrate: master-worker dispenser and worker processes."""
 
-from .comm import SimComm
 from .master_worker import WorkDispenser
 from .process import bsp_worker, mpi_worker
 
-__all__ = ["SimComm", "WorkDispenser", "mpi_worker", "bsp_worker"]
+__all__ = ["WorkDispenser", "mpi_worker", "bsp_worker"]

@@ -8,8 +8,8 @@ package makes those decisions observable without perturbing them:
   the existing :class:`~repro.sim.trace.Tracer`;
 * :mod:`repro.obs.metrics` — counters / gauges / fixed-bucket histograms
   in a per-run :class:`MetricsRegistry` (no-op when absent);
-* :mod:`repro.obs.export` — Chrome/Perfetto trace-event JSON, JSONL
-  record sink, and deterministic metrics snapshots;
+* :mod:`repro.obs.export` — Chrome/Perfetto trace-event JSON and the
+  JSONL record sink;
 * :mod:`repro.obs.runview` — the single-pass fold of a finished run
   that the report, the monitor and the timeline read;
 * :mod:`repro.obs.monitor` — rule-based post-run health detectors
@@ -51,7 +51,6 @@ from .export import (
     chrome_trace,
     chrome_trace_events,
     write_chrome_trace,
-    write_metrics_snapshot,
     write_trace_jsonl,
 )
 from .causal import (
@@ -104,7 +103,6 @@ __all__ = [
     "chrome_trace_events",
     "write_chrome_trace",
     "write_trace_jsonl",
-    "write_metrics_snapshot",
     "HealthFinding",
     "HealthMonitor",
     "MonitorConfig",

@@ -1,4 +1,4 @@
-"""Exporters: Chrome/Perfetto trace-event JSON, JSONL sink, metrics text.
+"""Exporters: Chrome/Perfetto trace-event JSON and the JSONL sink.
 
 :func:`chrome_trace` turns recorded :class:`~repro.sim.trace.TraceRecord`
 streams into the Chrome trace-event format that https://ui.perfetto.dev
@@ -28,7 +28,6 @@ __all__ = [
     "chrome_trace_events",
     "write_chrome_trace",
     "write_trace_jsonl",
-    "write_metrics_snapshot",
 ]
 
 TracerLike = Union[Tracer, Mapping[str, Tracer]]
@@ -140,12 +139,4 @@ def write_trace_jsonl(tracer: Tracer, path) -> str:
     """Persist raw trace records as JSON Lines; returns the path."""
     with open(path, "w") as fh:
         fh.write(tracer.to_jsonl())
-    return str(path)
-
-
-def write_metrics_snapshot(registry, path) -> str:
-    """Write a registry's deterministic JSON snapshot; returns the path."""
-    with open(path, "w") as fh:
-        fh.write(registry.to_json())
-        fh.write("\n")
     return str(path)

@@ -47,9 +47,8 @@ def labeled(name: str, **labels: Any) -> str:
 
     ``labeled("runtime.offloads", scheduler="mgps")`` gives
     ``'runtime.offloads{scheduler="mgps"}'``.  Labels are sorted so the
-    same label set always yields the same key; use it to keep
-    per-scheduler registries collision-free when merging them into one
-    snapshot (see :meth:`MetricsRegistry.merge`).
+    same label set always yields the same key, so per-tenant instruments
+    in one registry never collide.
     """
     if not labels:
         return name
@@ -87,14 +86,6 @@ class Counter:
             raise ValueError("counters only go up")
         self.value += amount
 
-    def copy_as(self, name: str) -> "Counter":
-        c = Counter(name, self.help)
-        c.value = self.value
-        return c
-
-    def merge_from(self, other: "Counter") -> None:
-        self.value += other.value
-
     def snapshot(self) -> Dict[str, Any]:
         return {"type": "counter", "value": stable_round(self.value)}
 
@@ -117,19 +108,6 @@ class Gauge:
     def set(self, value: float) -> None:
         self.value = value
         self.updates += 1
-
-    def copy_as(self, name: str) -> "Gauge":
-        g = Gauge(name, self.help)
-        g.value = self.value
-        g.updates = self.updates
-        return g
-
-    def merge_from(self, other: "Gauge") -> None:
-        # Last write wins, as for a single gauge; an untouched gauge
-        # (updates == 0) never overrides a written one.
-        if other.updates:
-            self.value = other.value
-        self.updates += other.updates
 
     def snapshot(self) -> Dict[str, Any]:
         return {
@@ -182,27 +160,6 @@ class Histogram:
             self.min = v
         if v > self.max:
             self.max = v
-
-    def copy_as(self, name: str) -> "Histogram":
-        h = Histogram(name, self.bounds, help=self.help)
-        h.counts = list(self.counts)
-        h.count = self.count
-        h.total = self.total
-        h.min = self.min
-        h.max = self.max
-        return h
-
-    def merge_from(self, other: "Histogram") -> None:
-        if other.bounds != self.bounds:
-            raise ValueError(
-                f"histogram {self.name!r}: cannot merge differing bucket "
-                f"layouts"
-            )
-        self.counts = [a + b for a, b in zip(self.counts, other.counts)]
-        self.count += other.count
-        self.total += other.total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
 
     @property
     def mean(self) -> float:
@@ -297,33 +254,6 @@ class MetricsRegistry:
 
     def names(self) -> List[str]:
         return sorted(self._metrics)
-
-    def merge(self, other: "MetricsRegistry", **labels: Any) -> "MetricsRegistry":
-        """Fold ``other``'s instruments into this registry, in place.
-
-        With ``labels``, every incoming name gains a :func:`labeled`
-        suffix (``merge(reg, scheduler="mgps")`` files ``runtime.offloads``
-        as ``runtime.offloads{scheduler="mgps"}``), so per-scheduler
-        registries from a comparison combine into one snapshot without
-        key collisions.  When a (suffixed) name already exists, same-kind
-        instruments combine (counters add, gauges last-write-wins,
-        same-layout histograms add bucket counts); a kind mismatch raises
-        :class:`TypeError`.  Returns ``self`` for chaining.
-        """
-        for name in other.names():
-            inst = other.get(name)
-            target = labeled(name, **labels)
-            mine = self._metrics.get(target)
-            if mine is None:
-                self._metrics[target] = inst.copy_as(target)
-            elif mine.kind != inst.kind:
-                raise TypeError(
-                    f"metric {target!r} already registered as {mine.kind}, "
-                    f"cannot merge a {inst.kind}"
-                )
-            else:
-                mine.merge_from(inst)
-        return self
 
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
         """Deterministic dict snapshot: sorted names, rounded floats."""

@@ -1,20 +1,17 @@
 """Deterministic windowed time-series, sampled post-hoc from a trace.
 
-The future auto-tuner (the ``mgps-auto`` ROADMAP item) needs *signals
-over time*, not end-of-run scalars: how blade utilization, queue depth
-and in-flight load evolved across the run, and how SPE capacity
-decayed under faults.  A live sampler process would inject kernel
-events and perturb the determinism baselines, so this module instead
-folds the finished :class:`~repro.sim.trace.Tracer` record stream into
+The HTML report draws a serving run's *signals over time*, not only
+end-of-run scalars: how queue depth, in-flight load and blade
+utilization evolved across the run.  A live sampler process would inject
+kernel events and perturb the determinism baselines, so this module
+instead folds the finished :class:`~repro.sim.trace.Tracer` rows into
 fixed sim-time buckets — a pure function of the trace, bit-identical
 across runs of the same config.
 
 Semantics per series (bucket ``b`` covers ``[b*w, (b+1)*w)``):
 
-* step gauges (``queue_depth``, ``in_flight``, per-blade
-  ``bladeN.queue``, ``active_blades``, ``live_spes``) are sampled at
-  the bucket's *end* — the value the step function holds at
-  ``(b+1)*w``;
+* step gauges (``queue_depth``, ``in_flight``) are sampled at the
+  bucket's *end* — the value the step function holds at ``(b+1)*w``;
 * utilization series (``bladeN.u``) are the fraction of the bucket
   covered by that blade's busy intervals (dispatch overhead plus
   service segments), in ``[0, 1]``.
@@ -26,6 +23,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..sim.trace import Tracer
 from .metrics import stable_round
 
 __all__ = ["TimeSeries", "sample_timeseries"]
@@ -56,11 +54,12 @@ class TimeSeries:
         }
 
 
-def _sample_steps(changes: List[Tuple[float, float]], edges: List[float],
-                  initial: float = 0.0) -> Tuple[float, ...]:
-    """Value of a step function (``(time, delta)`` list) at each edge."""
+def _sample_steps(changes: List[Tuple[float, float]],
+                  edges: List[float]) -> Tuple[float, ...]:
+    """Value of a step function (``(time, delta)`` list, starting at 0)
+    at each edge."""
     out: List[float] = []
-    value = initial
+    value = 0.0
     i = 0
     changes = sorted(changes)
     for edge in edges:
@@ -68,21 +67,6 @@ def _sample_steps(changes: List[Tuple[float, float]], edges: List[float],
             value += changes[i][1]
             i += 1
         out.append(max(0.0, value))
-    return tuple(out)
-
-
-def _sample_levels(levels: List[Tuple[float, float]], edges: List[float],
-                   initial: float) -> Tuple[float, ...]:
-    """Value of a piecewise-constant ``(time, new_value)`` series."""
-    out: List[float] = []
-    value = initial
-    i = 0
-    levels = sorted(levels)
-    for edge in edges:
-        while i < len(levels) and levels[i][0] <= edge:
-            value = levels[i][1]
-            i += 1
-        out.append(value)
     return tuple(out)
 
 
@@ -97,20 +81,17 @@ def _busy_fraction(intervals: List[Tuple[float, float]], lo: float,
     return min(1.0, covered / width)
 
 
-def sample_timeseries(source, window_s: Optional[float] = None,
+def sample_timeseries(tracer: Tracer, window_s: Optional[float] = None,
                       horizon: Optional[float] = None) -> TimeSeries:
-    """Fold a trace into windowed gauges.
+    """Fold a tracer's serve rows into windowed gauges, in one pass.
 
-    ``source`` is a Tracer or record iterable.  ``horizon`` defaults to
-    the last record's timestamp; ``window_s`` defaults to
-    ``horizon / 60`` so any run yields a plottable series.  Which
-    series appear depends on what the trace contains: serving runs
-    contribute queue/in-flight/blade series, fault runs contribute
-    ``live_spes``.
+    ``horizon`` defaults to the last row's timestamp; ``window_s``
+    defaults to ``horizon / 60`` so any run yields a plottable series.
+    A trace without serve rows yields no series.
     """
-    records = list(getattr(source, "records", source))
+    rows = tracer.rows
     if horizon is None:
-        horizon = records[-1].time if records else 0.0
+        horizon = rows[-1][0] if rows else 0.0
     if horizon <= 0.0:
         return TimeSeries(window_s=window_s or 1.0, times=())
     if window_s is None:
@@ -121,94 +102,59 @@ def sample_timeseries(source, window_s: Optional[float] = None,
 
     frontend: List[Tuple[float, float]] = []     # admission-heap deltas
     in_flight: List[Tuple[float, float]] = []    # jobs in system deltas
-    blade_queue: Dict[str, List[Tuple[float, float]]] = {}
     blade_busy: Dict[str, List[Tuple[float, float]]] = {}
     blade_open: Dict[str, float] = {}            # open busy-segment start
     unit_remaining: Dict[str, int] = {}          # jobs left in running unit
-    active_levels: List[Tuple[float, float]] = []
-    spe_levels: List[Tuple[float, float]] = []
-    initial_spes: Optional[float] = None
     blades_seen: set = set()
     had_serve = False
 
-    for rec in records:
-        cat, ev, t = rec.category, rec.event, rec.time
-        if cat == "serve":
-            had_serve = True
-            if ev == "admit":
-                frontend.append((t, 1.0))
-                in_flight.append((t, 1.0))
-            elif ev == "unit":
-                frontend.append((t, -float(len(rec.get("jobs", ())))))
-            elif ev == "enqueue":
-                blades_seen.add(rec.actor)
-                blade_queue.setdefault(rec.actor, []).append((t, 1.0))
-            elif ev == "unit-start":
-                blades_seen.add(rec.actor)
-                blade_queue.setdefault(rec.actor, []).append((t, -1.0))
-                blade_open.setdefault(rec.actor, t)
-                unit_remaining[rec.actor] = len(rec.get("jobs", ()))
-            elif ev == "steal":
-                victim = rec.get("victim")
-                if victim is not None:
-                    blade_queue.setdefault(f"blade{victim}", []) \
-                        .append((t, -1.0))
-            elif ev == "lost":
-                in_flight.append((t, -1.0))
-            elif ev == "finish":
-                in_flight.append((t, -1.0))
-                left = unit_remaining.get(rec.actor, 0) - 1
-                unit_remaining[rec.actor] = left
-                if left <= 0:
-                    # Last job of the running unit: the blade goes idle
-                    # (a back-to-back unit reopens the segment at its
-                    # own unit-start).
-                    start = blade_open.pop(rec.actor, None)
-                    if start is not None and t > start:
-                        blade_busy.setdefault(rec.actor, []) \
-                            .append((start, t))
-            elif ev == "failover":
-                unit_remaining.pop(rec.actor, None)
-                start = blade_open.pop(rec.actor, None)
+    for t, cat, actor, ev, payload in rows:
+        if cat != "serve":
+            continue
+        had_serve = True
+        if ev == "admit":
+            frontend.append((t, 1.0))
+            in_flight.append((t, 1.0))
+        elif ev == "unit":
+            frontend.append((t, -float(len(payload.get("jobs", ())))))
+        elif ev == "enqueue":
+            blades_seen.add(actor)
+        elif ev == "unit-start":
+            blades_seen.add(actor)
+            blade_open.setdefault(actor, t)
+            unit_remaining[actor] = len(payload.get("jobs", ()))
+        elif ev == "lost":
+            in_flight.append((t, -1.0))
+        elif ev == "finish":
+            in_flight.append((t, -1.0))
+            left = unit_remaining.get(actor, 0) - 1
+            unit_remaining[actor] = left
+            if left <= 0:
+                # Last job of the running unit: the blade goes idle (a
+                # back-to-back unit reopens the segment at its own
+                # unit-start).
+                start = blade_open.pop(actor, None)
                 if start is not None and t > start:
-                    blade_busy.setdefault(rec.actor, []).append((start, t))
-            elif ev in ("scale-up", "scale-down"):
-                active_levels.append((t, float(rec.get("active", 0))))
-            elif ev == "blade-kill":
-                blade = f"blade{rec.get('blade')}"
-                # A dead blade's queue drains to survivors instantly.
-                blade_queue.setdefault(blade, []).append((t, -1e9))
-        elif cat == "fault" and ev == "spe_kill":
-            live = rec.get("live_spes")
-            if live is not None:
-                if initial_spes is None:
-                    initial_spes = float(live) + 1.0
-                spe_levels.append((t, float(live)))
+                    blade_busy.setdefault(actor, []).append((start, t))
+        elif ev == "failover":
+            unit_remaining.pop(actor, None)
+            start = blade_open.pop(actor, None)
+            if start is not None and t > start:
+                blade_busy.setdefault(actor, []).append((start, t))
 
+    series: Dict[str, Tuple[float, ...]] = {}
+    if not had_serve:
+        return TimeSeries(window_s=window_s, times=times, series=series)
     # Close any still-open blade segments at the horizon.
     for blade, start in blade_open.items():
         if horizon > start:
             blade_busy.setdefault(blade, []).append((start, horizon))
-
-    series: Dict[str, Tuple[float, ...]] = {}
-    if had_serve:
-        series["queue_depth"] = _sample_steps(frontend, edges)
-        series["in_flight"] = _sample_steps(in_flight, edges)
-        if active_levels:
-            series["active_blades"] = _sample_levels(
-                active_levels, edges, initial=float(len(blades_seen))
-            )
-        for blade in sorted(blades_seen):
-            series[f"{blade}.queue"] = _sample_steps(
-                blade_queue.get(blade, []), edges
-            )
-            intervals = blade_busy.get(blade, [])
-            series[f"{blade}.u"] = tuple(
-                _busy_fraction(intervals, b * window_s, (b + 1) * window_s)
-                for b in range(n)
-            )
-    if spe_levels:
-        series["live_spes"] = _sample_levels(
-            spe_levels, edges, initial=initial_spes or 0.0
+    series["queue_depth"] = _sample_steps(frontend, edges)
+    series["in_flight"] = _sample_steps(in_flight, edges)
+    for blade in sorted(blades_seen):
+        intervals = blade_busy.get(blade, [])
+        series[f"{blade}.u"] = tuple(
+            _busy_fraction(intervals, b * window_s, (b + 1) * window_s)
+            for b in range(n)
         )
     return TimeSeries(window_s=window_s, times=times, series=series)

@@ -80,10 +80,6 @@ class BootstopMonitor:
         self._prev: Optional[Dict[Split, float]] = None
         self._stable = 0
 
-    @property
-    def replicates_seen(self) -> int:
-        return len(self.trees)
-
     def add(self, tree: Tree) -> bool:
         """Record one completed replicate; True iff convergence is new."""
         if self.converged:

@@ -38,11 +38,12 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from itertools import compress
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from ..cell.params import BladeParams
 from ..core.runner import run_experiment
 from ..core.schedulers import SchedulerSpec, edtlp, linux, mgps
+from ..faults.plan import parse_entries
 from ..sim.engine import Environment
 from ..sim.events import Event
 from ..workloads.traces import Workload
@@ -382,25 +383,6 @@ class LinkDegrade:
             raise ValueError("degrade duration must be positive when set")
 
 
-def _parse_entries(kind: str, cls, fields: Dict[str, Any], entries):
-    """Build fault dataclasses from JSON dicts with known-key errors."""
-    out = []
-    for entry in entries:
-        bad = set(entry) - set(fields)
-        if bad:
-            known = ", ".join(sorted(fields))
-            raise ValueError(
-                f"unknown {kind} key {sorted(bad)[0]!r}; "
-                f"known keys: {known}"
-            )
-        kwargs = {
-            name: conv(entry[name])
-            for name, conv in fields.items() if name in entry
-        }
-        out.append(cls(**kwargs))
-    return tuple(out)
-
-
 def _opt_float(value) -> Optional[float]:
     return None if value is None else float(value)
 
@@ -478,38 +460,23 @@ class FleetFaultPlan:
 
     @classmethod
     def from_json(cls, text: str) -> "FleetFaultPlan":
-        data = json.loads(text)
-        known = {"seed", "kills", "slows", "flaps", "degrades"}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown fleet fault kind {sorted(unknown)[0]!r}; "
-                f"known kinds: {', '.join(sorted(known - {'seed'}))} "
-                f"(plus the plan-level 'seed')"
-            )
-        kills = _parse_entries(
-            "blade kill", BladeKill,
-            {"blade": int, "at": float}, data.get("kills", ()),
-        )
-        slows = _parse_entries(
-            "blade slow", BladeSlow,
-            {"blade": int, "at": float, "factor": float, "jitter": float,
-             "duration": _opt_float},
-            data.get("slows", ()),
-        )
-        flaps = _parse_entries(
-            "blade flap", BladeFlap,
-            {"blade": int, "at": float, "down_s": float},
-            data.get("flaps", ()),
-        )
-        degrades = _parse_entries(
-            "link degrade", LinkDegrade,
-            {"blade": int, "at": float, "added_latency_s": float,
-             "duration": _opt_float},
-            data.get("degrades", ()),
-        )
-        return cls(kills=kills, slows=slows, flaps=flaps, degrades=degrades,
-                   seed=int(data.get("seed", 0)))
+        (plan,) = parse_entries("fleet fault plan", cls, {
+            "seed": int,
+            "kills": lambda v: parse_entries(
+                "blade kill", BladeKill, {"blade": int, "at": float}, v),
+            "slows": lambda v: parse_entries(
+                "blade slow", BladeSlow,
+                {"blade": int, "at": float, "factor": float,
+                 "jitter": float, "duration": _opt_float}, v),
+            "flaps": lambda v: parse_entries(
+                "blade flap", BladeFlap,
+                {"blade": int, "at": float, "down_s": float}, v),
+            "degrades": lambda v: parse_entries(
+                "link degrade", LinkDegrade,
+                {"blade": int, "at": float, "added_latency_s": float,
+                 "duration": _opt_float}, v),
+        }, [json.loads(text)])
+        return plan
 
     def describe(self) -> str:
         if self.is_null:

@@ -2,16 +2,16 @@
 
 This package is the substrate under every experiment in the reproduction:
 generator-based processes, an event calendar with deterministic
-tie-breaking, counted resources, FIFO stores, broadcast gates, named RNG
-streams and busy-time tracking.
+tie-breaking, FIFO stores, barriers, named RNG streams and the trace
+recorder.
 """
 
 from .engine import EmptySchedule, Environment
 from .events import AllOf, AnyOf, Event, Interrupt, Timeout
 from .process import Process
-from .resources import Barrier, Gate, Request, Resource, Store
+from .resources import Barrier, Store
 from .rng import RngStreams
-from .trace import BusyTracker, TraceRecord, Tracer
+from .trace import TraceRecord, Tracer
 
 __all__ = [
     "Environment",
@@ -22,13 +22,9 @@ __all__ = [
     "AnyOf",
     "Interrupt",
     "Process",
-    "Resource",
-    "Request",
     "Store",
-    "Gate",
     "Barrier",
     "RngStreams",
     "Tracer",
     "TraceRecord",
-    "BusyTracker",
 ]

@@ -1,9 +1,8 @@
-"""Execution tracing and interval statistics.
+"""Execution tracing.
 
-The tracer records typed, timestamped records during a simulation run and
-offers utilization/occupancy reductions over them.  It is the data source
-for all reported metrics (SPE utilization, PPE occupancy, timelines) and
-for the ASCII timelines printed by the examples.
+The tracer records typed, timestamped records during a simulation run.
+It is the data source for the timelines, reports and exported traces,
+including the ASCII timelines printed by the examples.
 
 :class:`Sinks` bundles a run's live tracer and metrics registry.  It is
 resolved once, when the :class:`~repro.sim.engine.Environment` is built,
@@ -20,7 +19,7 @@ from typing import (
     Any, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union,
 )
 
-__all__ = ["TraceRecord", "Tracer", "Sinks", "tracer_of", "BusyTracker"]
+__all__ = ["TraceRecord", "Tracer", "Sinks", "tracer_of"]
 
 # One raw trace entry: (time, category, actor, event, payload dict).
 Row = Tuple[float, str, str, str, Dict[Any, Any]]
@@ -191,60 +190,3 @@ def _from_jsonable(value: Any) -> Any:
     if isinstance(value, list):
         return tuple(_from_jsonable(v) for v in value)
     return value
-
-
-class BusyTracker:
-    """Accumulates busy time per actor from begin/end marks.
-
-    Used for utilization: each actor (an SPE, a PPE context) marks
-    ``begin(actor, t)`` when it starts useful work and ``end(actor, t)``
-    when it stops; :meth:`utilization` divides accumulated busy time by a
-    window.  Nested begin/end pairs are counted once (re-entrant).
-    """
-
-    def __init__(self) -> None:
-        self._busy: Dict[str, float] = {}
-        self._open: Dict[str, Tuple[int, float]] = {}
-
-    def begin(self, actor: str, time: float) -> None:
-        depth, since = self._open.get(actor, (0, time))
-        if depth == 0:
-            since = time
-        self._open[actor] = (depth + 1, since)
-
-    def end(self, actor: str, time: float) -> None:
-        if actor not in self._open or self._open[actor][0] == 0:
-            raise RuntimeError(f"end() without begin() for actor {actor!r}")
-        depth, since = self._open[actor]
-        if depth == 1:
-            self._busy[actor] = self._busy.get(actor, 0.0) + (time - since)
-            del self._open[actor]
-        else:
-            self._open[actor] = (depth - 1, since)
-
-    def busy_time(self, actor: str, now: Optional[float] = None) -> float:
-        """Total busy time, including any currently open interval."""
-        total = self._busy.get(actor, 0.0)
-        if now is not None and actor in self._open:
-            depth, since = self._open[actor]
-            if depth > 0:
-                total += now - since
-        return total
-
-    def actors(self) -> List[str]:
-        keys = set(self._busy) | set(self._open)
-        return sorted(keys)
-
-    def utilization(self, actor: str, window: float, now: Optional[float] = None) -> float:
-        """Fraction of ``window`` the actor was busy (0 if window == 0)."""
-        if window <= 0:
-            return 0.0
-        return self.busy_time(actor, now) / window
-
-    def mean_utilization(
-        self, actors: Iterable[str], window: float, now: Optional[float] = None
-    ) -> float:
-        actors = list(actors)
-        if not actors:
-            return 0.0
-        return sum(self.utilization(a, window, now) for a in actors) / len(actors)

@@ -9,7 +9,6 @@ from .synthetic import (
     uniform_trace,
 )
 from .coupled import BSPWorkload
-from .io import load_traces, save_traces, trace_from_dict, trace_to_dict
 from .taskspec import BootstrapTrace, LoopSpec, OffloadItem, TaskSpec
 from .traces import FixedTraceWorkload, TraceBuilder, Workload
 
@@ -25,10 +24,6 @@ __all__ = [
     "Workload",
     "FixedTraceWorkload",
     "BSPWorkload",
-    "save_traces",
-    "load_traces",
-    "trace_to_dict",
-    "trace_from_dict",
     "uniform_trace",
     "fine_grained_trace",
     "mixed_granularity_trace",

@@ -3,14 +3,10 @@
 import pytest
 
 from repro.analysis import (
-    best_scheduler,
     crossover,
-    efficiency,
     format_series,
     format_table,
     paper_comparison,
-    scaling_efficiency,
-    speedup,
 )
 from repro.core.results import ScheduleResult
 
@@ -37,25 +33,6 @@ def result(makespan, name="s", bootstraps=1):
 
 
 class TestMetrics:
-    def test_speedup(self):
-        assert speedup(result(20.0), result(10.0)) == pytest.approx(2.0)
-        with pytest.raises(ValueError):
-            speedup(result(10.0), result(0.0))
-
-    def test_efficiency(self):
-        r = result(10.0)
-        assert efficiency(r, serial_seconds=80.0) == pytest.approx(1.0)
-        assert efficiency(r, serial_seconds=40.0) == pytest.approx(0.5)
-
-    def test_scaling_efficiency(self):
-        rs = [result(10.0, bootstraps=1), result(20.0, bootstraps=2),
-              result(50.0, bootstraps=4)]
-        eff = scaling_efficiency(rs)
-        assert eff[0] == pytest.approx(1.0)
-        assert eff[1] == pytest.approx(1.0)
-        assert eff[2] == pytest.approx(0.8)
-        assert scaling_efficiency([]) == []
-
     def test_crossover(self):
         xs = [1, 2, 4, 8]
         a = [10, 20, 40, 100]
@@ -65,11 +42,6 @@ class TestMetrics:
         assert crossover(xs, a, [200] * 4) == -1
         with pytest.raises(ValueError):
             crossover([1], [1, 2], [1])
-
-    def test_best_scheduler(self):
-        assert best_scheduler({"a": result(10.0), "b": result(5.0)}) == "b"
-        with pytest.raises(ValueError):
-            best_scheduler({})
 
     def test_result_helpers(self):
         r = result(10.0, bootstraps=5)

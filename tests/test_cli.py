@@ -209,6 +209,35 @@ def test_faults_malformed_flag_is_a_usage_error(flag, value, shape, capsys):
         f"repro faults: error: {flag} expects {shape}, got {value!r}\n")
 
 
+@pytest.mark.parametrize("command,plan,message", [
+    ("faults", '{"spe_kills": [{"spe": 1, "when": 1e-4}]}',
+     "fault-plan key 'spe_kills': unknown spe kill key 'when'; "
+     "known keys: spe, time"),
+    ("faults", '{"spe_kills": [[1]]}',
+     "fault-plan key 'spe_kills': expected a JSON object for a spe kill, "
+     "got [1]"),
+    ("faults", "[1, 2]", "expected a JSON object for a fault-plan, got [1, 2]"),
+    ("serve", '{"kills": [[0, 50.0]]}',
+     "fleet fault plan key 'kills': expected a JSON object for a blade "
+     "kill, got [0, 50.0]"),
+    ("serve", "[1, 2]",
+     "expected a JSON object for a fleet fault plan, got [1, 2]"),
+])
+def test_malformed_plan_file_is_a_usage_error(command, plan, message,
+                                              tmp_path, capsys):
+    path = tmp_path / "plan.json"
+    path.write_text(plan)
+    argv = (["faults", "mgps", "--bootstraps", "2", "--tasks", "30",
+             "--plan", str(path)] if command == "faults"
+            else ["serve", "--duration", "300", "--fault-plan", str(path)])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"repro {command}: error: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["table2", "--tasks", "60", "--trace"],
     ["serve", "--duration", "300", "--trace"],

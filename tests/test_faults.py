@@ -94,6 +94,24 @@ class TestFaultPlan:
         with pytest.raises(ValueError, match="banana"):
             FaultPlan.from_json('{"seed": 1, "banana": true}')
 
+    @pytest.mark.parametrize("text,message", [
+        ('{"spe_kills": [{"spe": 1, "when": 1e-4}]}',
+         "unknown spe kill key 'when'; known keys: spe, time"),
+        ('{"spe_kills": [[1]]}',
+         "expected a JSON object for a spe kill, got [1]"),
+        ('{"spe_kills": [{"spe": 1}]}', "is missing key 'time'"),
+        ('{"slow_spes": [{"spe": 1, "speed": 2.0}]}',
+         "unknown slow spe key 'speed'"),
+        ('{"spe_kills": {"spe": 1, "time": 1e-4}}',
+         "spe kill entries must be a JSON list"),
+        ('{"seed": null}', "fault-plan key 'seed'"),
+        ("[1, 2]", "expected a JSON object for a fault-plan, got [1, 2]"),
+    ])
+    def test_from_json_rejects_malformed_entries(self, text, message):
+        with pytest.raises(ValueError) as exc:
+            FaultPlan.from_json(text)
+        assert message in str(exc.value)
+
 
 class TestTolerancePolicy:
     def test_backoff_grows_and_caps(self):

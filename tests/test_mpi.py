@@ -2,97 +2,8 @@
 
 import pytest
 
-from repro.mpi import SimComm, WorkDispenser
+from repro.mpi import WorkDispenser
 from repro.sim import Environment
-
-
-class TestSimComm:
-    def test_send_recv_roundtrip(self):
-        env = Environment()
-        comm = SimComm(env, size=2, latency=1e-6)
-
-        def sender():
-            yield from comm.send({"x": 1}, dest=1)
-
-        def receiver():
-            msg = yield comm.recv_at(1)
-            return (env.now, msg)
-
-        env.process(sender())
-        p = env.process(receiver())
-        t, msg = env.run_until_complete(p)
-        assert msg == {"x": 1}
-        assert t == pytest.approx(1e-6)
-
-    def test_isend_does_not_block(self):
-        env = Environment()
-        comm = SimComm(env, size=2, latency=1e-6)
-        comm.isend("payload", dest=1)
-
-        def receiver():
-            return (yield comm.recv_at(1))
-
-        assert env.run_until_complete(env.process(receiver())) == "payload"
-
-    def test_message_order_preserved(self):
-        env = Environment()
-        comm = SimComm(env, size=2, latency=0.0)
-        got = []
-
-        def sender():
-            yield from comm.send(1, dest=1)
-            yield from comm.send(2, dest=1)
-
-        def receiver():
-            got.append((yield comm.recv_at(1)))
-            got.append((yield comm.recv_at(1)))
-
-        env.process(sender())
-        env.process(receiver())
-        env.run()
-        assert got == [1, 2]
-
-    def test_tags_are_separate_mailboxes(self):
-        env = Environment()
-        comm = SimComm(env, size=1, latency=0.0)
-        comm.isend("a", dest=0, tag=1)
-        comm.isend("b", dest=0, tag=2)
-
-        def receiver():
-            b = yield comm.recv_at(0, tag=2)
-            a = yield comm.recv_at(0, tag=1)
-            return (a, b)
-
-        assert env.run_until_complete(env.process(receiver())) == ("a", "b")
-
-    def test_bcast_reaches_all_ranks(self):
-        env = Environment()
-        comm = SimComm(env, size=3, latency=0.0)
-        comm.bcast("hello")
-        got = []
-
-        def receiver(rank):
-            got.append((rank, (yield comm.recv_at(rank))))
-
-        for r in range(3):
-            env.process(receiver(r))
-        env.run()
-        assert sorted(got) == [(0, "hello"), (1, "hello"), (2, "hello")]
-
-    def test_rank_bounds_checked(self):
-        env = Environment()
-        comm = SimComm(env, size=2)
-        with pytest.raises(ValueError):
-            comm.isend("x", dest=2)
-        with pytest.raises(ValueError):
-            comm.recv_at(-1)
-
-    def test_invalid_construction(self):
-        env = Environment()
-        with pytest.raises(ValueError):
-            SimComm(env, size=0)
-        with pytest.raises(ValueError):
-            SimComm(env, size=1, latency=-1)
 
 
 class TestWorkDispenser:

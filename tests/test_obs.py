@@ -315,7 +315,7 @@ class TestRegistryConsumers:
         assert offload_latency_percentiles(reg)["p99"] == 0.0
 
 
-# -- registry merge and labeled names ----------------------------------------
+# -- labeled names ------------------------------------------------------------
 
 class TestMergeAndLabels:
     def test_labeled_formats_sorted_prometheus_style(self):
@@ -325,60 +325,6 @@ class TestMergeAndLabels:
         # values always quoted (Prometheus exposition style).
         assert labeled("m", b=2, a="x") == 'm{a="x",b="2"}'
         assert labeled("m") == "m"
-
-    def test_merge_files_names_under_labels(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        b.counter("runtime.offloads").inc(5)
-        a.merge(b, scheduler="mgps")
-        inst = a.get('runtime.offloads{scheduler="mgps"}')
-        assert inst is not None and inst.value == 5
-        assert a.get("runtime.offloads") is None
-
-    def test_merge_combines_counters_and_histograms(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("c").inc(2)
-        b.counter("c").inc(3)
-        a.histogram("h", buckets=(1.0, 10.0)).observe(0.5)
-        b.histogram("h", buckets=(1.0, 10.0)).observe(100.0)
-        a.merge(b)
-        assert a.get("c").value == 5
-        h = a.get("h")
-        assert h.count == 2
-        assert h.min == 0.5 and h.max == 100.0
-
-    def test_merge_gauge_last_write_wins_but_not_untouched(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.gauge("g").set(1.0)
-        b.gauge("g").set(7.0)
-        a.merge(b)
-        assert a.get("g").value == 7.0
-        # An untouched incoming gauge must not zero out a written one.
-        c = MetricsRegistry()
-        c.gauge("g")  # registered, never set
-        a.merge(c)
-        assert a.get("g").value == 7.0
-
-    def test_merge_rejects_kind_mismatch(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("x").inc()
-        b.gauge("x").set(1.0)
-        with pytest.raises(TypeError):
-            a.merge(b)
-
-    def test_merge_rejects_histogram_layout_mismatch(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.histogram("h", buckets=(1.0, 2.0)).observe(1.0)
-        b.histogram("h", buckets=(5.0, 50.0)).observe(1.0)
-        with pytest.raises(ValueError):
-            a.merge(b)
-
-    def test_merge_returns_self_for_chaining(self):
-        a, b, c = MetricsRegistry(), MetricsRegistry(), MetricsRegistry()
-        b.counter("n").inc()
-        c.counter("n").inc()
-        out = a.merge(b, run=1).merge(c, run=2)
-        assert out is a
-        assert {'n{run="1"}', 'n{run="2"}'} <= set(a.names())
 
 
 # -- exporter edge cases ------------------------------------------------------

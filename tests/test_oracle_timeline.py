@@ -9,15 +9,11 @@ from repro.analysis.timeline import (
     render_timeline,
     utilization_bar,
 )
-from repro.core.oracle import OracleSelector, default_candidates
+from repro.core.oracle import OracleSelector
 from repro.sim import Tracer
 
 
 class TestOracle:
-    def test_default_candidates_cover_machine(self):
-        names = [c.name for c in default_candidates(8)]
-        assert names == ["edtlp", "edtlp-llp2", "edtlp-llp4", "edtlp-llp8"]
-
     def test_picks_hybrid_at_low_tlp(self):
         oracle = OracleSelector(
             candidates=[edtlp(), static_hybrid(2), static_hybrid(4)]
@@ -42,18 +38,6 @@ class TestOracle:
             choice = oracle.choose(wl)
             mg = run_experiment(mgps(), wl)
             assert mg.makespan <= 1.10 * choice.best.makespan
-
-    def test_margin_over(self):
-        oracle = OracleSelector(candidates=[edtlp(), static_hybrid(2)])
-        choice = oracle.choose(Workload(bootstraps=1, tasks_per_bootstrap=100))
-        assert choice.margin_over("edtlp") >= 1.0
-        with pytest.raises(KeyError):
-            choice.margin_over("nonexistent")
-
-    def test_sweep_keys(self):
-        oracle = OracleSelector(candidates=[edtlp(), static_hybrid(2)])
-        out = oracle.sweep([1, 2], tasks_per_bootstrap=80)
-        assert set(out) == {1, 2}
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError):

@@ -1,48 +1,11 @@
-"""Tests for parallel sweep execution and the experiment harness API."""
-
-import pytest
+"""Tests for the experiment harness API."""
 
 from repro.analysis import (
     SWEEP_LARGE,
     SWEEP_SMALL,
     figure_sweep,
 )
-from repro.analysis.parallel import parallel_sweep, run_points
-from repro.core.schedulers import edtlp, mgps, static_hybrid
-
-
-class TestParallelSweep:
-    def test_serial_path_matches_run_experiment(self):
-        from repro import Workload, run_experiment
-
-        results = parallel_sweep(edtlp(), [1, 2], tasks_per_bootstrap=80)
-        for r, b in zip(results, [1, 2]):
-            direct = run_experiment(
-                edtlp(), Workload(bootstraps=b, tasks_per_bootstrap=80)
-            )
-            assert r.makespan == direct.makespan
-
-    def test_process_pool_matches_serial(self):
-        serial = parallel_sweep(mgps(), [1, 2, 4], tasks_per_bootstrap=80)
-        parallel = parallel_sweep(
-            mgps(), [1, 2, 4], tasks_per_bootstrap=80, workers=3
-        )
-        assert [r.makespan for r in serial] == [
-            r.makespan for r in parallel
-        ]
-        assert [r.offloads for r in serial] == [
-            r.offloads for r in parallel
-        ]
-
-    def test_mixed_spec_points(self):
-        results = run_points(
-            [(edtlp(), 2), (static_hybrid(2), 2), (mgps(), 2)],
-            tasks_per_bootstrap=80,
-            workers=2,
-        )
-        assert [r.scheduler for r in results] == [
-            "edtlp", "edtlp-llp2", "mgps"
-        ]
+from repro.core.schedulers import edtlp
 
 
 class TestExperimentHarness:

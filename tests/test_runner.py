@@ -9,7 +9,6 @@ from repro import (
     linux,
     mgps,
     run_experiment,
-    run_sweep,
     static_hybrid,
 )
 
@@ -74,12 +73,6 @@ def test_schedulers_see_identical_workload():
     t0 = wl.trace(0)
     run_experiment(linux(), wl)
     assert wl.trace(0) is t0  # traces cached, never regenerated
-
-
-def test_run_sweep_returns_one_result_per_count():
-    rs = run_sweep(edtlp(), [1, 2, 4], tasks_per_bootstrap=60)
-    assert [r.bootstraps for r in rs] == [1, 2, 4]
-    assert all(r.makespan > 0 for r in rs)
 
 
 def test_spec_validation():

@@ -8,9 +8,7 @@ from repro.sim import (
     EmptySchedule,
     Environment,
     Event,
-    Gate,
     Interrupt,
-    Resource,
     RngStreams,
     Store,
 )
@@ -403,110 +401,6 @@ def test_deadlock_detection():
         env.run_until_complete(p)
 
 
-class TestResource:
-    def test_fifo_granting(self):
-        env = Environment()
-        res = Resource(env, capacity=1)
-        order = []
-
-        def user(name, hold):
-            req = yield res.request()
-            order.append((env.now, name, "got"))
-            yield env.timeout(hold)
-            res.release(req)
-
-        env.process(user("a", 5))
-        env.process(user("b", 5))
-        env.process(user("c", 5))
-        env.run()
-        assert order == [(0, "a", "got"), (5, "b", "got"), (10, "c", "got")]
-
-    def test_capacity_respected(self):
-        env = Environment()
-        res = Resource(env, capacity=2)
-        peak = []
-
-        def user():
-            req = yield res.request()
-            peak.append(res.in_use)
-            yield env.timeout(1)
-            res.release(req)
-
-        for _ in range(5):
-            env.process(user())
-        env.run()
-        assert max(peak) == 2
-        assert res.in_use == 0
-
-    def test_priority_order(self):
-        env = Environment()
-        res = Resource(env, capacity=1)
-        order = []
-
-        def holder():
-            req = yield res.request()
-            yield env.timeout(10)
-            res.release(req)
-
-        def user(name, prio, t):
-            yield env.timeout(t)
-            req = yield res.request(priority=prio)
-            order.append(name)
-            res.release(req)
-
-        env.process(holder())
-        env.process(user("low", 5, 1))
-        env.process(user("high", 1, 2))
-        env.run()
-        assert order == ["high", "low"]
-
-    def test_cancel_pending_request(self):
-        env = Environment()
-        res = Resource(env, capacity=1)
-        granted = []
-
-        def holder():
-            req = yield res.request()
-            yield env.timeout(10)
-            res.release(req)
-
-        def canceller():
-            yield env.timeout(1)
-            req = res.request()
-            yield env.timeout(1)
-            req.cancel()
-
-        def user():
-            yield env.timeout(3)
-            req = yield res.request()
-            granted.append(env.now)
-            res.release(req)
-
-        env.process(holder())
-        env.process(canceller())
-        env.process(user())
-        env.run()
-        assert granted == [10]
-
-    def test_release_ungranted_is_error(self):
-        env = Environment()
-        res = Resource(env)
-        req = res.request()  # granted immediately
-        res.release(req)
-        req2 = Resource(env).request()
-        # a never-granted request from a full resource
-        full = Resource(env, capacity=1)
-        r1 = full.request()
-        r2 = full.request()
-        with pytest.raises(RuntimeError):
-            full.release(r2)
-
-    def test_invalid_capacity(self):
-        env = Environment()
-        with pytest.raises(ValueError):
-            Resource(env, capacity=0)
-
-
 class TestStore:
     def test_put_then_get(self):
         env = Environment()
@@ -578,51 +472,6 @@ class TestStore:
         store.put(9)
         assert store.try_get() == 9
         assert len(store) == 0
-
-
-class TestGate:
-    def test_fire_releases_all_waiters(self):
-        env = Environment()
-        gate = Gate(env)
-        woke = []
-
-        def waiter(name):
-            v = yield gate.wait()
-            woke.append((name, v, env.now))
-
-        env.process(waiter("a"))
-        env.process(waiter("b"))
-
-        def firer():
-            yield env.timeout(2)
-            n = gate.fire("go")
-            assert n == 2
-
-        env.process(firer())
-        env.run()
-        assert woke == [("a", "go", 2), ("b", "go", 2)]
-
-    def test_gate_is_reusable(self):
-        env = Environment()
-        gate = Gate(env)
-        woke = []
-
-        def waiter():
-            yield gate.wait()
-            woke.append(env.now)
-            yield gate.wait()
-            woke.append(env.now)
-
-        def firer():
-            yield env.timeout(1)
-            gate.fire()
-            yield env.timeout(1)
-            gate.fire()
-
-        env.process(waiter())
-        env.process(firer())
-        env.run()
-        assert woke == [1, 2]
 
 
 class TestRngStreams:

@@ -1,67 +1,6 @@
-"""Tests for trace persistence, the Tracer, and BusyTracker."""
+"""Tests for the Tracer's record API."""
 
-import pytest
-from hypothesis import given, settings, strategies as st
-
-from repro.sim import BusyTracker, Tracer
-from repro.workloads import (
-    TraceBuilder,
-    load_traces,
-    save_traces,
-    trace_from_dict,
-    trace_to_dict,
-)
-from repro.workloads.synthetic import fine_grained_trace, uniform_trace
-
-
-class TestTraceIO:
-    def test_roundtrip_profile_trace(self, tmp_path):
-        trace = TraceBuilder(seed=2).build(1, 60)
-        path = tmp_path / "traces.json"
-        save_traces([trace], path)
-        loaded = load_traces(path)[0]
-        assert loaded.items == trace.items
-        assert loaded.scale == trace.scale
-        assert loaded.tail_ppe == trace.tail_ppe
-        assert loaded.code_image == trace.code_image
-        assert loaded.llp_image == trace.llp_image
-
-    def test_roundtrip_many_traces(self, tmp_path):
-        traces = [uniform_trace(n_tasks=5, index=i) for i in range(3)]
-        path = tmp_path / "many.json"
-        save_traces(traces, path)
-        loaded = load_traces(path)
-        assert len(loaded) == 3
-        assert [t.index for t in loaded] == [0, 1, 2]
-
-    def test_loopless_tasks_roundtrip(self, tmp_path):
-        trace = fine_grained_trace(n_tasks=4)
-        d = trace_to_dict(trace)
-        # drop the loop to exercise the None path
-        for item in d["items"]:
-            item["loop"] = None
-        back = trace_from_dict(d)
-        assert all(i.task.loop is None for i in back.items)
-
-    def test_version_checked(self):
-        trace = uniform_trace(n_tasks=2)
-        d = trace_to_dict(trace)
-        d["version"] = 99
-        with pytest.raises(ValueError, match="version"):
-            trace_from_dict(d)
-
-    def test_loaded_trace_schedules_identically(self, tmp_path):
-        from repro import edtlp, run_experiment
-        from repro.workloads import FixedTraceWorkload
-
-        trace = TraceBuilder(seed=4).build(0, 80)
-        path = tmp_path / "t.json"
-        save_traces([trace], path)
-        wl1 = FixedTraceWorkload([trace])
-        wl2 = FixedTraceWorkload(load_traces(path))
-        r1 = run_experiment(edtlp(n_processes=1), wl1)
-        r2 = run_experiment(edtlp(n_processes=1), wl2)
-        assert r1.makespan == r2.makespan
+from repro.sim import Tracer
 
 
 class TestTracer:
@@ -91,71 +30,3 @@ class TestTracer:
         t.emit(0.0, "c", "a", "e")
         t.clear()
         assert t.records == []
-
-
-class TestBusyTracker:
-    def test_single_interval(self):
-        b = BusyTracker()
-        b.begin("x", 1.0)
-        b.end("x", 3.0)
-        assert b.busy_time("x") == pytest.approx(2.0)
-        assert b.utilization("x", 4.0) == pytest.approx(0.5)
-
-    def test_reentrant_intervals_count_once(self):
-        b = BusyTracker()
-        b.begin("x", 0.0)
-        b.begin("x", 1.0)
-        b.end("x", 2.0)
-        b.end("x", 4.0)
-        assert b.busy_time("x") == pytest.approx(4.0)
-
-    def test_open_interval_with_now(self):
-        b = BusyTracker()
-        b.begin("x", 0.0)
-        assert b.busy_time("x", now=2.5) == pytest.approx(2.5)
-
-    def test_end_without_begin_is_error(self):
-        b = BusyTracker()
-        with pytest.raises(RuntimeError):
-            b.end("x", 1.0)
-
-    def test_mean_utilization(self):
-        b = BusyTracker()
-        b.begin("a", 0.0)
-        b.end("a", 1.0)
-        b.begin("b", 0.0)
-        b.end("b", 3.0)
-        assert b.mean_utilization(["a", "b"], 4.0) == pytest.approx(0.5)
-        assert b.mean_utilization([], 4.0) == 0.0
-
-    def test_actors_listing(self):
-        b = BusyTracker()
-        b.begin("z", 0.0)
-        b.end("z", 1.0)
-        b.begin("a", 0.0)
-        assert b.actors() == ["a", "z"]
-
-    @given(
-        intervals=st.lists(
-            st.tuples(
-                st.floats(min_value=0, max_value=100),
-                st.floats(min_value=0, max_value=100),
-            ).map(lambda p: (min(p), max(p))),
-            min_size=1,
-            max_size=20,
-        )
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_disjoint_intervals_sum(self, intervals):
-        # Sort and make strictly disjoint by offsetting.
-        b = BusyTracker()
-        offset = 0.0
-        total = 0.0
-        for lo, hi in intervals:
-            start = offset
-            end = offset + (hi - lo)
-            b.begin("x", start)
-            b.end("x", end)
-            total += end - start
-            offset = end + 1.0
-        assert b.busy_time("x") == pytest.approx(total)
