@@ -4,7 +4,9 @@ Each SPE reaches main memory only through its MFC.  The model times
 transfers by the documented DMA rules (Section 4 of the paper):
 
 * a single request moves at most 16 KB, so a larger transfer is a DMA
-  list of several requests, each paying a (pipelined) startup;
+  list of several requests, each paying a (pipelined) startup; a list
+  holds at most 2048 requests (``dma_list_max``), so one transfer moves
+  at most 32 MB;
 * transfers must be 1, 2, 4, 8 or a multiple of 16 bytes, 128-bit aligned
   (the model rounds sizes up to a legal transfer size).
 
@@ -63,9 +65,19 @@ class MFC:
 
     # -- timing ----------------------------------------------------------
     def n_requests(self, nbytes: int) -> int:
-        """Number of DMA requests needed for ``nbytes``."""
+        """Number of DMA requests needed for ``nbytes``.
+
+        A transfer is one DMA list, which holds at most ``dma_list_max``
+        requests; a larger transfer raises ``ValueError``.
+        """
         nbytes = legal_transfer_size(nbytes)
-        return max(1, math.ceil(nbytes / self.params.dma_max_request))
+        n = max(1, math.ceil(nbytes / self.params.dma_max_request))
+        if n > self.params.dma_list_max:
+            raise ValueError(
+                f"a {nbytes}-byte transfer needs {n} DMA requests; a DMA "
+                f"list holds at most {self.params.dma_list_max}"
+            )
+        return n
 
     def effective_bandwidth(self, concurrent: int = 1) -> float:
         """Bandwidth one transfer sees with ``concurrent`` active DMAs.

@@ -26,7 +26,7 @@ faults — so a job's digest never depends on which blade ran it.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 from ..sim.engine import Environment
@@ -34,6 +34,8 @@ from .jobs import Job, TenantSpec
 from .slo import ServeStats
 
 __all__ = ["TokenBucket", "DispatchUnit", "FrontEnd"]
+
+_INF = float("inf")
 
 
 class TokenBucket:
@@ -46,7 +48,7 @@ class TokenBucket:
         self._last = 0.0
 
     def try_take(self, now: float) -> bool:
-        if self.rate == float("inf"):
+        if self.rate == _INF:
             return True
         self.tokens = min(self.burst, self.tokens + (now - self._last) * self.rate)
         self._last = now
@@ -70,6 +72,10 @@ class DispatchUnit:
     ``cancelled`` flag is raised and the blade loop drops it at the next
     segment boundary (a queued loser is removed outright).  ``probe``
     marks the single unit a half-open circuit breaker admits.
+
+    ``job_ids`` is the member id tuple the trace rows carry, built once
+    per composition: rewrite ``jobs`` only through :meth:`set_jobs`,
+    which drops the cached tuple.
     """
 
     seq: int
@@ -80,6 +86,21 @@ class DispatchUnit:
     twin: Optional["DispatchUnit"] = None  # the other copy, while both live
     cancelled: bool = False                # hedge loser, drop don't run
     probe: bool = False                    # breaker half-open probe unit
+    _job_ids: Optional[Tuple[int, ...]] = field(
+        default=None, repr=False, compare=False
+    )
+
+    @property
+    def job_ids(self) -> Tuple[int, ...]:
+        ids = self._job_ids
+        if ids is None:
+            ids = self._job_ids = tuple(j.job_id for j in self.jobs)
+        return ids
+
+    def set_jobs(self, jobs: List[Job]) -> None:
+        """Replace the members in place (failover keeps the live ones)."""
+        self.jobs[:] = jobs
+        self._job_ids = None
 
     @property
     def template(self):
@@ -134,13 +155,14 @@ class FrontEnd:
     # -- intake ------------------------------------------------------------
     def submit(
         self, tenant: TenantSpec, variant: int, source: str = "",
-        template=None,
+        template=None, awaited: bool = False,
     ) -> Optional[Job]:
         """Admit or shed one request; returns the Job when admitted.
 
         ``template`` overrides the tenant's default job template — the
         workflow engine uses this to submit different pipeline stages
-        under one workflow tenant.
+        under one workflow tenant.  ``awaited`` says the caller will
+        wait on the job's ``done`` event; only then does the job get one.
         """
         now = self.env.now
         self.stats.note_arrival(tenant.name)
@@ -155,7 +177,7 @@ class FrontEnd:
         if self.in_system >= self.queue_capacity:
             self._reject(now, tenant, "queue-full")
             return None
-        job = self.make_job(tenant, variant, source, template)
+        job = self.make_job(tenant, variant, source, template, awaited)
         self.in_system += 1
         self._seq += 1
         heapq.heappush(self._heap, (job.order_key(self._seq), job))
@@ -197,7 +219,7 @@ class FrontEnd:
         """
         if len(self._unit_pool) >= 64:
             return
-        unit.jobs.clear()
+        unit.set_jobs([])
         unit.blade = None
         unit.attempts = 0
         unit.hedge_of = None
@@ -251,7 +273,6 @@ class FrontEnd:
             # admission-queue phase and the windowed sampler uses the
             # residual depth for its frontend queue series.
             self.tracer.emit(self.env.now, "serve", "frontend", "unit",
-                             unit=unit.seq,
-                             jobs=tuple(j.job_id for j in jobs),
+                             unit=unit.seq, jobs=unit.job_ids,
                              queued=len(self._heap))
         return unit

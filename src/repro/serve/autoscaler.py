@@ -95,8 +95,11 @@ class Autoscaler:
         env = self.service.env
         self._remember(env.now)
         while not self.service.stop.triggered:
-            tick = env.timeout(self.config.interval_s)
-            fired = yield env.any_of([tick, self.service.stop])
+            wait = env.any_of([env.timeout(self.config.interval_s),
+                               self.service.stop])
+            fired = yield wait
+            # Drop the fired composite's ``_check`` from ``stop``.
+            wait.detach()
             if fired is self.service.stop or self.service.stop.triggered:
                 return
             now = env.now

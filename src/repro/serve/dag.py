@@ -487,7 +487,7 @@ class WorkflowEngine:
         for r in range(stage.fan_out):
             job = self.service.frontend.submit(
                 ctx.tenant, r, source=f"wf{ctx.k}:{stage.name}:{r}",
-                template=stage.template,
+                template=stage.template, awaited=True,
             )
             if job is None:
                 rec["shed"] += 1
@@ -504,7 +504,11 @@ class WorkflowEngine:
             waiting = [j.done for j in pending.values()
                        if not j.done.triggered]
             if waiting:
-                yield env.any_of(waiting)
+                # Detach once fired: the jobs still pending would
+                # otherwise keep one stale ``_check`` per wake each.
+                cond = env.any_of(waiting)
+                yield cond
+                cond.detach()
             ready = [r for r, j in sorted(pending.items())
                      if j.done.triggered]
             for r in ready:

@@ -54,6 +54,7 @@ __all__ = [
     "CompiledJob",
     "JobCompiler",
     "BladeState",
+    "QueueTally",
     "BladeKill",
     "BladeSlow",
     "BladeFlap",
@@ -138,6 +139,19 @@ class JobCompiler:
         return compiled
 
 
+class QueueTally:
+    """Units queued across one fleet's blades.
+
+    Every :class:`BladeState` queue op adjusts it, so it always equals
+    the sum of the blades' ``queue_depth``.
+    """
+
+    __slots__ = ("units",)
+
+    def __init__(self) -> None:
+        self.units = 0
+
+
 class BladeState:
     """Passive state of one fleet node.
 
@@ -150,9 +164,10 @@ class BladeState:
     """
 
     def __init__(self, env: Environment, index: int, active: bool = True,
-                 tracer=None) -> None:
+                 tracer=None, tally: Optional[QueueTally] = None) -> None:
         self.env = env
         self.index = index
+        self.name = f"blade{index}"
         self.tracer = tracer  # the Service's resolved tracer, or None
         self.alive = True
         self.active = active
@@ -163,6 +178,7 @@ class BladeState:
         # which keep the two in step.
         self.queue: Deque[DispatchUnit] = deque()
         self._queued_s: Deque[float] = deque()
+        self._tally = tally if tally is not None else QueueTally()
         self.running: Optional[DispatchUnit] = None
         self.busy_until = 0.0     # absolute time the running unit finishes
         self.units_run = 0
@@ -173,10 +189,6 @@ class BladeState:
         self.death: Event = env.event()
         self._busy_acc = 0.0
         self._seg_start: Optional[float] = None
-
-    @property
-    def name(self) -> str:
-        return f"blade{self.index}"
 
     @property
     def queue_depth(self) -> int:
@@ -217,6 +229,7 @@ class BladeState:
         unit.blade = self.index
         self.queue.append(unit)
         self._queued_s.append(unit.service_time)
+        self._tally.units += 1
         if self.tracer is not None:
             # Arrival-at-blade record: gives the windowed sampler an
             # exact per-blade queue-depth step function.
@@ -229,12 +242,14 @@ class BladeState:
         if not self.queue:
             return None
         self._queued_s.popleft()
+        self._tally.units -= 1
         return self.queue.popleft()
 
     def steal_newest(self) -> Optional[DispatchUnit]:
         if not self.queue:
             return None
         self._queued_s.pop()
+        self._tally.units -= 1
         return self.queue.pop()
 
     def remove(self, unit: DispatchUnit) -> bool:
@@ -245,6 +260,7 @@ class BladeState:
             return False
         del self.queue[i]
         del self._queued_s[i]
+        self._tally.units -= 1
         return True
 
     def drain(self) -> List[DispatchUnit]:
@@ -252,6 +268,7 @@ class BladeState:
         units = list(self.queue)
         self.queue.clear()
         self._queued_s.clear()
+        self._tally.units -= len(units)
         return units
 
     def purge_cancelled(self) -> int:
@@ -272,6 +289,7 @@ class BladeState:
         if removed:
             self.queue = deque(compress(self.queue, live))
             self._queued_s = deque(compress(self._queued_s, live))
+            self._tally.units -= removed
         return removed
 
     def kill(self) -> None:

@@ -31,12 +31,13 @@ from .jobs import Job, TenantSpec
 
 __all__ = ["tenant_generators"]
 
-# submit(tenant, variant, source) -> the admitted Job, or None when
-# shed.  ``source`` is the job's stable identity: the k-th submission of
-# one generator loop keeps the same source (and, because variants come
-# from that loop's private RNG stream, the same variant) no matter how
-# the rest of the run times out.
-SubmitFn = Callable[[TenantSpec, int, str], Optional[Job]]
+# submit(tenant, variant, source, awaited=False) -> the admitted Job, or
+# None when shed.  ``source`` is the job's stable identity: the k-th
+# submission of one generator loop keeps the same source (and, because
+# variants come from that loop's private RNG stream, the same variant)
+# no matter how the rest of the run times out.  Only the closed-loop
+# client passes ``awaited=True``: it alone waits on the job's ``done``.
+SubmitFn = Callable[..., Optional[Job]]
 
 
 def _pick_variant(rng: np.random.Generator, tenant: TenantSpec) -> int:
@@ -77,7 +78,8 @@ def _closed_loop_client(
     yield env.timeout(float(rng.exponential(max(tenant.think_time_s, 1e-9))))
     while env.now < horizon:
         job = submit(tenant, _pick_variant(rng, tenant),
-                     f"{tenant.name}:client{client}:{offered}")
+                     f"{tenant.name}:client{client}:{offered}",
+                     awaited=True)
         offered += 1
         if job is not None:
             yield job.done

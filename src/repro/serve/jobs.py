@@ -130,7 +130,12 @@ class Job:
     aborted: bool = False    # shed by deadline enforcement, never completed
     cancelled: bool = False  # workflow bootstop: admitted, never needed
     digest: str = ""
-    done: object = field(default=None, repr=False)  # sim Event for closed loops
+    # The bag's CompiledJob, looked up once at admission; completion
+    # copies its digest from here instead of compiling again.
+    compiled: object = field(default=None, repr=False, compare=False)
+    # sim Event, only when the submitter waits on the job (closed-loop
+    # clients, workflow stages); None for open-loop and bursty arrivals.
+    done: object = field(default=None, repr=False)
 
     @property
     def latency(self) -> float:

@@ -258,6 +258,12 @@ class FleetResilience:
         if probe or (self.state[blade] == "half-open"
                      and self.probe_inflight[blade]):
             self.probe_inflight[blade] = False
+            if self.state[blade] == "open":
+                # A second probe: ``eligible`` placed it on the half-open
+                # blade while every breaker blocked, and the first probe
+                # has re-opened the breaker since.  Only a cooldown or a
+                # rejoin leaves ``open``.
+                return
             if ratio <= self.config.probe_ok_ratio:
                 health.reset()
                 self._transition(blade, "closed", "probe-healthy")

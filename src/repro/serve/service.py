@@ -43,6 +43,7 @@ from .fleet import (
     BladeState,
     FleetFaultPlan,
     JobCompiler,
+    QueueTally,
     scheduler_by_name,
 )
 from .jobs import Job, JobTemplate, TenantSpec
@@ -240,13 +241,17 @@ class Service:
             tracer=self.tracer,
         )
         n_start = config.min_blades if config.autoscale else config.max_blades
+        # Units queued on all blades, kept by the blades' queue ops so a
+        # dispatch reads the fleet's depth without summing it.
+        self.queued = QueueTally()
         self.blades = [
-            BladeState(env, i, active=(i < n_start), tracer=self.tracer)
+            BladeState(env, i, active=(i < n_start), tracer=self.tracer,
+                       tally=self.queued)
             for i in range(config.max_blades)
         ]
         self.stop = env.event()
         # Blade death events only ever fire from the fault plan's kill
-        # and flap processes; without a plan _segment can wait on the
+        # and flap processes; without a plan the blade loop waits on the
         # bare timeout instead of racing it against blade.death.
         self._can_die = config.faults is not None
         self.arrivals_done = False
@@ -270,8 +275,14 @@ class Service:
     # -- construction helpers ---------------------------------------------
     def _make_job(
         self, tenant: TenantSpec, variant: int, source: str = "",
-        template: Optional[JobTemplate] = None,
+        template: Optional[JobTemplate] = None, awaited: bool = False,
     ) -> Job:
+        """Build an admitted job; ``awaited`` gives it a ``done`` event.
+
+        Only a submitter that will wait on the job (a closed-loop client,
+        a workflow stage) asks for one: an unawaited ``done`` would still
+        cost a kernel event when it fires, with nothing to wake.
+        """
         tpl = template if template is not None else tenant.template
         compiled = self.compiler.compile(tpl, variant)
         job = Job(
@@ -285,7 +296,8 @@ class Service:
             deadline=(self.env.now + tenant.deadline_s
                       if tenant.deadline_s is not None else None),
             service_time=compiled.service_time,
-            done=self.env.event(),
+            compiled=compiled,
+            done=self.env.event() if awaited else None,
         )
         self._job_seq += 1
         return job
@@ -367,6 +379,9 @@ class Service:
         if (self.arrivals_done and self.frontend.in_system <= 0
                 and not self.stop.triggered):
             self.stop.succeed()
+            # The dispatcher sleeps on the wake alone; rouse it to exit.
+            if not self.frontend.wake.triggered:
+                self.frontend.wake.succeed()
 
     # -- cancellation ------------------------------------------------------
     def cancel_job(self, job: Job, actor: str = "workflow") -> bool:
@@ -407,32 +422,65 @@ class Service:
 
     # -- dispatch ----------------------------------------------------------
     def _dispatch_loop(self):
+        """Drain the front-end onto blades; sleep on ``frontend.wake``.
+
+        :meth:`_check_stop` fires the wake together with ``stop``, so
+        the dispatcher needs no ``AnyOf([wake, stop])``: that would cost
+        a kernel event per wait and leave a stale ``_check`` on ``stop``.
+
+        Order argument.  Such a composite resumes the dispatcher one hop
+        late: processing the wake at position W schedules the composite
+        NORMAL at the back of the deferred lane, at position P, and the
+        dispatcher runs at P.  The events that run between W and P are
+        exactly those pending at the current time when W is processed.
+        Those are deferred entries scheduled after the wake, plus timed
+        entries at this timestamp, and the immediate lane is empty
+        whenever W is popped.  If nothing is pending (``env.peek()`` is
+        later than now), W and P are adjacent, and resuming at W is
+        exact.  Otherwise the loop takes the hop itself: it
+        schedules one NORMAL event, which lands at P, and resumes
+        there.  Two kinds of work land in that gap.  When the last
+        open-loop arrival ends its process, the arrival watcher's
+        ``AllOf`` is pending.  When several workflow stages submit at
+        one timestamp, a blade's composite (its idle wait, or a segment
+        under a fault plan) can be pending, and resuming early would
+        let the dispatcher select before that blade moves on.
+        The seed-0 static-block serve-steady run takes it once.
+        """
         env = self.env
+        frontend = self.frontend
+        stop = self.stop
         while True:
-            while self.frontend.pending:
+            while frontend.pending:
                 blades = self.eligible()
                 if not blades:
                     # Total fleet loss: shed explicitly, never hang.
-                    unit = self.frontend.pop_unit()
+                    unit = frontend.pop_unit()
                     if unit is None:
                         break
                     self._lose_unit(unit)
                     continue
-                unit = self.frontend.pop_unit()
+                unit = frontend.pop_unit()
                 if unit is None:
                     break
                 blade = self.policy.select(unit, blades)
                 self._place(unit, blade)
-            if self.stop.triggered:
+            if stop.triggered:
                 return
-            wake = self.frontend.wake
+            wake = frontend.wake
             if wake.triggered:
-                self.frontend.wake = env.event()
+                frontend.wake = env.event()
                 continue
-            yield env.any_of([wake, self.stop])
-            if self.stop.triggered:
+            yield wake
+            if stop.triggered:
                 return
-            self.frontend.wake = env.event()
+            if env.peek() == env.now:
+                hop = env.event()
+                hop.succeed()
+                yield hop
+                if stop.triggered:
+                    return
+            frontend.wake = env.event()
 
     def _place(self, unit: DispatchUnit, blade: BladeState) -> None:
         now = self.env.now
@@ -443,15 +491,11 @@ class Service:
             unit.probe = True
             self.resilience.note_probe_dispatched(blade.index)
         blade.push(unit)
-        queued = self.frontend.pending + sum(
-            b.queue_depth for b in self.blades
-        )
-        self.stats.note_dispatch(queued)
+        self.stats.note_dispatch(self.frontend.pending + self.queued.units)
         if self.tracer is not None:
             self.tracer.emit(
                 now, "serve", "dispatcher", "dispatch",
-                unit=unit.seq, blade=blade.index,
-                jobs=tuple(j.job_id for j in unit.jobs),
+                unit=unit.seq, blade=blade.index, jobs=unit.job_ids,
             )
 
     def redispatch(self, units: List[DispatchUnit]) -> None:
@@ -490,20 +534,23 @@ class Service:
 
     # -- blades ------------------------------------------------------------
     def _segment(self, blade: BladeState, duration: float):
-        """Busy-wait ``duration`` unless the blade dies; True = died."""
-        if not self._can_die:
-            yield self.env.timeout(duration)
-            return False
+        """Busy-wait ``duration`` unless the blade dies; True = died.
+
+        Only runs under a fault plan: without one ``blade.death`` never
+        fires, and the blade loop yields its timeouts directly.
+        """
         if blade.death.triggered:
             return True
-        timeout = self.env.timeout(duration)
-        fired = yield self.env.any_of([timeout, blade.death])
+        cond = self.env.any_of([self.env.timeout(duration), blade.death])
+        fired = yield cond
+        cond.detach()
         return fired is blade.death
 
     def _blade_loop(self, b: BladeState):
         env = self.env
         cfg = self.config
         res = self.resilience
+        can_die = self._can_die
         while True:
             if not b.alive:
                 return
@@ -526,7 +573,13 @@ class Service:
                     return
                 if b.wake.triggered:
                     b.wake = env.event()
-                yield env.any_of([b.wake, b.death, self.stop])
+                # Detach once fired, so the events that did not fire
+                # (``stop``, and ``death`` when a fault plan can kill)
+                # keep no stale ``_check`` per idle wait.
+                idle = env.any_of([b.wake, b.death, self.stop]
+                                  if can_die else [b.wake, self.stop])
+                yield idle
+                idle.detach()
                 continue
             unit.attempts += 1
             unit.blade = b.index
@@ -554,13 +607,16 @@ class Service:
                 # Unit pickup: closes the blade-queue phase of every job
                 # in the unit and opens the dispatch-overhead phase.
                 self.tracer.emit(env.now, "serve", b.name, "unit-start",
-                                 unit=unit.seq,
-                                 jobs=tuple(j.job_id for j in unit.jobs))
+                                 unit=unit.seq, jobs=unit.job_ids)
             if (cfg.resilience.hedging and pending
                     and unit.twin is None and not unit.probe):
                 env.process(self._hedge_watch(unit, b),
                             name=f"hedge-watch-{unit.seq}")
-            died = yield from self._segment(b, overhead)
+            if can_die:
+                died = yield from self._segment(b, overhead)
+            else:
+                yield env.timeout(overhead)
+                died = False
             completed_any = False
             idx = 0
             while not died and idx < len(unit.jobs):
@@ -575,11 +631,14 @@ class Service:
                 if self.tracer is not None:
                     self.tracer.emit(env.now, "serve", b.name, "start",
                                      job=job.job_id, tenant=job.tenant)
-                died = yield from self._segment(
-                    b, job.service_time * b.slow_factor
-                )
-                if died:
-                    break
+                if can_die:
+                    died = yield from self._segment(
+                        b, job.service_time * b.slow_factor
+                    )
+                    if died:
+                        break
+                else:
+                    yield env.timeout(job.service_time * b.slow_factor)
                 # First completion wins: the twin may have finished this
                 # job while our segment was in flight.
                 if job.finish_time is None and not job.aborted:
@@ -660,7 +719,9 @@ class Service:
         if expected <= 0:
             return
         threshold = self.resilience.hedge_threshold_s(expected)
-        yield env.any_of([env.timeout(threshold), b.death, self.stop])
+        cond = env.any_of([env.timeout(threshold), b.death, self.stop])
+        yield cond
+        cond.detach()
         if self.stop.triggered:
             return
         if b.running is not unit or not b.alive:
@@ -717,9 +778,8 @@ class Service:
     def _complete(self, job: Job, b: BladeState) -> None:
         if job.finish_time is not None or job.aborted:
             return
-        compiled = self.compiler.compile(job.template, job.variant)
         job.finish_time = self.env.now
-        job.digest = compiled.digest
+        job.digest = job.compiled.digest
         b.jobs_run += 1
         self.stats.note_completed(job)
         self.frontend.job_finished()
@@ -761,7 +821,7 @@ class Service:
                 job.start_time = None
                 job.blade = None
                 self.stats.note_failover(job)
-            unit.jobs[:] = remaining
+            unit.set_jobs(remaining)
             unit.blade = None
             orphans.append(unit)
         for queued in b.drain():
@@ -778,7 +838,7 @@ class Service:
             for job in live:
                 job.failovers += 1
                 self.stats.note_failover(job)
-            queued.jobs[:] = live
+            queued.set_jobs(live)
             queued.blade = None
             orphans.append(queued)
         if self.tracer is not None:
@@ -811,7 +871,7 @@ class Service:
             for job in live:
                 job.failovers += 1
                 self.stats.note_failover(job)
-            queued.jobs[:] = live
+            queued.set_jobs(live)
             queued.blade = None
             orphans.append(queued)
         if orphans:

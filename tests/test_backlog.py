@@ -7,6 +7,10 @@ slow formula ``residual + sum(u.service_time for u in queue)``: same
 operands, same order, same ``sum``.  These tests hold the fast path to
 that formula after every queue operation, and hold whole serving and
 workflow runs to the runs the slow formula produces.
+
+The same queue operations keep a fleet-wide :class:`QueueTally` of
+queued units, which a dispatch reads instead of summing every blade's
+``queue_depth``; it must equal that sum after every operation.
 """
 
 from collections import Counter
@@ -28,7 +32,7 @@ from repro.serve import (
     run_dag,
     run_service,
 )
-from repro.serve.fleet import BladeState
+from repro.serve.fleet import BladeState, QueueTally
 from repro.serve.jobs import Job
 from repro.sim.engine import Environment
 from repro.sim.trace import Tracer
@@ -100,6 +104,37 @@ class TestQueueOperations:
             elif op == "busy":
                 blade.busy_until = args[0]
             assert blade.backlog_s == slow_backlog(blade), (op, args)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 2), _ops), max_size=6))
+    def test_tally_matches_summed_depths_after_every_op(self, rounds):
+        env = Environment()
+        tally = QueueTally()
+        blades = [BladeState(env, i, tally=tally) for i in range(3)]
+        seq = 0
+        for index, ops in rounds:
+            blade = blades[index]
+            for op, *args in ops:
+                if op == "push":
+                    blade.push(make_unit(seq, args[0]))
+                    seq += 1
+                elif op == "pop":
+                    blade.pop_next()
+                elif op == "steal":
+                    blade.steal_newest()
+                elif op == "remove":
+                    if blade.queue:
+                        blade.remove(blade.queue[args[0] % len(blade.queue)])
+                elif op == "cancel":
+                    if blade.queue:
+                        unit = blade.queue[args[0] % len(blade.queue)]
+                        for job in unit.jobs:
+                            job.cancelled = True
+                elif op == "purge":
+                    blade.purge_cancelled()
+                elif op == "drain":
+                    blade.drain()
+                assert tally.units == sum(b.queue_depth for b in blades)
 
     def test_head_pop_is_not_a_running_subtraction(self):
         # Subtracting the popped head from a running total leaves

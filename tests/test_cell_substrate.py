@@ -141,6 +141,20 @@ class TestMFC:
         t_big = self.mfc.transfer_time(64 * KB)
         assert t_big > t_small > 0
 
+    def test_one_transfer_is_one_dma_list(self):
+        # 2048 requests of 16 KB fill a list; one byte more needs a
+        # 2049th request, which no list holds.  The error is never
+        # memoized: it raises on every call.
+        full = CellParams().dma_list_max * CellParams().dma_max_request
+        assert self.mfc.n_requests(full) == 2048
+        for _ in range(2):
+            with pytest.raises(ValueError, match="at most 2048"):
+                self.mfc.n_requests(full + 1)
+            with pytest.raises(ValueError, match="at most 2048"):
+                self.mfc.transfer_time(full + 1)
+        assert (full + 1, 1) not in self.mfc._transfer_times
+        assert self.mfc.transfer_time(full) > 0
+
     def test_transfer_time_grows_with_contention(self):
         # Bandwidth shared among many streams; a single transfer is capped
         # at one ring, so 1..4 concurrent see no penalty on a 4-ring EIB.

@@ -152,7 +152,7 @@ def uncached_transfer_time(mfc, nbytes, concurrent=1):
 
 _nbytes = st.one_of(
     st.integers(1, 64),
-    st.integers(1, 40 * 1024 * 1024),
+    st.integers(1, 2048 * 16 * KB),  # up to one full DMA list
     st.sampled_from([16, 16 * KB, 16 * KB + 1, 117 * KB]),
 )
 _transfer_calls = st.lists(
@@ -172,7 +172,9 @@ class TestTransferTime:
                 uncached_transfer_time(mfc, nbytes, concurrent)
             )
 
-    @pytest.mark.parametrize("nbytes,concurrent", [(0, 1), (-16, 1), (16, 0)])
+    @pytest.mark.parametrize("nbytes,concurrent", [
+        (0, 1), (-16, 1), (16, 0), (2048 * 16 * KB + 1, 1),
+    ])
     def test_errors_raise_on_every_call(self, nbytes, concurrent):
         mfc = MFC(CellParams())
         for _ in range(3):

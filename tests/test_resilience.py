@@ -29,7 +29,12 @@ from repro.serve import (
     run_chaos,
     run_service,
 )
-from repro.serve.resilience import LEGAL_BREAKER_TRANSITIONS, transitions_legal
+from repro.serve.resilience import (
+    LEGAL_BREAKER_TRANSITIONS,
+    FleetResilience,
+    transitions_legal,
+)
+from repro.sim.engine import Environment
 from repro.sim.trace import Tracer
 
 SMALL = JobTemplate("small", bootstraps=2, tasks_per_bootstrap=60, variants=2)
@@ -149,6 +154,56 @@ class TestBreaker:
         assert count_breaker_cycles(faulty.breaker_transitions) >= 1
         assert transitions_legal(faulty.breaker_transitions)
         assert s["lost"] == 0
+
+    def test_second_probe_cannot_close_a_reopened_breaker(self):
+        # While its probe is in flight a half-open blade admits nothing;
+        # with every breaker blocking, ``eligible`` places the next unit
+        # there anyway and it is marked a probe too.  The first probe
+        # comes back slow and re-opens the breaker; the second, healthy,
+        # must leave it open: there is no open -> closed edge.
+        env = Environment()
+        res = FleetResilience(env, ResilienceConfig(breaker=True), 1)
+        res.note_failure(0)
+        env.timeout(ResilienceConfig().cooldown_s)
+        env.run()
+        assert res.admits(0) and res.state[0] == "half-open"
+        for _ in range(2):
+            assert res.is_probe_dispatch(0)
+            res.note_probe_dispatched(0)
+        res.note_unit_done(0, 3.0, probe=True)
+        res.note_unit_done(0, 1.0, probe=True)
+        assert res.state[0] == "open"
+        assert [t[2:4] for t in res.transitions] == [
+            ("closed", "open"), ("open", "half-open"), ("half-open", "open"),
+        ]
+
+    def test_run_with_every_breaker_open_completes(self):
+        # Two blades die at once and the survivor's link degrades, so
+        # its breaker opens too and probes are placed on it through the
+        # all-blocked fallback.
+        tiny = JobTemplate("tiny", bootstraps=1, tasks_per_bootstrap=8,
+                           variants=2)
+        r = run_service(ServeConfig(
+            tenants=(
+                TenantSpec("open", tiny, arrival="poisson",
+                           arrival_rate=0.125),
+                TenantSpec("closed", JobTemplate("small", bootstraps=1,
+                                                 tasks_per_bootstrap=12,
+                                                 variants=3),
+                           arrival="closed", clients=1, think_time_s=1.0),
+                TenantSpec("bursty", tiny, arrival="bursty", burst_size=1,
+                           burst_interval_s=20.0, deadline_s=30.0, burst=1),
+            ),
+            duration_s=200.0, seed=0, dispatch="join-shortest-queue",
+            min_blades=1, max_blades=3, queue_capacity=4,
+            faults=FleetFaultPlan(
+                kills=(BladeKill(1, 1.0), BladeKill(2, 1.0)),
+                degrades=(LinkDegrade(0, 1.0, 1.0),)),
+            resilience=ResilienceConfig(breaker=True,
+                                        enforce_deadlines=True),
+        ))
+        assert transitions_legal(r.breaker_transitions)
+        assert r.summary["completed"] > 0
 
     def test_transition_helpers(self):
         cycle = (
