@@ -114,7 +114,3 @@ class LocalStore:
             return self._allocs.pop(label)
         except KeyError:
             raise KeyError(f"no allocation named {label!r}") from None
-
-    def reset(self) -> None:
-        """Drop all data allocations (keeps the code image)."""
-        self._allocs.clear()

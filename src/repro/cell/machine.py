@@ -42,10 +42,6 @@ class SPEPool:
         return len(self._free)
 
     @property
-    def n_total(self) -> int:
-        return len(self._all)
-
-    @property
     def n_live(self) -> int:
         """SPEs still in service (not dead, not blacklisted)."""
         return len(self._all) - self._n_out
@@ -282,9 +278,6 @@ class CellMachine:
         return t
 
     # -- metrics --------------------------------------------------------------
-    def idle_spes(self) -> List[SPE]:
-        return [s for s in self.spes if not s.busy]
-
     def spe_utilization(self, window: float) -> float:
         """Mean SPE utilization over ``window`` seconds."""
         if not self.spes:

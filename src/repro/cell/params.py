@@ -9,7 +9,7 @@ parameter set can be hashed, compared and swept in ablation studies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = ["CellParams", "BladeParams", "DEFAULT_CELL", "DEFAULT_BLADE"]
 
@@ -111,10 +111,6 @@ class CellParams:
         if self.dma_max_request <= 0 or self.dma_alignment <= 0:
             raise ValueError("DMA geometry must be positive")
 
-    def with_(self, **kwargs) -> "CellParams":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **kwargs)
-
 
 @dataclass(frozen=True)
 class BladeParams:
@@ -142,9 +138,6 @@ class BladeParams:
     @property
     def total_ppe_contexts(self) -> int:
         return self.cell.ppe_smt_contexts * self.n_cells
-
-    def with_(self, **kwargs) -> "BladeParams":
-        return replace(self, **kwargs)
 
 
 DEFAULT_CELL = CellParams()

@@ -163,6 +163,3 @@ class GranularityGovernor:
         self._measured_ppe[function] = (
             duration if prev is None else (1 - a) * prev + a * duration
         )
-
-    def measured_spe(self, function: str) -> float:
-        return self._measured_spe[function]

@@ -132,21 +132,8 @@ class ScheduleResult:
     # can compute events/wall-second without a metrics registry.
     events_processed: int = 0
 
-    @property
-    def throughput(self) -> float:
-        """Bootstraps per paper-scale second."""
-        return self.bootstraps / self.makespan if self.makespan > 0 else 0.0
-
     def speedup_over(self, other: "ScheduleResult") -> float:
         """How much faster this run is than ``other``."""
         if self.makespan <= 0:
             return float("inf")
         return other.makespan / self.makespan
-
-    def summary(self) -> str:
-        return (
-            f"{self.scheduler:>12s}: {self.bootstraps:4d} bootstraps on "
-            f"{self.n_processes} procs -> {self.makespan:8.2f} s "
-            f"(SPE util {self.spe_utilization:5.1%}, "
-            f"{self.offloads} offloads, {self.llp_invocations} LLP)"
-        )

@@ -42,7 +42,7 @@ from ...obs.metrics import NULL_REGISTRY, registry_of
 from ...obs.spans import SpanRecorder
 from ...sim.engine import Environment
 from ...sim.events import URGENT, Event
-from ...sim.trace import Sinks, Tracer, tracer_of
+from ...sim.trace import tracer_of
 from ...workloads.taskspec import BootstrapTrace, TaskSpec
 from ..granularity import GranularityGovernor
 from ..llp import LLPConfig, LoopParallelModel
@@ -67,9 +67,7 @@ class OffloadEngine:
         optimized: bool = True,
         llp_config: Optional[LLPConfig] = None,
         offload_enabled: bool = True,
-        tracer: Optional[Tracer] = None,
         locality_aware: bool = False,
-        metrics: Optional[object] = None,
         faults: Optional["FaultInjector"] = None,
         tolerance: Optional[TolerancePolicy] = None,
         *,
@@ -81,14 +79,12 @@ class OffloadEngine:
         self.optimized = optimized
         self.offload_enabled = offload_enabled
         self.locality_aware = locality_aware
-        # One bundle for the whole sink fan-out, overlaying any sink
-        # given here on the environment's.  The tracer is None when
-        # tracing is off, and metric increments are guarded by one flag,
-        # so a run without a registry (traced or not) never calls a null
-        # instrument.
-        sinks = Sinks.resolve(tracer, metrics, base=env.sinks)
-        self.tracer = tracer_of(sinks)
-        self.metrics = registry_of(sinks)
+        # The environment's sink bundle feeds the whole fan-out.  The
+        # tracer is None when tracing is off, and metric increments are
+        # guarded by one flag, so a run without a registry (traced or
+        # not) never calls a null instrument.
+        self.tracer = tracer_of(env.sinks)
+        self.metrics = registry_of(env.sinks)
         self._metrics_on = self.metrics is not NULL_REGISTRY
         self.spans = SpanRecorder(self.tracer, env)
         self.granularity = GranularityGovernor(
@@ -190,10 +186,6 @@ class OffloadEngine:
         if index is None:
             return  # task outside a bootstrap (direct runtime tests)
         self.ledger.record(ctx.rank, index, task.ledger_payload)
-
-    @property
-    def active_sources(self) -> int:
-        return len(self._active_sources)
 
     def current_sources(self, include_dispatcher: bool = False) -> int:
         """Task sources with work *right now*: distinct owners of busy

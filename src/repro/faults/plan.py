@@ -130,16 +130,6 @@ class FaultPlan:
                 raise ValueError(f"duplicate kill for SPE {k.spe}")
             seen.add(k.spe)
 
-    @property
-    def is_null(self) -> bool:
-        """True when the plan injects nothing at all."""
-        return (
-            self.offload_fail_rate == 0.0
-            and self.dma_error_rate == 0.0
-            and not self.spe_kills
-            and not self.slow_spes
-        )
-
     def with_(self, **kwargs: Any) -> "FaultPlan":
         return replace(self, **kwargs)
 

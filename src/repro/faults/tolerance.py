@@ -23,8 +23,7 @@ blacklist, PPE fallback, LLP mid-loop recovery) live in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any
+from dataclasses import dataclass
 
 __all__ = ["TolerancePolicy"]
 
@@ -68,6 +67,3 @@ class TolerancePolicy:
     def attempt_deadline(self, expected: float) -> float:
         """Watchdog deadline for one attempt of an ``expected``-long task."""
         return self.timeout_floor + self.timeout_factor * max(0.0, expected)
-
-    def with_(self, **kwargs: Any) -> "TolerancePolicy":
-        return replace(self, **kwargs)

@@ -44,8 +44,3 @@ class WorkDispenser:
 
         ev.add_callback(_count)
         return ev
-
-    @property
-    def remaining(self) -> int:
-        """Work items (excluding sentinels) still in the bag."""
-        return max(0, len(self._store) - self.n_workers)

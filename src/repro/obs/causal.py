@@ -158,14 +158,6 @@ class JobTree:
     )
 
     @property
-    def submit(self) -> float:
-        return self.root.start
-
-    @property
-    def end(self) -> float:
-        return self.root.end
-
-    @property
     def sojourn(self) -> float:
         return self.root.duration
 
@@ -202,7 +194,7 @@ class JobTree:
         total = sum(p.duration for p in self.phases)
         if abs(total - self.sojourn) <= tol:
             return
-        cursor = self.submit
+        cursor = self.root.start
         prev_name = "submit"
         for p in self.phases:
             if abs(p.start - cursor) > tol:
@@ -216,24 +208,10 @@ class JobTree:
             cursor = p.end
             prev_name = p.name
         raise ReconciliationError(
-            f"job {self.job_id}: span leak of {self.end - cursor:.9f} s "
+            f"job {self.job_id}: span leak of {self.root.end - cursor:.9f} s "
             f"after final phase '{prev_name}' (phases sum to "
             f"{total:.9f} s, sojourn is {self.sojourn:.9f} s)"
         )
-
-    def critical_path(self) -> List[SpanNode]:
-        return critical_path(self.root)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "job_id": self.job_id,
-            "tenant": self.tenant,
-            "template": self.template,
-            "variant": self.variant,
-            "status": self.status,
-            "sojourn_s": self.sojourn,
-            "tree": self.root.to_dict(),
-        }
 
 
 def _rows(source) -> Iterable[Row]:

@@ -49,7 +49,7 @@ shared with ``repro stats --fail-on`` via :func:`parse_threshold`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..sim.trace import Tracer
@@ -224,9 +224,6 @@ class MonitorConfig:
     hedge_min_units: int = 8
     # deadline-shedding: deadline aborts / admitted above this ratio.
     deadline_abort_ratio: float = 0.1
-
-    def with_(self, **kwargs: Any) -> "MonitorConfig":
-        return replace(self, **kwargs)
 
 
 # -- monitor ------------------------------------------------------------------

@@ -11,13 +11,10 @@ from .alignment import (
     Alignment,
     Alphabet,
     DNA,
-    PROTEIN,
     bootstrap_weights,
     synthesize_alignment,
 )
-from .cat import estimate_pattern_rates, fit_cat, quantize_rates
 from .consensus import annotate_support, majority_rule_consensus, split_frequencies
-from .distance import jc_distance_matrix, neighbor_joining, p_distance_matrix
 from .bootstrap import (
     BootstrapAnalysis,
     BootstrapReplicate,
@@ -31,11 +28,8 @@ from .models import (
     gtr,
     hky,
     jc69,
-    protein_poisson,
 )
-from .modelfit import golden_section_maximize, optimize_alpha, optimize_kappa
-from .newick import parse_newick
-from .raxml import KernelCostModel, fit_profile, profile_report, trace_from_kernel_log
+from .raxml import KernelCostModel, profile_report, trace_from_kernel_log
 from .search import SearchResult, hill_climb
 from .tree import Node, Tree
 
@@ -61,22 +55,9 @@ __all__ = [
     "KernelCostModel",
     "trace_from_kernel_log",
     "profile_report",
-    "fit_profile",
-    "p_distance_matrix",
-    "jc_distance_matrix",
-    "neighbor_joining",
-    "parse_newick",
-    "golden_section_maximize",
-    "optimize_kappa",
-    "optimize_alpha",
     "Alphabet",
     "DNA",
-    "PROTEIN",
-    "protein_poisson",
     "split_frequencies",
     "majority_rule_consensus",
     "annotate_support",
-    "estimate_pattern_rates",
-    "quantize_rates",
-    "fit_cat",
 ]

@@ -6,9 +6,8 @@ the same shape down a random tree under an HKY model; the resulting data
 exercises the identical code paths (site-pattern compression, per-site
 likelihood loops, bootstrap re-weighting).
 
-Both alphabets RAxML handles are supported: DNA (4 states) and amino
-acids (20 states), plus gaps/ambiguity characters, which enter the
-likelihood as "any state" (an all-ones tip vector).
+The alphabet is DNA (4 states) plus gaps/ambiguity characters, which
+enter the likelihood as "any state" (an all-ones tip vector).
 
 Sites are compressed to unique *patterns* with multiplicities, exactly as
 ML programs do — the likelihood loops the paper parallelizes run over
@@ -22,7 +21,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["Alphabet", "DNA", "PROTEIN", "Alignment", "synthesize_alignment",
+__all__ = ["Alphabet", "DNA", "Alignment", "synthesize_alignment",
            "bootstrap_weights"]
 
 
@@ -66,11 +65,8 @@ class Alphabet:
 
 
 DNA = Alphabet(name="dna", letters="ACGT", ambiguity="NRYSWKMBDHVX")
-PROTEIN = Alphabet(
-    name="protein", letters="ARNDCQEGHILKMFPSTWYV", ambiguity="XBZJUO"
-)
 
-_ALPHABETS: Dict[str, Alphabet] = {"dna": DNA, "protein": PROTEIN}
+_ALPHABETS: Dict[str, Alphabet] = {"dna": DNA}
 
 
 @dataclass(frozen=True)
@@ -189,7 +185,7 @@ class Alignment:
     def to_sequences(self) -> List[str]:
         """Expand back to per-taxon strings (patterns repeated by weight).
 
-        Only meaningful for integer weights; used in tests and examples.
+        Only meaningful for integer weights; used in tests.
         """
         reps = self.weights.astype(int)
         if not np.all(reps == self.weights):

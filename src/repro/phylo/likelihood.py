@@ -72,52 +72,22 @@ class LikelihoodEngine:
         model: SubstitutionModel,
         n_rate_categories: int = 4,
         alpha: float = 0.5,
-        category_rates=None,
-        pattern_categories=None,
     ) -> None:
         """Build an engine for ``alignment`` under ``model``.
 
-        Two rate-heterogeneity modes:
-
-        * **GAMMA** (default): ``n_rate_categories`` discrete-Gamma
-          categories with shape ``alpha``; the likelihood is the mean
-          over categories (a mixture).
-        * **CAT** (RAxML's per-site rate categories, the mode its HPC
-          runs use): pass ``category_rates`` (K rates) and
-          ``pattern_categories`` (one category index per site pattern);
-          each pattern is evaluated under *its own* rate instead of the
-          mixture.  Fit both with :func:`repro.phylo.cat.fit_cat`.
+        Rate heterogeneity is GAMMA: ``n_rate_categories`` discrete-Gamma
+        categories with shape ``alpha``; the likelihood is the mean over
+        categories (a mixture).
         """
         self.alignment = alignment
         self.model = model
-        if pattern_categories is not None and category_rates is None:
-            raise ValueError("pattern_categories requires category_rates")
-        if category_rates is not None:
-            self.rates = np.asarray(category_rates, dtype=float)
-            if self.rates.ndim != 1 or len(self.rates) < 1:
-                raise ValueError("category_rates must be a 1-D array")
-            if np.any(self.rates <= 0):
-                raise ValueError("category rates must be positive")
-        else:
-            if n_rate_categories < 1:
-                raise ValueError("need at least one rate category")
-            self.rates = (
-                discrete_gamma_rates(alpha, n_rate_categories)
-                if n_rate_categories > 1
-                else np.ones(1)
-            )
-        if pattern_categories is not None:
-            cat = np.asarray(pattern_categories, dtype=np.int64)
-            if cat.shape != (alignment.n_patterns,):
-                raise ValueError(
-                    "pattern_categories needs one entry per pattern"
-                )
-            if cat.min() < 0 or cat.max() >= len(self.rates):
-                raise ValueError("pattern category index out of range")
-            self._pattern_cat = cat
-        else:
-            self._pattern_cat = None
-        self._arange = np.arange(alignment.n_patterns)
+        if n_rate_categories < 1:
+            raise ValueError("need at least one rate category")
+        self.rates = (
+            discrete_gamma_rates(alpha, n_rate_categories)
+            if n_rate_categories > 1
+            else np.ones(1)
+        )
         self.n_rates = len(self.rates)
         self.log = KernelLog()
 
@@ -135,17 +105,6 @@ class LikelihoodEngine:
         self._tip_clv = lookup[alignment.patterns]  # (taxa, patterns, n)
         # Node CLV cache: node_id -> (clv[patterns, rates, 4], logscale[patterns])
         self._clv: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-
-    # -- rate mixing ------------------------------------------------------
-    def _mix(self, per_rate: np.ndarray) -> np.ndarray:
-        """Reduce per-(pattern, rate) values to per-pattern values.
-
-        GAMMA: mean over the mixture.  CAT: select each pattern's own
-        category.
-        """
-        if self._pattern_cat is None:
-            return per_rate.mean(axis=1)
-        return per_rate[self._arange, self._pattern_cat]
 
     # -- transition matrices ------------------------------------------------
     def _pmatrices(self, t: float) -> np.ndarray:
@@ -229,10 +188,9 @@ class LikelihoodEngine:
         if full:
             self.full_traversal(tree)
         clv, scale = self._clv[tree.root.id]
-        # Stationary frequencies at the root; GAMMA mixes the rate
-        # categories, CAT selects each pattern's own.
+        # Stationary frequencies at the root, mixed over rate categories.
         per_rate = np.einsum("srx,x->sr", clv, self.model.frequencies)
-        site_lik = np.clip(self._mix(per_rate), 1e-300, None)
+        site_lik = np.clip(per_rate.mean(axis=1), 1e-300, None)
         loglik = float(
             np.dot(self.alignment.weights, np.log(site_lik) - scale * _LOG_SCALE)
         )
@@ -295,7 +253,7 @@ class LikelihoodEngine:
         """Log-likelihood as a function of the length of ``node``'s branch."""
         down, up, logscale = self._edge_vectors(tree, node)
         p = self._pmatrices(t)
-        site = self._mix(np.einsum("srx,rxy,sry->sr", up, p, down))
+        site = np.einsum("srx,rxy,sry->sr", up, p, down).mean(axis=1)
         site = np.clip(site, 1e-300, None)
         return float(
             np.dot(self.alignment.weights, np.log(site) - logscale * _LOG_SCALE)
@@ -325,9 +283,9 @@ class LikelihoodEngine:
         for _ in range(max_iterations):
             self.log.makenewz_iterations += 1
             p, d1, d2 = self.model.transition_derivatives(t, self.rates)
-            site = self._mix(np.einsum("srx,rxy,sry->sr", up, p, down))
-            dsite = self._mix(np.einsum("srx,rxy,sry->sr", up, d1, down))
-            d2site = self._mix(np.einsum("srx,rxy,sry->sr", up, d2, down))
+            site = np.einsum("srx,rxy,sry->sr", up, p, down).mean(axis=1)
+            dsite = np.einsum("srx,rxy,sry->sr", up, d1, down).mean(axis=1)
+            d2site = np.einsum("srx,rxy,sry->sr", up, d2, down).mean(axis=1)
             site = np.clip(site, 1e-300, None)
             # d/dt log L = sum w * dsite/site ; second derivative likewise.
             g = float(np.dot(w, dsite / site))

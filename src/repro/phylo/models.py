@@ -1,13 +1,11 @@
 """Substitution models for maximum-likelihood phylogenetics.
 
-Implements the reversible model family over any alphabet size via
-spectral decomposition of the rate matrix: ``P(t) = V exp(L t) V^-1``.
-For nucleotides (4 states) HKY85 and Jukes-Cantor are the usual special
-cases of GTR; for amino acids (20 states, RAxML handles both) a Poisson
-model and custom exchangeability matrices are supported.  A
-discrete-Gamma model of among-site rate heterogeneity (Yang 1994) is
-provided because RAxML's GAMMA mode is what makes the likelihood kernels
-as memory- and FP-intensive as the paper describes.
+Implements the reversible model family via spectral decomposition of
+the rate matrix: ``P(t) = V exp(L t) V^-1``.  For nucleotides HKY85 and
+Jukes-Cantor are the usual special cases of GTR.  A discrete-Gamma
+model of among-site rate heterogeneity (Yang 1994) is provided because
+RAxML's GAMMA mode is what makes the likelihood kernels as memory- and
+FP-intensive as the paper describes.
 
 Everything is vectorized over sites and rate categories; transition
 matrices for many branch lengths are computed in one einsum.
@@ -24,7 +22,6 @@ __all__ = [
     "gtr",
     "hky",
     "jc69",
-    "protein_poisson",
     "discrete_gamma_rates",
 ]
 
@@ -59,7 +56,7 @@ class SubstitutionModel:
 
     @property
     def n_states(self) -> int:
-        """Alphabet size (4 for DNA, 20 for amino acids)."""
+        """Alphabet size (4 for DNA)."""
         return self.frequencies.shape[0]
 
     @staticmethod
@@ -148,7 +145,11 @@ class SubstitutionModel:
 
 
 def gtr(frequencies, rates) -> SubstitutionModel:
-    """General time-reversible model."""
+    """General time-reversible model.
+
+    No entry point builds one (the workloads use :func:`hky`); the model
+    tests use it as the general reversible case.
+    """
     return SubstitutionModel.create(frequencies, rates)
 
 
@@ -162,19 +163,12 @@ def hky(frequencies=(0.25, 0.25, 0.25, 0.25), kappa: float = 2.0) -> Substitutio
 
 
 def jc69() -> SubstitutionModel:
-    """Jukes-Cantor 1969: uniform frequencies and rates."""
-    return SubstitutionModel.create(np.full(4, 0.25), np.ones(6))
+    """Jukes-Cantor 1969: uniform frequencies and rates.
 
-
-def protein_poisson(frequencies=None) -> SubstitutionModel:
-    """A 20-state amino-acid model with equal exchangeabilities.
-
-    ``frequencies=None`` gives the uniform Poisson model; pass empirical
-    frequencies for the +F variant.  (Dedicated matrices like WAG drop in
-    via :meth:`SubstitutionModel.create` with 190 exchangeabilities.)
+    No entry point builds one (the workloads use :func:`hky`); the tests
+    use it as a reference, since its P(t) has a closed form.
     """
-    f = np.full(20, 0.05) if frequencies is None else frequencies
-    return SubstitutionModel.create(f, np.ones(190))
+    return SubstitutionModel.create(np.full(4, 0.25), np.ones(6))
 
 
 def discrete_gamma_rates(alpha: float, n_categories: int = 4) -> np.ndarray:

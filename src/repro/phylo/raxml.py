@@ -25,7 +25,7 @@ from ..workloads.profiles import RAXML_42SC, RaxmlProfile
 from ..workloads.taskspec import BootstrapTrace, LoopSpec, OffloadItem, TaskSpec
 from .likelihood import KernelLog
 
-__all__ = ["KernelCostModel", "trace_from_kernel_log", "profile_report", "fit_profile"]
+__all__ = ["KernelCostModel", "trace_from_kernel_log", "profile_report"]
 
 US = 1e-6
 KB = 1024
@@ -120,84 +120,6 @@ def trace_from_kernel_log(
         scale=1.0,
         code_image=CodeImage(p.name, "serial", p.code_image_kb * KB),
         llp_image=CodeImage(p.name, "llp", p.llp_image_kb * KB),
-    )
-
-
-def fit_profile(
-    logs: Sequence[KernelLog],
-    base: RaxmlProfile = RAXML_42SC,
-    cost_model: Optional[KernelCostModel] = None,
-) -> RaxmlProfile:
-    """Derive a workload profile from measured kernel logs.
-
-    Closes the loop measure -> profile -> synthetic traces: the function
-    time shares and mean per-invocation durations are re-estimated from
-    the recorded (kernel, patterns) events of real inferences, while the
-    hardware-anchored ratios (PPE/naive slowdowns, SPE fraction) are
-    inherited from ``base``.  The resulting profile can drive
-    :class:`~repro.workloads.traces.TraceBuilder` sweeps that match the
-    *measured* application instead of the paper's gprof table.
-    """
-    cm = cost_model or KernelCostModel(base)
-    per_us = cm.spe_us_per_pattern
-    times: Dict[str, float] = {}
-    counts: Dict[str, int] = {}
-    patterns_sum: Dict[str, int] = {}
-    for log in logs:
-        if not log.record or not log.events:
-            raise ValueError(
-                "kernel logs must be recorded (log.record = True)"
-            )
-        for kernel, patterns in log.events:
-            times[kernel] = times.get(kernel, 0.0) + per_us[kernel] * patterns
-            counts[kernel] = counts.get(kernel, 0) + 1
-            patterns_sum[kernel] = patterns_sum.get(kernel, 0) + patterns
-    total = sum(times.values())
-    if total <= 0:
-        raise ValueError("no kernel time recorded")
-
-    from dataclasses import replace
-
-    functions = []
-    for fprof in base.functions:
-        name = fprof.name
-        if name not in counts:
-            continue
-        functions.append(
-            replace(
-                fprof,
-                time_share=times[name] / total,
-                mean_task_us=per_us[name] * patterns_sum[name] / counts[name],
-            )
-        )
-    if not functions:
-        raise ValueError("logs contain none of the profile's functions")
-    n_calls = sum(counts.values())
-    mean_task_us = total / n_calls
-    # Keep the hardware ratios; rescale the end-to-end anchors so that
-    # `tasks_per_bootstrap_full` matches the measured call count per log.
-    calls_per_inference = n_calls / len(logs)
-    spe_seconds = calls_per_inference * mean_task_us * US
-    optimized = spe_seconds / base.spe_fraction
-    # Fine-grained fitted workloads can have less PPE time per off-load
-    # than the base profile's explicit runtime overhead; cap the budget
-    # so trace generation stays feasible (the simulator still charges
-    # its real dispatch/completion costs on top).
-    ppe_per_task_us = (
-        (1 - base.spe_fraction) * optimized / calls_per_inference / US
-    )
-    overhead_us = min(base.runtime_overhead_us, 0.5 * ppe_per_task_us)
-    return replace(
-        base,
-        name=f"{base.name}-fitted",
-        optimized_seconds=optimized,
-        naive_offload_seconds=base.naive_slowdown * spe_seconds
-        + (1 - base.spe_fraction) * optimized,
-        ppe_only_seconds=base.ppe_slowdown * spe_seconds
-        + (1 - base.spe_fraction) * optimized,
-        mean_task_us=mean_task_us,
-        runtime_overhead_us=overhead_us,
-        functions=tuple(functions),
     )
 
 

@@ -10,8 +10,6 @@ move improves.  Greedy and deterministic given the starting tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 from .likelihood import LikelihoodEngine
 from .tree import Tree
 
@@ -54,8 +52,6 @@ def hill_climb(
     max_rounds: int = 10,
     branch_passes: int = 1,
     min_improvement: float = 1e-6,
-    move_set: str = "nni",
-    max_spr_moves: Optional[int] = None,
 ) -> SearchResult:
     """Greedy topology search from ``start``; returns the best tree found.
 
@@ -63,15 +59,9 @@ def hill_climb(
     (with lazy local branch re-optimization), apply the best improving
     one.  Stops when no move improves the log-likelihood by at least
     ``min_improvement`` or after ``max_rounds`` rounds.
-
-    ``move_set`` selects the neighbourhood: ``"nni"`` (fast, the
-    default), ``"spr"`` (RAxML's richer subtree-prune-and-regraft moves,
-    O(n^2) candidates — cap with ``max_spr_moves``), or ``"both"``.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
-    if move_set not in ("nni", "spr", "both"):
-        raise ValueError(f"unknown move_set {move_set!r}")
     current = start.copy()
     current_lik = engine.optimize_branches(current, passes=branch_passes)
     accepted = 0
@@ -82,35 +72,19 @@ def hill_climb(
         best_apply = None
         best_lik = current_lik
 
-        if move_set in ("nni", "both"):
-            for branch_id, variant in current.nni_neighbourhood():
-                candidate = current.copy()
-                candidate.nni(candidate.find(branch_id), variant)
-                lik = _score_candidate(engine, candidate, branch_id)
-                evaluated += 1
-                if lik > best_lik + min_improvement:
-                    best_lik = lik
-                    best_apply = ("nni", branch_id, variant)
-
-        if move_set in ("spr", "both"):
-            for sub_id, tgt_id in current.spr_neighbourhood(max_spr_moves):
-                candidate = current.copy()
-                sub = candidate.find(sub_id)
-                pivot_id = sub.parent.id
-                candidate.spr(sub, candidate.find(tgt_id))
-                lik = _score_candidate(engine, candidate, pivot_id)
-                evaluated += 1
-                if lik > best_lik + min_improvement:
-                    best_lik = lik
-                    best_apply = ("spr", sub_id, tgt_id)
+        for branch_id, variant in current.nni_neighbourhood():
+            candidate = current.copy()
+            candidate.nni(candidate.find(branch_id), variant)
+            lik = _score_candidate(engine, candidate, branch_id)
+            evaluated += 1
+            if lik > best_lik + min_improvement:
+                best_lik = lik
+                best_apply = (branch_id, variant)
 
         if best_apply is None:
             break
-        kind, a, b = best_apply
-        if kind == "nni":
-            current.nni(current.find(a), b)
-        else:
-            current.spr(current.find(a), current.find(b))
+        branch_id, variant = best_apply
+        current.nni(current.find(branch_id), variant)
         engine.invalidate()
         current_lik = engine.optimize_branches(current, passes=branch_passes)
         accepted += 1

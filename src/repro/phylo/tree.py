@@ -188,87 +188,6 @@ class Tree:
                 moves.append((b.id, v))
         return moves
 
-    # -- subtree prune and regraft (SPR) ------------------------------------
-    def _subtree_ids(self, node: Node) -> set:
-        out = set()
-        stack = [node]
-        while stack:
-            n = stack.pop()
-            out.add(n.id)
-            stack.extend(n.children)
-        return out
-
-    def spr(self, subtree: Node, target: Node) -> None:
-        """In-place subtree-prune-and-regraft.
-
-        Prunes ``subtree`` (with its parent branch), collapses the
-        degree-2 node left behind, and regrafts onto the branch above
-        ``target`` (splitting it in half).  This is the move set of
-        RAxML's hill-climbing search; NNI is the radius-1 special case.
-
-        Restrictions: ``subtree``'s parent must not be the root (the
-        trifurcating root must keep its degree), and ``target`` must be
-        outside ``subtree`` with a parent branch to split.
-        """
-        if subtree.parent is None:
-            raise ValueError("cannot prune the root")
-        pivot = subtree.parent
-        if pivot.parent is None:
-            raise ValueError("cannot prune a child of the trifurcating root")
-        if target.parent is None:
-            raise ValueError("target must have a parent branch to split")
-        forbidden = self._subtree_ids(subtree)
-        if target.id in forbidden or target is pivot:
-            raise ValueError("target lies inside the pruned subtree")
-        siblings = [c for c in pivot.children if c is not subtree]
-        if len(siblings) != 1:  # pragma: no cover - binary-tree invariant
-            raise ValueError("pivot is not a binary internal node")
-        sibling = siblings[0]
-        if target is sibling:
-            raise ValueError("regrafting onto the sibling recreates the tree")
-
-        # Prune: splice the pivot out, fusing its branch into the sibling.
-        grand = pivot.parent
-        subtree.detach()
-        sibling.detach()
-        pivot.detach()
-        sibling.length += pivot.length
-        grand.add_child(sibling)
-
-        # Regraft: reuse the pivot node to split target's parent branch.
-        t_parent = target.parent
-        target.detach()
-        pivot.children.clear()
-        pivot.length = target.length / 2
-        target.length /= 2
-        t_parent.add_child(pivot)
-        pivot.add_child(target)
-        pivot.add_child(subtree)
-
-    def spr_neighbourhood(self, max_moves: Optional[int] = None) -> List[Tuple[int, int]]:
-        """Valid (subtree_id, target_id) SPR moves on this tree.
-
-        Enumerated deterministically; ``max_moves`` truncates (the full
-        neighbourhood is O(n^2)).
-        """
-        moves: List[Tuple[int, int]] = []
-        candidates = [
-            n for n in self.postorder()
-            if n.parent is not None and n.parent.parent is not None
-        ]
-        for sub in candidates:
-            forbidden = self._subtree_ids(sub)
-            forbidden.add(sub.parent.id)
-            sibling = [c for c in sub.parent.children if c is not sub][0]
-            forbidden.add(sibling.id)
-            for tgt in self.postorder():
-                if tgt.parent is None or tgt.id in forbidden:
-                    continue
-                moves.append((sub.id, tgt.id))
-                if max_moves is not None and len(moves) >= max_moves:
-                    return moves
-        return moves
-
     # -- serialization --------------------------------------------------------
     def newick(self, names: Optional[List[str]] = None) -> str:
         """Newick string with branch lengths."""

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 from ..sim.engine import Environment
+from ..sim.trace import tracer_of
 from .jobs import Job, TenantSpec
 from .slo import ServeStats
 
@@ -128,7 +129,6 @@ class FrontEnd:
         make_job: Callable[..., Job],
         queue_capacity: int = 64,
         batch_max: int = 1,
-        tracer=None,
     ) -> None:
         if queue_capacity < 1:
             raise ValueError("queue_capacity must be >= 1")
@@ -139,7 +139,7 @@ class FrontEnd:
         self.make_job = make_job
         self.queue_capacity = queue_capacity
         self.batch_max = batch_max
-        self.tracer = tracer
+        self.tracer = tracer_of(env.sinks)
         self.in_system = 0       # admitted, not yet finished
         self._heap: List[Tuple[Tuple[float, float, int], Job]] = []
         self._seq = 0            # FIFO tie-breaker

@@ -46,6 +46,7 @@ from ..core.schedulers import SchedulerSpec, edtlp, linux, mgps
 from ..faults.plan import parse_entries
 from ..sim.engine import Environment
 from ..sim.events import Event
+from ..sim.trace import tracer_of
 from ..workloads.traces import Workload
 from .admission import DispatchUnit
 from .jobs import JobTemplate, job_seed
@@ -164,11 +165,11 @@ class BladeState:
     """
 
     def __init__(self, env: Environment, index: int, active: bool = True,
-                 tracer=None, tally: Optional[QueueTally] = None) -> None:
+                 tally: Optional[QueueTally] = None) -> None:
         self.env = env
         self.index = index
         self.name = f"blade{index}"
-        self.tracer = tracer  # the Service's resolved tracer, or None
+        self.tracer = tracer_of(env.sinks)
         self.alive = True
         self.active = active
         # FIFO of queued units; deque so the head pop the blade loop

@@ -75,7 +75,7 @@ def _closed_loop_client(
     offered = 0
     # Desynchronize clients: an initial think so a tenant's clients do
     # not all submit at t=0 in lockstep.
-    yield env.timeout(float(rng.exponential(max(tenant.think_time_s, 1e-9))))
+    yield env.timeout(float(rng.exponential(tenant.think_time_s)))
     while env.now < horizon:
         job = submit(tenant, _pick_variant(rng, tenant),
                      f"{tenant.name}:client{client}:{offered}",
@@ -83,7 +83,7 @@ def _closed_loop_client(
         offered += 1
         if job is not None:
             yield job.done
-        think = float(rng.exponential(max(tenant.think_time_s, 1e-9)))
+        think = float(rng.exponential(tenant.think_time_s))
         if env.now + think >= horizon:
             return offered
         yield env.timeout(think)

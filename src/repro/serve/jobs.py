@@ -13,6 +13,7 @@ once no matter how many requests reference it.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -87,19 +88,21 @@ class TenantSpec:
                 f"unknown arrival model {self.arrival!r}; "
                 f"known models: bursty, closed, poisson"
             )
-        if self.arrival_rate <= 0:
-            raise ValueError("arrival_rate must be positive")
+        # Written so that NaN fails every check.  A zero think time or
+        # arrival gap would let a shed client resubmit without simulated
+        # time ever advancing.
+        for field_name in ("arrival_rate", "think_time_s", "burst_interval_s"):
+            if not 0 < getattr(self, field_name) < math.inf:
+                raise ValueError(f"{field_name} must be finite and positive")
         if self.clients < 1:
             raise ValueError("closed-loop tenants need at least one client")
-        if self.think_time_s < 0:
-            raise ValueError("think_time_s must be non-negative")
-        if self.burst_size < 1 or self.burst_interval_s <= 0:
-            raise ValueError("bursts need burst_size >= 1 and a positive gap")
-        if self.rate_limit <= 0:
+        if self.burst_size < 1:
+            raise ValueError("bursts need burst_size >= 1")
+        if not self.rate_limit > 0:
             raise ValueError("rate_limit must be positive")
         if self.burst < 1:
             raise ValueError("token bucket depth must be >= 1")
-        if self.deadline_s is not None and self.deadline_s <= 0:
+        if self.deadline_s is not None and not self.deadline_s > 0:
             raise ValueError("deadline_s must be positive when set")
 
 

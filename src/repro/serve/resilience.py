@@ -31,9 +31,10 @@ HTML report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..sim.trace import tracer_of
 from .slo import exact_percentile
 
 __all__ = [
@@ -99,9 +100,6 @@ class ResilienceConfig:
     @property
     def enabled(self) -> bool:
         return self.hedging or self.breaker or self.enforce_deadlines
-
-    def with_(self, **kwargs: Any) -> "ResilienceConfig":
-        return replace(self, **kwargs)
 
 
 def count_breaker_cycles(
@@ -171,11 +169,11 @@ class FleetResilience:
     """
 
     def __init__(self, env, config: ResilienceConfig, n_blades: int,
-                 stats=None, tracer=None) -> None:
+                 stats=None) -> None:
         self.env = env
         self.config = config
         self.stats = stats
-        self.tracer = tracer
+        self.tracer = tracer_of(env.sinks)
         self.health = {
             i: BladeHealth(config.ewma_alpha) for i in range(n_blades)
         }

@@ -35,7 +35,7 @@ from ..cell.params import BladeParams
 from ..obs.metrics import registry_of, stable_round
 from ..sim.engine import Environment
 from ..sim.rng import RngStreams
-from ..sim.trace import Sinks, tracer_of
+from ..sim.trace import tracer_of
 from .admission import DispatchUnit, FrontEnd
 from .autoscaler import Autoscaler, AutoscalerConfig
 from .dispatch import resolve_dispatch
@@ -216,18 +216,15 @@ class Service:
         self,
         env: Environment,
         config: ServeConfig,
-        tracer=None,
-        metrics=None,
     ) -> None:
         self.env = env
         self.config = config
-        # The environment's sink bundle, overlaid with any sink given
-        # here.  Every serving layer gets the resolved tracer, None when
-        # tracing is off, so observability-off runs skip the payload
-        # formatting at each ``if self.tracer is not None`` hot site.
-        sinks = Sinks.resolve(tracer, metrics, base=env.sinks)
-        self.tracer = tracer_of(sinks)
-        self.metrics = registry_of(sinks)
+        # Every serving layer reads the environment's sink bundle, whose
+        # tracer is None when tracing is off, so observability-off runs
+        # skip the payload formatting at each ``if self.tracer is not
+        # None`` hot site.
+        self.tracer = tracer_of(env.sinks)
+        self.metrics = registry_of(env.sinks)
         self.stats = ServeStats(self.metrics)
         self.streams = RngStreams(config.seed).spawn("serve")
         self.compiler = JobCompiler(
@@ -238,15 +235,13 @@ class Service:
             env, self.stats, self._make_job,
             queue_capacity=config.queue_capacity,
             batch_max=config.batch_max,
-            tracer=self.tracer,
         )
         n_start = config.min_blades if config.autoscale else config.max_blades
         # Units queued on all blades, kept by the blades' queue ops so a
         # dispatch reads the fleet's depth without summing it.
         self.queued = QueueTally()
         self.blades = [
-            BladeState(env, i, active=(i < n_start), tracer=self.tracer,
-                       tally=self.queued)
+            BladeState(env, i, active=(i < n_start), tally=self.queued)
             for i in range(config.max_blades)
         ]
         self.stop = env.event()
@@ -258,8 +253,7 @@ class Service:
         self.lost_jobs = 0
         self._job_seq = 0
         self.resilience = FleetResilience(
-            env, config.resilience, config.max_blades,
-            stats=self.stats, tracer=self.tracer,
+            env, config.resilience, config.max_blades, stats=self.stats,
         )
         self.autoscaler = (
             Autoscaler(self, config.autoscaler,

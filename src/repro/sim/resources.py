@@ -11,7 +11,7 @@ Provides:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, List, Optional
+from typing import Any, Deque, List
 
 from .engine import Environment
 from .events import Event, URGENT
@@ -32,9 +32,6 @@ class Store:
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
 
-    def __len__(self) -> int:
-        return len(self._items)
-
     def put(self, item: Any) -> None:
         """Deposit ``item``; wakes the oldest blocked getter, if any."""
         if self._getters:
@@ -50,10 +47,6 @@ class Store:
         else:
             self._getters.append(ev)
         return ev
-
-    def try_get(self) -> Optional[Any]:
-        """Non-blocking get: an item or None."""
-        return self._items.popleft() if self._items else None
 
 
 class Barrier:

@@ -152,20 +152,9 @@ class Sinks(NamedTuple):
     metrics: Any
 
     @classmethod
-    def resolve(cls, tracer: Optional[Tracer] = None, metrics: Any = None,
-                base: Optional["Sinks"] = None) -> Optional["Sinks"]:
-        """Bundle the live sinks among ``tracer`` and ``metrics``.
-
-        A sink not given falls back to ``base``'s, so a layer handed
-        explicit sinks overlays them on its environment's bundle.
-        """
-        if tracer is None and metrics is None:
-            return base
-        if base is not None:
-            if tracer is None:
-                tracer = base.tracer
-            if metrics is None:
-                metrics = base.metrics
+    def resolve(cls, tracer: Optional[Tracer] = None,
+                metrics: Any = None) -> Optional["Sinks"]:
+        """Bundle the live sinks among ``tracer`` and ``metrics``."""
         if tracer is not None and not tracer.enabled:
             tracer = None
         if metrics is not None and not metrics.enabled:

@@ -81,11 +81,6 @@ class BSPWorkload:
         self._weights = w
         self._cache: dict = {}
 
-    @property
-    def weights(self) -> np.ndarray:
-        """Per-rank load weights (1.0 for all but the straggler)."""
-        return self._weights.copy()
-
     def phase_items(self, rank: int, iteration: int) -> Tuple[OffloadItem, ...]:
         """The off-load run of ``rank`` in ``iteration``."""
         if not (0 <= rank < self.n_processes):
@@ -124,19 +119,3 @@ class BSPWorkload:
             items = tuple(out)
             self._cache[key] = items
         return items
-
-    def total_tasks(self) -> int:
-        return sum(
-            len(self.phase_items(r, i))
-            for r in range(self.n_processes)
-            for i in range(self.iterations)
-        )
-
-    def serial_estimate(self) -> float:
-        """One rank executing everything back to back (SPE times)."""
-        return sum(
-            item.ppe_gap + item.task.spe_time
-            for r in range(self.n_processes)
-            for i in range(self.iterations)
-            for item in self.phase_items(r, i)
-        )

@@ -160,9 +160,6 @@ class RaxmlProfile:
                 return f
         raise KeyError(f"no function profile named {name!r}")
 
-    def with_(self, **kwargs) -> "RaxmlProfile":
-        return replace(self, **kwargs)
-
     def scaled_to_sites(self, n_sites: int) -> "RaxmlProfile":
         """Profile for an alignment of ``n_sites`` nucleotides.
 

@@ -191,13 +191,6 @@ class Workload:
     def scale(self) -> float:
         return self.trace(0).scale
 
-    def serial_estimate(self) -> float:
-        """Paper-scale estimate of one worker executing everything."""
-        return sum(
-            self.trace(i).serial_estimate * self.trace(i).scale
-            for i in range(self.bootstraps)
-        )
-
 
 @dataclass
 class FixedTraceWorkload:
@@ -223,6 +216,3 @@ class FixedTraceWorkload:
     @property
     def scale(self) -> float:
         return self.traces[0].scale
-
-    def serial_estimate(self) -> float:
-        return sum(t.serial_estimate * t.scale for t in self.traces)

@@ -1,4 +1,4 @@
-"""Tests for gap handling and the amino-acid (20-state) path."""
+"""Tests for the DNA alphabet and gap handling."""
 
 import itertools
 
@@ -9,14 +9,10 @@ from repro.phylo import (
     Alignment,
     DNA,
     LikelihoodEngine,
-    PROTEIN,
+    SubstitutionModel,
     Tree,
     hky,
     jc69,
-    jc_distance_matrix,
-    neighbor_joining,
-    p_distance_matrix,
-    protein_poisson,
     synthesize_alignment,
 )
 
@@ -33,18 +29,16 @@ class TestAlphabets:
         with pytest.raises(ValueError):
             DNA.encode("1")
 
-    def test_protein_codes(self):
-        assert PROTEIN.n_states == 20
-        assert PROTEIN.encode("A") == 0
-        assert PROTEIN.encode("V") == 19
-        assert PROTEIN.encode("X") == PROTEIN.gap_code
-        with pytest.raises(ValueError):
-            PROTEIN.encode("1")
-
     def test_alphabet_letter_uniqueness_enforced(self):
         from repro.phylo.alignment import Alphabet
         with pytest.raises(ValueError):
             Alphabet("bad", "AAC", "")
+
+    def test_model_alignment_mismatch_rejected(self):
+        aln = Alignment.from_sequences(["a", "b", "c"], ["AC", "AG", "AT"])
+        three_states = SubstitutionModel.create(np.full(3, 1 / 3), np.ones(3))
+        with pytest.raises(ValueError, match="states"):
+            LikelihoodEngine(aln, three_states, 1)
 
 
 class TestGaps:
@@ -134,90 +128,6 @@ class TestGaps:
         aln = synthesize_alignment(6, 200, seed=0, gap_fraction=0.15)
         assert 0.10 < aln.gap_fraction < 0.20
         # Inference still works.
-        tree = neighbor_joining(jc_distance_matrix(aln))
+        tree = Tree.random_topology(6, np.random.default_rng(0))
         ll = LikelihoodEngine(aln, jc69(), 1).evaluate(tree)
         assert np.isfinite(ll)
-
-    def test_gaps_excluded_from_distances(self):
-        aln = Alignment.from_sequences(["a", "b"], ["ACGT--", "ACGA--"])
-        # 4 comparable sites, 1 differing.
-        assert p_distance_matrix(aln)[0, 1] == pytest.approx(0.25)
-
-
-class TestProtein:
-    def _protein_alignment(self):
-        seqs = [
-            "ARNDCQEGHILK",
-            "ARNDCQEGHILM",
-            "GRNDCQEGHILK",
-            "GRNECQEGHILM",
-        ]
-        return Alignment.from_sequences(
-            ["a", "b", "c", "d"], seqs, alphabet="protein"
-        )
-
-    def test_model_properties(self):
-        m = protein_poisson()
-        assert m.n_states == 20
-        p = m.transition_matrix(0.3)
-        assert p.shape == (20, 20)
-        assert np.allclose(p.sum(axis=1), 1.0)
-        # Detailed balance.
-        flux = m.frequencies[:, None] * p
-        assert np.allclose(flux, flux.T)
-
-    def test_protein_likelihood_runs(self):
-        aln = self._protein_alignment()
-        tree = Tree.random_topology(4, np.random.default_rng(0))
-        eng = LikelihoodEngine(aln, protein_poisson(), 2)
-        ll = eng.evaluate(tree)
-        assert np.isfinite(ll) and ll < 0
-
-    def test_protein_brute_force_equivalence(self):
-        """Pruning == exhaustive enumeration on a 3-taxon protein star."""
-        aln = Alignment.from_sequences(
-            ["a", "b", "c"], ["AR", "AK", "GR"], alphabet="protein"
-        )
-        model = protein_poisson()
-        tree = Tree.random_topology(3, np.random.default_rng(1))
-        eng = LikelihoodEngine(aln, model, 1)
-        got = eng.evaluate(tree)
-
-        # Star tree: one internal node (the root).
-        pm = {
-            n.id: model.transition_matrix(n.length)
-            for n in tree.nodes() if n.parent is not None
-        }
-        total = 0.0
-        for pat, w in zip(aln.patterns.T, aln.weights):
-            lik = 0.0
-            for root_state in range(20):
-                p = model.frequencies[root_state]
-                for leaf in tree.leaves():
-                    p *= pm[leaf.id][root_state, pat[leaf.taxon]]
-                lik += p
-            total += w * np.log(lik)
-        assert got == pytest.approx(total)
-
-    def test_protein_makenewz_improves(self):
-        aln = self._protein_alignment()
-        tree = Tree.random_topology(4, np.random.default_rng(2))
-        eng = LikelihoodEngine(aln, protein_poisson(), 1)
-        before = eng.evaluate(tree)
-        eng.full_traversal(tree)
-        eng.makenewz(tree, tree.branches()[0])
-        after = eng.evaluate(tree, full=True)
-        assert after >= before - 1e-9
-
-    def test_protein_distances_and_nj(self):
-        aln = self._protein_alignment()
-        d = jc_distance_matrix(aln)
-        assert d.shape == (4, 4)
-        assert np.all(np.isfinite(d))
-        tree = neighbor_joining(d)
-        assert sorted(l.taxon for l in tree.leaves()) == [0, 1, 2, 3]
-
-    def test_model_alignment_mismatch_rejected(self):
-        aln = self._protein_alignment()
-        with pytest.raises(ValueError, match="states"):
-            LikelihoodEngine(aln, jc69(), 1)

@@ -45,9 +45,7 @@ class TestMetrics:
 
     def test_result_helpers(self):
         r = result(10.0, bootstraps=5)
-        assert r.throughput == pytest.approx(0.5)
         assert r.speedup_over(result(20.0)) == pytest.approx(2.0)
-        assert "bootstraps" in r.summary()
 
 
 class TestReport:

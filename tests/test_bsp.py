@@ -92,7 +92,10 @@ class TestBSPExperiments:
     def test_all_tasks_execute(self):
         wl = self._wl()
         r = run_bsp_experiment(edtlp(), wl)
-        assert r.offloads + r.ppe_fallbacks == wl.total_tasks()
+        total_tasks = sum(len(wl.phase_items(rank, i))
+                          for rank in range(wl.n_processes)
+                          for i in range(wl.iterations))
+        assert r.offloads + r.ppe_fallbacks == total_tasks
         assert r.extras["barrier_generations"] == 4
 
     def test_edtlp_beats_linux(self):

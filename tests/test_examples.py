@@ -70,3 +70,9 @@ def test_cellsdk_by_hand():
     out = run_example("cellsdk_by_hand.py")
     assert "Hand-rolled" in out
     assert "EDTLP runtime" in out
+
+
+def test_serving_demo():
+    out = run_example("serving_demo.py")
+    assert "0 lost" in out
+    assert "identical to the fault-free run" in out

@@ -56,11 +56,6 @@ def clean_digests():
 # -- the plan -----------------------------------------------------------------
 
 class TestFaultPlan:
-    def test_null_plan(self):
-        assert FaultPlan().is_null
-        assert not FaultPlan(offload_fail_rate=0.1).is_null
-        assert not FaultPlan(spe_kills=(SPEKill(0, 1e-3),)).is_null
-
     def test_validation(self):
         with pytest.raises(ValueError):
             FaultPlan(offload_fail_rate=-0.1)
@@ -78,7 +73,7 @@ class TestFaultPlan:
     def test_with_returns_modified_copy(self):
         base = FaultPlan(seed=7)
         noisy = base.with_(offload_fail_rate=0.2)
-        assert base.is_null
+        assert base == FaultPlan(seed=7)
         assert noisy.offload_fail_rate == 0.2
         assert noisy.seed == 7
 
@@ -447,11 +442,10 @@ class TestPPEFallbackAccounting:
     @pytest.mark.parametrize("policy_cls", [EDTLPPolicy, MGPSPolicy],
                              ids=["edtlp", "mgps"])
     def test_fallback_updates_stats_metrics_and_trace(self, policy_cls):
-        env = Environment()
-        machine = CellMachine(env, BladeParams())
         tracer, metrics = Tracer(enabled=True), MetricsRegistry()
-        rt = OffloadEngine(env, machine, tracer=tracer, metrics=metrics,
-                           policy=policy_cls())
+        env = Environment(tracer=tracer, metrics=metrics)
+        machine = CellMachine(env, BladeParams())
+        rt = OffloadEngine(env, machine, policy=policy_cls())
         ctx = ProcContext(
             rank=0, cell_id=0, thread=machine.cores[0].thread("mpi0")
         )

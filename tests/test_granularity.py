@@ -111,7 +111,7 @@ def test_ewma_smooths_measurements():
     g.record_spe("f", 100 * US)
     g.record_spe("f", 200 * US)
     # 0.9 * 100 + 0.1 * 200 = 110 us
-    assert g.measured_spe("f") == pytest.approx(110 * US)
+    assert g._measured_spe["f"] == pytest.approx(110 * US)
 
 
 def test_invalid_construction():

@@ -215,7 +215,7 @@ class TestSyntheticDetectors:
         reg = MetricsRegistry()
         reg.counter("granularity.flips.logl").inc(2)
         assert analyze_run(None, reg) == []
-        strict = MonitorConfig().with_(churn_flips=2)
+        strict = MonitorConfig(churn_flips=2)
         assert len(analyze_run(None, reg, config=strict)) == 1
 
     def _storm_registry(self, offloads, retries, fallbacks):

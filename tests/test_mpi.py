@@ -41,11 +41,6 @@ class TestWorkDispenser:
         env.run_until_complete(env.all_of(procs))
         assert sorted(done) == [0, 1, 2, 3]
 
-    def test_remaining_counts_work_only(self):
-        env = Environment()
-        d = WorkDispenser(env, n_items=5, n_workers=2)
-        assert d.remaining == 5
-
     def test_validation(self):
         env = Environment()
         with pytest.raises(ValueError):

@@ -184,51 +184,3 @@ class TestSimulatorBridge:
         # Traversal-dominated workloads call newview most.
         assert rep["newview_calls"] > rep["evaluate_calls"]
 
-
-class TestFitProfile:
-    def _logs(self):
-        from repro.phylo import hky, run_bootstrap_analysis, synthesize_alignment
-
-        aln = synthesize_alignment(8, 200, seed=1)
-        analysis = run_bootstrap_analysis(
-            aln, hky(), n_bootstraps=2, max_rounds=2,
-            record_kernels=True, n_rate_categories=2,
-        )
-        return [r.kernel_log for r in analysis.replicates]
-
-    def test_shares_sum_to_one(self):
-        from repro.phylo import fit_profile
-
-        prof = fit_profile(self._logs())
-        assert sum(f.time_share for f in prof.functions) == pytest.approx(1.0)
-        assert prof.name.endswith("-fitted")
-
-    def test_hardware_ratios_inherited(self):
-        from repro.phylo import fit_profile
-        from repro.workloads import RAXML_42SC
-
-        prof = fit_profile(self._logs())
-        assert prof.ppe_slowdown == pytest.approx(
-            RAXML_42SC.ppe_slowdown, rel=0.01
-        )
-        assert prof.naive_slowdown == pytest.approx(
-            RAXML_42SC.naive_slowdown, rel=0.01
-        )
-
-    def test_fitted_profile_drives_scheduler(self):
-        from repro import edtlp, run_experiment
-        from repro.phylo import fit_profile
-        from repro.workloads import Workload
-
-        prof = fit_profile(self._logs())
-        wl = Workload(bootstraps=2, tasks_per_bootstrap=60, profile=prof)
-        r = run_experiment(edtlp(), wl)
-        assert r.offloads + r.ppe_fallbacks == 120
-        assert r.makespan > 0
-
-    def test_unrecorded_logs_rejected(self):
-        from repro.phylo import fit_profile
-        from repro.phylo.likelihood import KernelLog
-
-        with pytest.raises(ValueError):
-            fit_profile([KernelLog()])

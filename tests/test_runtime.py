@@ -201,7 +201,7 @@ def test_active_sources_tracking():
     rt = OffloadEngine(env, machine, policy=EDTLPPolicy())
     ctx = ProcContext(rank=0, cell_id=0, thread=machine.cores[0].thread("t"))
     rt.note_bootstrap_start(ctx, 0)
-    assert rt.active_sources == 1
+    assert rt._active_sources == {0}
     rt.note_bootstrap_end(ctx, 0)
-    assert rt.active_sources == 0
+    assert rt._active_sources == set()
     assert rt.stats.bootstraps_done == 1

@@ -131,7 +131,7 @@ def test_runtime_invariants(make_policy, kw, wl, n_procs):
     # Resource hygiene: nothing busy, nothing leaked.
     assert all(not s.busy for s in machine.spes)
     if not rt.policy.pinned:
-        assert machine.pool.n_free == machine.pool.n_total
+        assert machine.pool.n_free == machine.n_spes
     assert machine.pool.n_waiting == 0
 
     # Physics: utilization within bounds, makespan above trivial bounds.

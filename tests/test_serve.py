@@ -9,6 +9,7 @@ is invariant across dispatch policies.
 """
 
 import json
+import math
 
 import pytest
 
@@ -107,6 +108,21 @@ class TestServeConfig:
         t = TenantSpec("a", SMALL)
         with pytest.raises(ValueError):
             ServeConfig(tenants=(t, t))
+
+    @pytest.mark.parametrize("field", ["arrival_rate", "think_time_s",
+                                       "burst_interval_s"])
+    @pytest.mark.parametrize("value", [0.0, math.nan, math.inf, -math.inf])
+    def test_tenant_rates_must_be_finite_and_positive(self, field, value):
+        # A zero gap lets a shed closed-loop client resubmit without
+        # simulated time advancing; NaN would fail only in env.timeout.
+        with pytest.raises(ValueError, match=field):
+            TenantSpec("a", SMALL, arrival="closed", **{field: value})
+
+    @pytest.mark.parametrize("field", ["rate_limit", "deadline_s"])
+    @pytest.mark.parametrize("value", [0.0, math.nan, -math.inf])
+    def test_tenant_limits_must_be_positive(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TenantSpec("a", SMALL, **{field: value})
 
     def test_rejects_bad_blade_bounds(self):
         with pytest.raises(ValueError):
@@ -337,7 +353,7 @@ class TestCancellation:
         tracer = Tracer(enabled=True)
         metrics = MetricsRegistry()
         env = Environment(tracer=tracer, metrics=metrics)
-        service = Service(env, cfg, tracer=tracer, metrics=metrics)
+        service = Service(env, cfg)
         service.start(arrivals=False)
         jobs = []
 

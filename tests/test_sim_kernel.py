@@ -465,14 +465,6 @@ class TestStore:
         env.run()
         assert got == [("first", "a"), ("second", "b")]
 
-    def test_try_get(self):
-        env = Environment()
-        store = Store(env)
-        assert store.try_get() is None
-        store.put(9)
-        assert store.try_get() == 9
-        assert len(store) == 0
-
 
 class TestRngStreams:
     def test_same_seed_same_stream(self):

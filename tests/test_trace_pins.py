@@ -125,9 +125,8 @@ def test_sinks_resolve_to_none_when_everything_is_off():
     tracer, metrics = Tracer(), MetricsRegistry()
     sinks = Sinks.resolve(tracer, metrics)
     assert (sinks.tracer, sinks.metrics) == (tracer, metrics)
-    overlay = Sinks.resolve(Tracer(enabled=False), base=sinks)
-    assert overlay.tracer is None and overlay.metrics is metrics
-    assert Sinks.resolve(base=sinks) is sinks
+    metrics_only = Sinks.resolve(Tracer(enabled=False), metrics)
+    assert metrics_only.tracer is None and metrics_only.metrics is metrics
 
 
 def test_disabled_tracer_and_no_tracer_run_alike():

@@ -108,13 +108,6 @@ class TestWorkload:
         with pytest.raises(IndexError):
             wl.trace(2)
 
-    def test_serial_estimate_scales_with_bootstraps(self):
-        w1 = Workload(bootstraps=1, tasks_per_bootstrap=100)
-        w4 = Workload(bootstraps=4, tasks_per_bootstrap=100)
-        assert w4.serial_estimate() == pytest.approx(
-            4 * w1.serial_estimate(), rel=0.01
-        )
-
     def test_invalid_bootstraps(self):
         with pytest.raises(ValueError):
             Workload(bootstraps=0)
