@@ -124,9 +124,12 @@ def table1_experiment(
     edtlp_times: List[float] = []
     linux_times: List[float] = []
     results: Dict[str, List[ScheduleResult]] = {"edtlp": [], "linux": []}
+    # One trace cache for the sweep: bootstrap i is built once, not once
+    # per worker count.
+    shared = Workload(bootstraps=max(workers, default=1),
+                      tasks_per_bootstrap=tasks_per_bootstrap, seed=seed)
     for w in workers:
-        wl = Workload(bootstraps=w, tasks_per_bootstrap=tasks_per_bootstrap,
-                      seed=seed)
+        wl = shared.with_bootstraps(w)
         re = run_experiment(edtlp(n_processes=w), wl, seed=seed)
         rl = run_experiment(linux(n_processes=w), wl, seed=seed)
         edtlp_times.append(re.makespan)
@@ -157,9 +160,10 @@ def table2_experiment(
     """One bootstrap with loop-level parallelism over k SPEs."""
     times: List[float] = []
     results: Dict[str, List[ScheduleResult]] = {"llp": []}
+    # Every degree schedules the same bootstrap: build its trace once.
+    wl = Workload(bootstraps=1, tasks_per_bootstrap=tasks_per_bootstrap,
+                  seed=seed)
     for k in degrees:
-        wl = Workload(bootstraps=1, tasks_per_bootstrap=tasks_per_bootstrap,
-                      seed=seed)
         spec = static_hybrid(k, n_processes=1) if k > 1 else edtlp(n_processes=1)
         r = run_experiment(spec, wl, seed=seed)
         times.append(r.makespan)

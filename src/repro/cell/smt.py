@@ -291,7 +291,7 @@ class SMTCore:
 
     def _advance(self) -> None:
         """Account elapsed time onto running threads."""
-        now = self.env._now
+        now = self.env.now
         dt = now - self._last_ts
         self._last_ts = now
         running = self._running

@@ -28,8 +28,12 @@ identical event logs, identical percentiles, identical JSON.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from operator import attrgetter
+from typing import Any, Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from ..cell.params import BladeParams
 from ..obs.metrics import registry_of, stable_round
@@ -51,8 +55,8 @@ from .generators import tenant_generators
 from .resilience import FleetResilience, ResilienceConfig
 from .slo import ServeStats
 
-__all__ = ["ServeConfig", "ServeResult", "Service", "run_service",
-           "default_tenants"]
+__all__ = ["ServeConfig", "ServeResult", "JobRecords", "Service",
+           "run_service", "default_tenants"]
 
 
 def default_tenants(arrival_rate: float = 0.02,
@@ -121,6 +125,104 @@ class ServeConfig:
                     )
 
 
+# Key order of one completed-job record (``ServeResult.to_json`` sorts
+# keys, so this order shows only in the dict views).
+_RECORD_KEYS = (
+    "job_id", "source", "tenant", "template", "variant", "submit",
+    "start", "finish", "latency", "blade", "failovers", "missed_deadline",
+    "digest",
+)
+# The Job fields ``Service.result`` reads, one tuple per job, transposed
+# into columns; latency and deadline misses are derived from them.
+_JOB_FIELDS = attrgetter(
+    "job_id", "source", "tenant", "template.name", "variant",
+    "submit_time", "start_time", "finish_time", "blade", "failovers",
+    "deadline", "digest",
+)
+
+
+# ``_rounded``'s fast path: below this bound, ``x * 1e9`` in floating
+# point is within half an ulp (at most 2**-7) of the exact product.
+_FAST_ROUND_LIMIT = 2.0 ** 47
+_TIE_MARGIN = 0.05
+
+
+def _rounded(values: Tuple[Any, ...]) -> Tuple[Any, ...]:
+    """``stable_round`` over a column: ``round(x, 9)``, -0.0 -> 0.0.
+
+    ``round(x, 9)`` is the double nearest to the decimal ``N * 1e-9``,
+    where ``N`` is the integer nearest to the exact product ``x * 1e9``.
+    Where ``|x * 1e9| < 2**47`` the floating-point product is within
+    2**-7 of the exact one, so unless its fractional part lies within
+    ``_TIE_MARGIN`` of one half, ``rint`` of it is that same ``N``;
+    ``N`` and ``1e9`` are exact doubles and IEEE division rounds
+    correctly, so ``N / 1e9`` is the double ``round`` returns.  That
+    path runs vectorized; every other value (near a tie, large,
+    non-finite, or a column that is not all plain floats) goes through
+    ``round`` itself.  ``tests/test_job_records_reference.py`` holds it
+    to :func:`stable_round` value by value.
+    """
+    if not all(type(x) is float for x in values):
+        return tuple([stable_round(x) for x in values])
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = np.array(values, dtype=np.float64) * 1e9
+        out = np.rint(p) / 1e9
+        exact = (np.abs(p) < _FAST_ROUND_LIMIT) & (
+            np.abs(p - np.floor(p) - 0.5) > _TIE_MARGIN)
+    out[out == 0.0] = 0.0  # also normalizes -0.0
+    rounded = out.tolist()
+    if not exact.all():
+        for i in np.flatnonzero(~exact).tolist():
+            rounded[i] = stable_round(values[i])
+    return tuple(rounded)
+
+
+class JobRecords(Sequence):
+    """Read-only completed-job records, stored as columns.
+
+    One tuple per field of :data:`_RECORD_KEYS`, in job-id order; each
+    record is a fresh dict built on read, so nothing pays for a dict per
+    job until it asks for one.  Indexing, iteration, ``len`` and ``==``
+    (against another ``JobRecords`` or a tuple of dicts) behave as the
+    tuple of dicts the records used to be.
+    """
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, columns: Tuple[Tuple[Any, ...], ...]) -> None:
+        self._columns = columns
+
+    def column(self, key: str) -> Tuple[Any, ...]:
+        """Every record's ``key`` value, in record order."""
+        return self._columns[_RECORD_KEYS.index(key)]
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __iter__(self) -> Iterator[Dict[str, Any]]:
+        keys = _RECORD_KEYS
+        for row in zip(*self._columns):
+            yield dict(zip(keys, row))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(
+                dict(zip(_RECORD_KEYS, row))
+                for row in zip(*(c[index] for c in self._columns))
+            )
+        return dict(zip(_RECORD_KEYS, (c[index] for c in self._columns)))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, JobRecords):
+            return self._columns == other._columns
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"JobRecords({len(self)} jobs)"
+
+
 @dataclass(frozen=True)
 class ServeResult:
     """Outcome of one serving run — deterministic and JSON-stable."""
@@ -133,7 +235,7 @@ class ServeResult:
     autoscale: bool
     summary: Dict[str, Any]          # the ServeStats ledger
     per_blade: Tuple[Dict[str, Any], ...]
-    job_records: Tuple[Dict[str, Any], ...]
+    job_records: JobRecords           # completed jobs, in job-id order
     autoscaler_events: Tuple[Tuple[float, str, int], ...]
     compilations: int
     lost_jobs: int
@@ -153,7 +255,8 @@ class ServeResult:
         assignment, arrival interleaving and fault timing — two runs of
         the same tenants and seed agree on every key they share.
         """
-        return {r["source"]: r["digest"] for r in self.job_records}
+        records = self.job_records
+        return dict(zip(records.column("source"), records.column("digest")))
 
     def to_json(self) -> str:
         payload = {
@@ -1001,25 +1104,23 @@ class Service:
             }
             for b in self.blades
         )
-        job_records = tuple(
-            {
-                "job_id": j.job_id,
-                "source": j.source,
-                "tenant": j.tenant,
-                "template": j.template.name,
-                "variant": j.variant,
-                "submit": stable_round(j.submit_time),
-                "start": stable_round(j.start_time),
-                "finish": stable_round(j.finish_time),
-                "latency": stable_round(j.latency),
-                "blade": j.blade,
-                "failovers": j.failovers,
-                "missed_deadline": j.missed_deadline,
-                "digest": j.digest,
-            }
-            for j in sorted(self.stats.completed_jobs,
-                            key=lambda j: j.job_id)
+        jobs = sorted(self.stats.completed_jobs, key=attrgetter("job_id"))
+        (ids, sources, tenants, templates, variants, submits, starts,
+         finishes, blades, failovers, deadlines, digests) = (
+            zip(*map(_JOB_FIELDS, jobs)) if jobs
+            else ((),) * 12
         )
+        # ``Job.latency`` and ``Job.missed_deadline``, column-wise.
+        latencies = tuple([f - s for f, s in zip(finishes, submits)])
+        missed = tuple([
+            d is not None and f is not None and f > d
+            for f, d in zip(finishes, deadlines)
+        ])
+        job_records = JobRecords((
+            ids, sources, tenants, templates, variants, _rounded(submits),
+            _rounded(starts), _rounded(finishes), _rounded(latencies),
+            blades, failovers, missed, digests,
+        ))
         return ServeResult(
             dispatch=self.config.dispatch,
             scheduler=self.config.scheduler,

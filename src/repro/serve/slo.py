@@ -24,7 +24,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..obs.metrics import MetricsRegistry, NULL_REGISTRY, labeled
 from .jobs import Job
 
-__all__ = ["exact_percentile", "ServeStats"]
+__all__ = ["exact_percentile", "sorted_percentiles", "ServeStats"]
 
 # Latency buckets (simulated seconds): service times are tens of
 # seconds, sojourns under load reach into the thousands.
@@ -45,6 +45,21 @@ def exact_percentile(values: Sequence[float], p: float) -> float:
     return ordered[rank - 1]
 
 
+def sorted_percentiles(ordered: Sequence[float]) -> Tuple[float, ...]:
+    """(p50, p95, p99) read from one already sorted list.
+
+    Each value equals ``exact_percentile(ordered, p)``; the summary
+    sorts a latency group once and reads all three percentiles here.
+    """
+    n = len(ordered)
+    if not n:
+        return (0.0, 0.0, 0.0)
+    return tuple(
+        ordered[min(n, max(1, math.ceil(p / 100.0 * n))) - 1]
+        for p in (50, 95, 99)
+    )
+
+
 class ServeStats:
     """Accumulates the serving run's SLO ledger.
 
@@ -55,6 +70,9 @@ class ServeStats:
 
     def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
+        # The per-job hooks skip their instrument calls on the null
+        # registry, whose instruments record nothing.
+        self._metrics_on = self.metrics is not NULL_REGISTRY
         self.arrivals = 0
         self.admitted = 0
         self.rejected = 0
@@ -126,11 +144,13 @@ class ServeStats:
     # -- event feed --------------------------------------------------------
     def note_arrival(self, tenant: str) -> None:
         self.arrivals += 1
-        self._m_arrivals.inc()
+        if self._metrics_on:
+            self._m_arrivals.inc()
 
     def note_admitted(self, job: Job) -> None:
         self.admitted += 1
-        self._m_admitted.inc()
+        if self._metrics_on:
+            self._m_admitted.inc()
 
     def note_rejected(self, now: float, tenant: str, reason: str) -> None:
         self.rejected += 1
@@ -144,8 +164,9 @@ class ServeStats:
         counter.inc()
 
     def note_dispatch(self, queued: int) -> None:
-        self._depth_hist.observe(queued)
-        self._m_dispatched.inc()
+        if self._metrics_on:
+            self._depth_hist.observe(queued)
+            self._m_dispatched.inc()
 
     def note_batch(self, size: int) -> None:
         if size > 1:
@@ -193,41 +214,67 @@ class ServeStats:
 
     def note_completed(self, job: Job) -> None:
         self.completed_jobs.append(job)
-        self._m_completed.inc()
-        self._latency_hist.observe(job.latency)
-        if job.missed_deadline:
-            self._m_deadline_misses.inc()
+        if self._metrics_on:
+            self._m_completed.inc()
+            self._latency_hist.observe(job.latency)
+            if job.missed_deadline:
+                self._m_deadline_misses.inc()
 
     # -- aggregation -------------------------------------------------------
-    def _tenant_names(self) -> List[str]:
-        names = {j.tenant for j in self.completed_jobs}
-        names.update(t for _, t, _ in self.rejections)
-        return sorted(names)
+    def _groups(self) -> Dict[str, List[Any]]:
+        """Per tenant ``[latencies, deadline misses, rejections]``.
 
-    def tenant_summary(self, tenant: str, duration: float) -> Dict[str, Any]:
-        jobs = [j for j in self.completed_jobs if j.tenant == tenant]
-        lat = [j.latency for j in jobs]
-        rejected = sum(1 for _, t, _ in self.rejections if t == tenant)
-        offered = len(jobs) + rejected
-        missed = sum(1 for j in jobs if j.missed_deadline)
-        good = len(jobs) - missed
+        One pass over the completed jobs and one over the rejections;
+        the latencies are inlined ``Job.latency`` values and the misses
+        ``Job.missed_deadline`` (completed jobs always have a finish
+        time).  Each latency list comes back sorted.
+        """
+        groups: Dict[str, List[Any]] = {}
+        for j in self.completed_jobs:
+            g = groups.get(j.tenant)
+            if g is None:
+                g = groups[j.tenant] = [[], 0, 0]
+            finish = j.finish_time
+            g[0].append(finish - j.submit_time)
+            deadline = j.deadline
+            if deadline is not None and finish > deadline:
+                g[1] += 1
+        for _, tenant, _ in self.rejections:
+            g = groups.get(tenant)
+            if g is None:
+                g = groups[tenant] = [[], 0, 0]
+            g[2] += 1
+        for g in groups.values():
+            g[0].sort()
+        return groups
+
+    @staticmethod
+    def _tenant_block(group: List[Any], duration: float) -> Dict[str, Any]:
+        lat, missed, rejected = group
+        completed = len(lat)
+        offered = completed + rejected
+        p50, p95, p99 = sorted_percentiles(lat)
         return {
-            "completed": len(jobs),
+            "completed": completed,
             "rejected": rejected,
             "deadline_misses": missed,
-            "latency_p50_s": exact_percentile(lat, 50),
-            "latency_p95_s": exact_percentile(lat, 95),
-            "latency_p99_s": exact_percentile(lat, 99),
+            "latency_p50_s": p50,
+            "latency_p95_s": p95,
+            "latency_p99_s": p99,
             "rejection_rate": rejected / offered if offered else 0.0,
-            "deadline_miss_rate": missed / len(jobs) if jobs else 0.0,
-            "goodput_jps": good / duration if duration > 0 else 0.0,
+            "deadline_miss_rate": missed / completed if completed else 0.0,
+            "goodput_jps": (
+                (completed - missed) / duration if duration > 0 else 0.0
+            ),
         }
 
     def summary(self, duration: float) -> Dict[str, Any]:
         """The run's SLO ledger as one deterministic dict."""
-        lat = [j.latency for j in self.completed_jobs]
-        missed = sum(1 for j in self.completed_jobs if j.missed_deadline)
+        groups = self._groups()
+        lat = sorted(x for g in groups.values() for x in g[0])
+        missed = sum(g[1] for g in groups.values())
         good = len(lat) - missed
+        p50, p95, p99 = sorted_percentiles(lat)
         out: Dict[str, Any] = {
             "arrivals": self.arrivals,
             "admitted": self.admitted,
@@ -245,17 +292,17 @@ class ServeStats:
             "blade_rejoins": self.blade_rejoins,
             "batches": self.batches,
             "batched_jobs": self.batched_jobs,
-            "latency_p50_s": exact_percentile(lat, 50),
-            "latency_p95_s": exact_percentile(lat, 95),
-            "latency_p99_s": exact_percentile(lat, 99),
+            "latency_p50_s": p50,
+            "latency_p95_s": p95,
+            "latency_p99_s": p99,
             "rejection_rate": (
                 self.rejected / self.arrivals if self.arrivals else 0.0
             ),
             "deadline_miss_rate": missed / len(lat) if lat else 0.0,
             "goodput_jps": good / duration if duration > 0 else 0.0,
             "tenants": {
-                t: self.tenant_summary(t, duration)
-                for t in self._tenant_names()
+                t: self._tenant_block(groups[t], duration)
+                for t in sorted(groups)
             },
         }
         return out

@@ -29,6 +29,13 @@ and recycle processed :class:`Timeout` objects through a free list (see
 instance is only reincarnated once nothing else references it, so
 pooling can never change an observable value.  Both loops share one ``peek()``-guarded drain
 (:meth:`Environment._advance_until`) for same-timestamp completion.
+
+The clock is the plain ``now`` slot the loops write, not a property:
+it is read hundreds of thousands of times per serving run.  The run
+loops switch the cyclic GC off; ``run_until_complete`` settles the
+young-generation collection that fell due meanwhile before it returns,
+so that collection is charged to the kernel and not to whatever
+allocates next in the caller.
 """
 
 from __future__ import annotations
@@ -79,10 +86,17 @@ class Environment:
         run (machine, runtime, serving layer) reads the same bundle
         instead of threading and re-checking each sink.  Neither
         influences event ordering.
+
+    Attributes
+    ----------
+    now:
+        Current simulated time in seconds.  A plain slot that only the
+        kernel writes (the run loops, :meth:`step` and :meth:`run`'s
+        clamp); everything else reads it.
     """
 
     __slots__ = (
-        "_now", "_seq", "strict", "sinks",
+        "now", "_seq", "strict", "sinks",
         "events_processed",
         "_immediate", "_deferred", "_near", "_far", "_horizon",
         "_timeout_pool", "_pool_hits", "_pool_misses",
@@ -98,7 +112,7 @@ class Environment:
         tracer: Optional[Any] = None,
         metrics: Optional[Any] = None,
     ) -> None:
-        self._now = float(initial_time)
+        self.now = float(initial_time)
         self._seq = 0
         self.strict = strict
         self.sinks = Sinks.resolve(tracer, metrics)
@@ -108,7 +122,7 @@ class Environment:
         self._deferred: deque = deque()
         self._near: List[Tuple[float, int, int, Event]] = []
         self._far: List[Tuple[float, int, int, Event]] = []
-        self._horizon = self._now
+        self._horizon = self.now
         # Timeout free list + kernel health tallies.
         self._timeout_pool: deque = deque()
         self._pool_hits = 0
@@ -118,12 +132,6 @@ class Environment:
         self._refills = 0
         self._occupancy: List[int] = []
         self._batched_events = 0
-
-    # -- clock ------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     # -- factories ---------------------------------------------------------
     def event(self) -> Event:
@@ -165,7 +173,7 @@ class Environment:
                 if delay == 0.0:
                     self._deferred.append((self._seq, t))
                 else:
-                    at = self._now + delay
+                    at = self.now + delay
                     if at <= self._horizon:
                         heappush(self._near, (at, NORMAL, self._seq, t))
                     else:
@@ -202,7 +210,7 @@ class Environment:
                 self._deferred.append((self._seq, event))
         else:
             self._seq += 1
-            t = self._now + delay
+            t = self.now + delay
             entry = (t, priority, self._seq, event)
             if t <= self._horizon:
                 heappush(self._near, entry)
@@ -252,7 +260,7 @@ class Environment:
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         if self._immediate or self._deferred:
-            return self._now
+            return self.now
         if self._near:
             return self._near[0][0]
         if self._far:
@@ -279,7 +287,7 @@ class Environment:
                 head = near[0]
                 # A heap entry beats the deferred head only on the same
                 # timestamp with higher priority or an earlier seq.
-                if head[0] == self._now and (
+                if head[0] == self.now and (
                     head[1] == URGENT or head[2] < dfr[0][0]
                 ):
                     return heappop(near)[3]
@@ -288,7 +296,7 @@ class Environment:
         if not near:
             raise EmptySchedule()
         entry = heappop(near)
-        self._now = entry[0]
+        self.now = entry[0]
         return entry[3]
 
     def step(self) -> None:
@@ -327,7 +335,7 @@ class Environment:
                     if dfr:
                         if near:
                             head = near[0]
-                            if head[0] == self._now and (
+                            if head[0] == self.now and (
                                 head[1] == URGENT or head[2] < dfr[0][0]
                             ):
                                 ev = heappop(near)[3]
@@ -341,7 +349,7 @@ class Environment:
                         t = near[0][0]
                         if t > limit:
                             break
-                        self._now = t
+                        self.now = t
                         ev = heappop(near)[3]
                     else:
                         break
@@ -372,14 +380,14 @@ class Environment:
         """
         if until is None:
             self._advance_until(_INF)
-            return self._now
-        if until < self._now:
-            raise ValueError(f"until={until} is in the past (now={self._now})")
+            return self.now
+        if until < self.now:
+            raise ValueError(f"until={until} is in the past (now={self.now})")
         self._advance_until(until)
-        if until > self._now and self._has_events():
+        if until > self.now and self._has_events():
             # Events remain beyond the limit: clamp the clock to it.
-            self._now = until
-        return self._now
+            self.now = until
+        return self.now
 
     def run_until_complete(self, process: Process) -> Any:
         """Run until ``process`` finishes; return its value.
@@ -408,7 +416,7 @@ class Environment:
                     if dfr:
                         if near:
                             head = near[0]
-                            if head[0] == self._now and (
+                            if head[0] == self.now and (
                                 head[1] == URGENT or head[2] < dfr[0][0]
                             ):
                                 ev = heappop(near)[3]
@@ -420,7 +428,7 @@ class Environment:
                             ev = dfr.popleft()[1]
                     elif near:
                         entry = heappop(near)
-                        self._now = entry[0]
+                        self.now = entry[0]
                         ev = entry[3]
                     else:
                         self._deadlock(process)
@@ -444,7 +452,12 @@ class Environment:
                 gc.enable()
         # Drain same-timestamp bookkeeping so callbacks fire — the same
         # peek()-guarded loop run(until=...) uses.
-        self._advance_until(self._now)
+        self._advance_until(self.now)
+        # Settle the young-generation collection that fell due while GC
+        # was off, so it runs here rather than at the caller's next
+        # allocation.  A nested run (GC already off) collects nothing.
+        if gc_was_enabled and gc.get_count()[0] > gc.get_threshold()[0]:
+            gc.collect(0)
         if not process._ok:
             raise process._value
         return process._value

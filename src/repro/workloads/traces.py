@@ -36,13 +36,21 @@ class TraceBuilder:
         self.rng = RngStreams(seed)
         self._code = CodeImage(profile.name, "serial", profile.code_image_kb * KB)
         self._llp_code = CodeImage(profile.name, "llp", profile.llp_image_kb * KB)
+        self._counts: Dict[int, Dict[str, int]] = {}
 
     def _function_counts(self, n_tasks: int) -> Dict[str, int]:
         """Apportion ``n_tasks`` across functions by invocation frequency.
 
         A function's invocation share is its time share divided by its
         mean task length (largest-remainder rounding keeps the total).
+        Memoized per ``n_tasks``: every bootstrap of a builder shares it.
         """
+        counts = self._counts.get(n_tasks)
+        if counts is None:
+            counts = self._counts[n_tasks] = self._apportion(n_tasks)
+        return counts
+
+    def _apportion(self, n_tasks: int) -> Dict[str, int]:
         p = self.profile
         weights = np.array(
             [f.time_share / f.mean_task_us for f in p.functions], dtype=float
@@ -110,23 +118,29 @@ class TraceBuilder:
         # *resident* set is capped well below the local store.
         working_set = min(32 * p.sites, 96 * KB)
         data_key = f"{p.name}.b{index}"
+        # One (frozen) loop geometry per function, shared by its tasks.
+        loops = {
+            f.name: LoopSpec(
+                iterations=p.loop_iterations,
+                coverage=f.loop_coverage,
+                reduction=f.reduction,
+                bytes_per_iteration=f.bytes_per_iteration,
+            )
+            for f in p.functions
+        }
+        ppe_slowdown = p.ppe_slowdown
+        naive_slowdown = p.naive_slowdown
         order = rng.permutation(len(durations))
         for i in order:
             fname = functions[i]
-            fprof = p.function_by_name(fname)
             spe_t = durations[i] * norm[fname]
             specs.append(
                 TaskSpec(
                     function=fname,
                     spe_time=spe_t,
-                    ppe_time=spe_t * p.ppe_slowdown,
-                    naive_spe_time=spe_t * p.naive_slowdown,
-                    loop=LoopSpec(
-                        iterations=p.loop_iterations,
-                        coverage=fprof.loop_coverage,
-                        reduction=fprof.reduction,
-                        bytes_per_iteration=fprof.bytes_per_iteration,
-                    ),
+                    ppe_time=spe_t * ppe_slowdown,
+                    naive_spe_time=spe_t * naive_slowdown,
+                    loop=loops[fname],
                     working_set=working_set,
                     data_key=data_key,
                 )
@@ -190,6 +204,19 @@ class Workload:
     @property
     def scale(self) -> float:
         return self.trace(0).scale
+
+    def with_bootstraps(self, bootstraps: int) -> "Workload":
+        """This workload at another bootstrap count, sharing its traces.
+
+        Bootstrap ``i``'s trace depends only on the profile, seed, index
+        and task count, so the two workloads share one builder and one
+        trace cache: a sweep over bootstrap counts builds each trace once.
+        """
+        wl = Workload(bootstraps, self.tasks_per_bootstrap, self.profile,
+                      self.seed)
+        wl._builder = self._builder
+        wl._cache = self._cache
+        return wl
 
 
 @dataclass

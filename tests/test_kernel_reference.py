@@ -41,6 +41,16 @@ class HeapEnvironment(Environment):
         super().__init__(*args, **kwargs)
         self.heap = []
 
+    # The reference keeps its own clock in ``_now``; the components it
+    # drives read ``env.now``, a plain slot on the real kernel.
+    @property
+    def now(self):
+        return self._now
+
+    @now.setter
+    def now(self, value):
+        self._now = value
+
     def timeout(self, delay, value=None):
         return Timeout(self, delay, value)
 

@@ -570,3 +570,79 @@ class TestCalendarKernel:
         env.run_until_complete(env.process(proc()))
         with pytest.raises(EmptySchedule):
             env.step()
+
+
+class TestGcSettlement:
+    """``run_until_complete`` settles the collection its GC-off loop
+    postponed, and a nested run (GC already off) collects nothing."""
+
+    @staticmethod
+    def _allocating(env, keep):
+        def proc():
+            import gc
+            for _ in range(4):
+                # Container objects count toward generation 0.
+                keep.extend([i] for i in range(gc.get_threshold()[0]))
+                yield env.timeout(1.0)
+        return proc()
+
+    @pytest.fixture
+    def collections(self):
+        """Yield ``(log, inside)``: ``log`` gets one ``inside[0]`` flag
+        per collection started while the test runs."""
+        import gc
+
+        log, inside = [], [True]
+
+        def record(phase, info):
+            if phase == "start":
+                log.append(inside[0])
+
+        was_enabled = gc.isenabled()
+        gc.enable()
+        gc.callbacks.append(record)
+        try:
+            yield log, inside
+        finally:
+            gc.callbacks.remove(record)
+            if not was_enabled:
+                gc.disable()
+
+    def test_debt_settled_when_gc_was_on_at_entry(self, collections):
+        import gc
+
+        log, inside = collections
+        env = Environment()
+        keep = []
+        p = env.process(self._allocating(env, keep))
+        env.run_until_complete(p)
+        inside[0] = False
+        # The loop ran with GC off, so a collection inside the call is
+        # the settlement, and it leaves generation 0 under its threshold
+        # for the caller's next allocation.
+        assert True in log
+        assert gc.get_count()[0] <= gc.get_threshold()[0]
+        assert gc.isenabled()
+
+    def test_nested_run_collects_nothing(self, collections):
+        import gc
+
+        log, inside = collections
+        outer = Environment()
+        seen = []
+
+        def nest():
+            inner = Environment()
+            keep = []
+            inside[0] = True
+            inner.run_until_complete(
+                inner.process(self._allocating(inner, keep)))
+            inside[0] = False
+            seen.append(gc.isenabled())
+            yield outer.timeout(1.0)
+
+        inside[0] = False
+        outer.run_until_complete(outer.process(nest()))
+        assert True not in log
+        assert seen == [False]
+        assert gc.isenabled()
