@@ -6,7 +6,7 @@ can hide behind an application-layer win.  This benchmark exercises the
 :mod:`repro.sim` hot path *standalone* with three synthetic patterns:
 
 * ``timeout_churn`` — many processes sleeping pseudo-random delays:
-  the calendar queue's steady state (near buckets + far heap refills);
+  the calendar queue's steady state (pushes and pops on the timed heap);
 * ``same_timestamp`` — wide same-instant fan-out through shared
   events: the immediate/deferred O(1) lanes and batch advance;
 * ``wake_chain`` — two processes ping-ponging through fresh events:

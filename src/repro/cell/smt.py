@@ -362,9 +362,14 @@ class SMTCore:
         (only while threads wait) preempt expired quanta and fill free
         contexts, and finally, unless a thread completed, arm a timer
         for the soonest state change.
+
+        Time is accounted only when the clock has moved since the last
+        account: at an unchanged clock ``_advance`` would only re-store
+        ``_last_ts``, so skipping it is exact.
         """
         self._version += 1
-        self._advance()
+        if self.env.now != self._last_ts:
+            self._advance()
         running = self._running
 
         # Reap completions.  ``_complete`` leaves the thread lingering on

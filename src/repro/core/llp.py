@@ -26,7 +26,7 @@ worker SPE *occupancy* is still realized in simulated time by the runtime
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..cell.mfc import MFC
 from ..cell.params import CellParams
@@ -122,9 +122,12 @@ class LLPConfig:
         resolve_loop_schedule(self.schedule)  # unknown names raise here
 
 
-@dataclass(frozen=True)
-class LLPInvocation:
-    """Timing breakdown of one loop-parallel task invocation."""
+class LLPInvocation(NamedTuple):
+    """Timing breakdown of one loop-parallel task invocation.
+
+    A named tuple rather than a frozen dataclass: just as immutable, and
+    built without a per-field ``object.__setattr__``.
+    """
 
     duration: float          # total task time on the master SPE
     k: int                   # SPEs used (master + workers)

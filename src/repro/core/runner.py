@@ -62,15 +62,12 @@ def _publish_run_metrics(
         "run.events_per_wall_second",
         "kernel events per wall-clock second (nondeterministic)",
     ).set(env.events_processed / sim_wall if sim_wall > 0 else 0.0)
-    # Kernel-health gauges: calendar occupancy, Timeout free-list hit
-    # rate, and the fraction of events drained without heap traffic.
-    # All three are deterministic, so ``repro stats --fail-on
+    # Kernel-health gauges: Timeout free-list hit rate and the fraction
+    # of events dispatched by the batched run loops.  Both are
+    # deterministic, so ``repro stats --fail-on
     # 'run.kernel.pool_hit_rate<0.9'`` is a stable guard; the HTML
     # report's #perf lane shows the same numbers.
     ks = env.kernel_stats()
-    g("run.kernel.near_occupancy_p95",
-      "p95 near-calendar occupancy sampled at refill").set(
-        ks["near_occupancy_p95"])
     g("run.kernel.pool_hit_rate",
       "Timeout free-list hit rate over the run").set(ks["pool_hit_rate"])
     g("run.kernel.batch_advance_fraction",

@@ -208,9 +208,13 @@ class OffloadEngine:
         self.policy.on_capacity_change()
 
     # -- SPE acquisition ------------------------------------------------------
-    def _acquire_spe(
-        self, ctx: ProcContext, task: TaskSpec
-    ) -> Generator[Event, None, SPE]:
+    def _pick_spe(self, ctx: ProcContext, task: TaskSpec) -> Optional[SPE]:
+        """Take a free SPE for ``task`` without waiting, or return None.
+
+        A plain call, not a generator: the common case (an SPE is free)
+        never builds a generator, and :meth:`_dispatch` yields on the
+        pool only when this returns None.
+        """
         spe = None
         if self.locality_aware and task.data_key is not None:
             # Prefer an idle SPE that already holds this task's data set;
@@ -225,13 +229,6 @@ class OffloadEngine:
                 )
         if spe is None:
             spe = self.machine.pool.try_acquire(prefer_cell=ctx.cell_id)
-        if spe is None:
-            # All SPEs busy: the scheduler parks this process (its PPE
-            # context is free for siblings) until a departure.
-            self.stats.offload_waits += 1
-            if self._metrics_on:
-                self._m_waits.inc()
-            spe = yield self.machine.pool.acquire(prefer_cell=ctx.cell_id)
         return spe
 
     def _acquire_workers(
@@ -269,7 +266,9 @@ class OffloadEngine:
         up after itself when it eventually finishes.
 
         Every fault hook sits behind ``faults is not None``: a fault-free
-        run makes no extra call and no extra yield.
+        run makes no extra call and no extra yield.  The busy window is
+        :meth:`SPE.occupy`'s body inlined; it makes the same calls in the
+        same order, without building a generator per execution.
         """
         env = self.env
         faults = self.faults
@@ -400,8 +399,16 @@ class OffloadEngine:
                         proc=ctx.rank, function=task.function, role="worker",
                     )
             return self._give_back(spe, workers, release, "spe-dead")
+        # ``yield from spe.occupy(duration, owner)``, inlined.
         try:
-            yield from spe.occupy(duration, owner)
+            if duration < 0:
+                raise ValueError("duration must be non-negative")
+            spe.mark_busy(owner)
+            try:
+                yield env.timeout(duration)
+                spe.tasks_executed += 1
+            finally:
+                spe.mark_idle()
         finally:
             for w in workers:
                 w.mark_idle()
@@ -526,9 +533,16 @@ class OffloadEngine:
         if self.policy.pinned:
             spe, workers, release = ctx.pinned_spe, [], False
         else:
-            spe = yield from self._acquire_spe(ctx, task)
+            spe = self._pick_spe(ctx, task)
             if spe is None:
-                return None
+                # All SPEs busy: the scheduler parks this process (its PPE
+                # context is free for siblings) until a departure.
+                self.stats.offload_waits += 1
+                if self._metrics_on:
+                    self._m_waits.inc()
+                spe = yield self.machine.pool.acquire(prefer_cell=ctx.cell_id)
+                if spe is None:
+                    return None
             workers = self._acquire_workers(ctx, spe, task)
             if self.tracer is not None:
                 sp.set(spe=spe.name, llp_degree=1 + len(workers))

@@ -725,13 +725,11 @@ def _kernel_note(registry) -> str:
         return ""
     pool = registry_value(registry, "run.kernel.pool_hit_rate")
     batch = registry_value(registry, "run.kernel.batch_advance_fraction")
-    occ = registry_value(registry, "run.kernel.near_occupancy_p95")
     pool_chip = "good" if pool >= 0.9 else "warning"
     return (
         '<p class="chart-note">event kernel &#183; '
         f'<span class="chip {pool_chip}">pool hit {pool:.1%}</span> '
-        f'batch advance {batch:.1%} &#183; '
-        f'near-bucket p95 {occ:.0f}</p>'
+        f'batch advance {batch:.1%}</p>'
     )
 
 

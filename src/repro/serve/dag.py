@@ -34,6 +34,7 @@ and bootstop savings.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -226,10 +227,15 @@ class DagConfig:
     def __post_init__(self) -> None:
         if self.submissions < 1:
             raise ValueError("submissions must be >= 1")
-        if self.interarrival_s is not None and self.interarrival_s < 0:
-            raise ValueError("interarrival_s must be >= 0 when set")
+        # ``not 0 <= x < inf`` also rejects NaN.
+        if self.interarrival_s is not None and not (
+            0 <= self.interarrival_s < math.inf
+        ):
+            raise ValueError("interarrival_s must be finite and >= 0 when set")
         if self.blades < 1:
             raise ValueError("blades must be >= 1")
+        if not 0 <= self.dispatch_overhead_s < math.inf:
+            raise ValueError("dispatch_overhead_s must be finite and >= 0")
 
 
 @dataclass

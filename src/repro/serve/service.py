@@ -28,6 +28,7 @@ identical event logs, identical percentiles, identical JSON.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import attrgetter
@@ -110,12 +111,14 @@ class ServeConfig:
         names = [t.name for t in self.tenants]
         if len(set(names)) != len(names):
             raise ValueError("tenant names must be unique")
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
+        # Written so that NaN fails too: a NaN or infinite horizon never
+        # ends the run.
+        if not 0 < self.duration_s < math.inf:
+            raise ValueError("duration_s must be finite and positive")
         if not (1 <= self.min_blades <= self.max_blades):
             raise ValueError("need 1 <= min_blades <= max_blades")
-        if self.dispatch_overhead_s < 0:
-            raise ValueError("dispatch_overhead_s must be >= 0")
+        if not 0 <= self.dispatch_overhead_s < math.inf:
+            raise ValueError("dispatch_overhead_s must be finite and >= 0")
         if self.faults is not None:
             for blade in self.faults.blades:
                 if blade >= self.max_blades:

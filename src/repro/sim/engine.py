@@ -1,21 +1,20 @@
 """The simulation environment: clock, calendar queue and run loop.
 
-The calendar is a three-tier structure instead of one flat binary heap:
+The calendar has three lanes instead of one flat binary heap:
 
 * ``_immediate`` — a FIFO deque of URGENT zero-delay events.  URGENT
   events are only ever scheduled *at* the current timestamp (resource
   hand-off, process resume), so FIFO order at the head of the calendar
-  is exactly the ``(time, URGENT, seq)`` order the old heap produced —
+  is exactly the ``(time, URGENT, seq)`` order a plain heap produces —
   without a tuple, a sequence number, or a heap operation.
 * ``_deferred`` — a FIFO deque of NORMAL zero-delay events, tagged with
   their ``seq`` so they interleave correctly with heap entries that land
   on the same timestamp.
-* ``_near``/``_far`` — the timed calendar, split at a moving ``_horizon``:
-  ``_near`` is a small heap of the soonest entries, ``_far`` the overflow
-  heap.  When ``_near`` drains, a batch of the soonest ``_far`` entries
-  refills it (ties across the boundary move together, so the seam can
-  never split equal timestamps).  Steady-state enqueue/dequeue touches
-  only the small near heap.
+* ``_heap`` — one binary heap of ``(time, priority, seq, event)``
+  entries for every timed event.  It orders entries by the same key as
+  the plain-``heapq`` reference kernel, so the timed lane is exact by
+  construction.  No tracked run keeps more than a few hundred timed
+  entries pending, so splitting the heap into tiers only adds refills.
 
 ``seq`` is a monotonically increasing tie-breaker so events at equal
 timestamps are processed in schedule order, which makes every simulation
@@ -55,13 +54,8 @@ __all__ = ["Environment", "EmptySchedule"]
 _INF = float("inf")
 _PENDING = Event._PENDING
 
-# Calendar-queue tuning: how many far-heap entries one refill promotes
-# into the near heap (plus boundary ties), how many processed Timeouts
-# the free list retains, and how many refill occupancy samples are kept
-# for the ``near_occupancy_p95`` kernel gauge.
-_NEAR_BATCH = 64
+# How many processed Timeouts the free list retains.
 _POOL_CAP = 256
-_OCC_CAP = 4096
 
 
 class EmptySchedule(Exception):
@@ -98,10 +92,9 @@ class Environment:
     __slots__ = (
         "now", "_seq", "strict", "sinks",
         "events_processed",
-        "_immediate", "_deferred", "_near", "_far", "_horizon",
+        "_immediate", "_deferred", "_heap",
         "_timeout_pool", "_pool_hits", "_pool_misses",
-        "_immediate_pops", "_deferred_pops", "_refills", "_occupancy",
-        "_batched_events",
+        "_immediate_pops", "_deferred_pops", "_batched_events",
     )
 
     def __init__(
@@ -117,20 +110,16 @@ class Environment:
         self.strict = strict
         self.sinks = Sinks.resolve(tracer, metrics)
         self.events_processed = 0
-        # Calendar tiers.
+        # Calendar lanes.
         self._immediate: deque = deque()
         self._deferred: deque = deque()
-        self._near: List[Tuple[float, int, int, Event]] = []
-        self._far: List[Tuple[float, int, int, Event]] = []
-        self._horizon = self.now
+        self._heap: List[Tuple[float, int, int, Event]] = []
         # Timeout free list + kernel health tallies.
         self._timeout_pool: deque = deque()
         self._pool_hits = 0
         self._pool_misses = 0
         self._immediate_pops = 0
         self._deferred_pops = 0
-        self._refills = 0
-        self._occupancy: List[int] = []
         self._batched_events = 0
 
     # -- factories ---------------------------------------------------------
@@ -173,11 +162,8 @@ class Environment:
                 if delay == 0.0:
                     self._deferred.append((self._seq, t))
                 else:
-                    at = self.now + delay
-                    if at <= self._horizon:
-                        heappush(self._near, (at, NORMAL, self._seq, t))
-                    else:
-                        heappush(self._far, (at, NORMAL, self._seq, t))
+                    heappush(self._heap,
+                             (self.now + delay, NORMAL, self._seq, t))
                 return t
             # Still referenced from a previous life (e.g. a pending
             # composite holds it) — retry once the reference drops.
@@ -210,67 +196,40 @@ class Environment:
                 self._deferred.append((self._seq, event))
         else:
             self._seq += 1
-            t = self.now + delay
-            entry = (t, priority, self._seq, event)
-            if t <= self._horizon:
-                heappush(self._near, entry)
-            else:
-                heappush(self._far, entry)
+            heappush(self._heap, (self.now + delay, priority, self._seq, event))
 
     def _withdraw(self, event: Event) -> None:
         """Take a pending zero-delay NORMAL event back off the calendar.
 
-        Such an event waits on the deferred lane; the newest entry is
-        checked first because a withdrawn event is usually the one just
-        scheduled.  Removing an entry leaves the relative order of the
-        others unchanged, and the event may be scheduled again.
+        Such an event waits on the deferred lane.  A withdrawn event is
+        almost always the one just scheduled, so the tail is checked
+        first and popped; the tail pop removes the same entry a backward
+        scan would, and older entries keep the scan.  Removing an entry
+        leaves the relative order of the others unchanged, and the event
+        may be scheduled again.
         """
         dfr = self._deferred
-        for i in range(len(dfr) - 1, -1, -1):
+        if dfr and dfr[-1][1] is event:
+            dfr.pop()
+            event._scheduled = False
+            return
+        for i in range(len(dfr) - 2, -1, -1):
             if dfr[i][1] is event:
                 del dfr[i]
                 event._scheduled = False
                 return
         raise ValueError(f"{event!r} is not on the deferred lane")
 
-    def _refill(self) -> None:
-        """Promote the soonest far-heap batch into the empty near heap.
-
-        Entries leave the far heap in ascending order, and an ascending
-        list satisfies the heap invariant, so the batch *is* the new near
-        heap.  The boundary extends through ties: every far entry at the
-        new horizon timestamp moves too, so equal timestamps can never
-        straddle the seam (and ``_horizon`` only ever grows — a far entry
-        is always strictly beyond it).
-        """
-        far = self._far
-        near = self._near
-        n = _NEAR_BATCH if len(far) > _NEAR_BATCH else len(far)
-        for _ in range(n):
-            near.append(heappop(far))
-        limit = near[-1][0]
-        while far and far[0][0] <= limit:
-            near.append(heappop(far))
-        self._horizon = limit
-        self._refills += 1
-        occ = self._occupancy
-        if len(occ) < _OCC_CAP:
-            occ.append(len(near))
-
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         if self._immediate or self._deferred:
             return self.now
-        if self._near:
-            return self._near[0][0]
-        if self._far:
-            return self._far[0][0]
+        if self._heap:
+            return self._heap[0][0]
         return _INF
 
     def _has_events(self) -> bool:
-        return bool(
-            self._immediate or self._deferred or self._near or self._far
-        )
+        return bool(self._immediate or self._deferred or self._heap)
 
     def _pop_next(self) -> Event:
         """Remove and return the next event, advancing the clock to it."""
@@ -278,24 +237,22 @@ class Environment:
         if imm:
             self._immediate_pops += 1
             return imm.popleft()
-        near = self._near
-        if not near and self._far:
-            self._refill()
+        heap = self._heap
         dfr = self._deferred
         if dfr:
-            if near:
-                head = near[0]
+            if heap:
+                head = heap[0]
                 # A heap entry beats the deferred head only on the same
                 # timestamp with higher priority or an earlier seq.
                 if head[0] == self.now and (
                     head[1] == URGENT or head[2] < dfr[0][0]
                 ):
-                    return heappop(near)[3]
+                    return heappop(heap)[3]
             self._deferred_pops += 1
             return dfr.popleft()[1]
-        if not near:
+        if not heap:
             raise EmptySchedule()
-        entry = heappop(near)
+        entry = heappop(heap)
         self.now = entry[0]
         return entry[3]
 
@@ -314,45 +271,42 @@ class Environment:
 
         The single ``peek()``-guarded loop shared by :meth:`run` and
         :meth:`run_until_complete`'s same-timestamp drain, with dispatch
-        and Timeout recycling inlined.
+        and Timeout recycling inlined.  Lane pops are counted in locals
+        and added to the kernel tallies on exit.
         """
         imm = self._immediate
         dfr = self._deferred
+        heap = self._heap
         pool = self._timeout_pool
-        processed = 0
+        processed = imm_pops = dfr_pops = 0
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
             while True:
                 if imm:
-                    self._immediate_pops += 1
+                    imm_pops += 1
                     ev = imm.popleft()
-                else:
-                    near = self._near
-                    if not near and self._far:
-                        self._refill()
-                        near = self._near
-                    if dfr:
-                        if near:
-                            head = near[0]
-                            if head[0] == self.now and (
-                                head[1] == URGENT or head[2] < dfr[0][0]
-                            ):
-                                ev = heappop(near)[3]
-                            else:
-                                self._deferred_pops += 1
-                                ev = dfr.popleft()[1]
+                elif dfr:
+                    if heap:
+                        head = heap[0]
+                        if head[0] == self.now and (
+                            head[1] == URGENT or head[2] < dfr[0][0]
+                        ):
+                            ev = heappop(heap)[3]
                         else:
-                            self._deferred_pops += 1
+                            dfr_pops += 1
                             ev = dfr.popleft()[1]
-                    elif near:
-                        t = near[0][0]
-                        if t > limit:
-                            break
-                        self.now = t
-                        ev = heappop(near)[3]
                     else:
+                        dfr_pops += 1
+                        ev = dfr.popleft()[1]
+                elif heap:
+                    t = heap[0][0]
+                    if t > limit:
                         break
+                    self.now = t
+                    ev = heappop(heap)[3]
+                else:
+                    break
                 processed += 1
                 # Inlined Event._process (no subclass overrides it).
                 ev._processed = True
@@ -370,6 +324,8 @@ class Environment:
         finally:
             self.events_processed += processed
             self._batched_events += processed
+            self._immediate_pops += imm_pops
+            self._deferred_pops += dfr_pops
             if gc_was_enabled:
                 gc.enable()
 
@@ -399,39 +355,35 @@ class Environment:
         """
         imm = self._immediate
         dfr = self._deferred
+        heap = self._heap
         pool = self._timeout_pool
-        processed = 0
+        processed = imm_pops = dfr_pops = 0
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
             while process._value is _PENDING:
                 if imm:
-                    self._immediate_pops += 1
+                    imm_pops += 1
                     ev = imm.popleft()
-                else:
-                    near = self._near
-                    if not near and self._far:
-                        self._refill()
-                        near = self._near
-                    if dfr:
-                        if near:
-                            head = near[0]
-                            if head[0] == self.now and (
-                                head[1] == URGENT or head[2] < dfr[0][0]
-                            ):
-                                ev = heappop(near)[3]
-                            else:
-                                self._deferred_pops += 1
-                                ev = dfr.popleft()[1]
+                elif dfr:
+                    if heap:
+                        head = heap[0]
+                        if head[0] == self.now and (
+                            head[1] == URGENT or head[2] < dfr[0][0]
+                        ):
+                            ev = heappop(heap)[3]
                         else:
-                            self._deferred_pops += 1
+                            dfr_pops += 1
                             ev = dfr.popleft()[1]
-                    elif near:
-                        entry = heappop(near)
-                        self.now = entry[0]
-                        ev = entry[3]
                     else:
-                        self._deadlock(process)
+                        dfr_pops += 1
+                        ev = dfr.popleft()[1]
+                elif heap:
+                    entry = heappop(heap)
+                    self.now = entry[0]
+                    ev = entry[3]
+                else:
+                    self._deadlock(process)
                 processed += 1
                 ev._processed = True
                 cb = ev._cb0
@@ -448,6 +400,8 @@ class Environment:
         finally:
             self.events_processed += processed
             self._batched_events += processed
+            self._immediate_pops += imm_pops
+            self._deferred_pops += dfr_pops
             if gc_was_enabled:
                 gc.enable()
         # Drain same-timestamp bookkeeping so callbacks fire — the same
@@ -478,18 +432,11 @@ class Environment:
         events = self.events_processed
         heap_events = events - self._immediate_pops - self._deferred_pops
         allocs = self._pool_hits + self._pool_misses
-        occ = sorted(self._occupancy)
-        if occ:
-            p95 = occ[min(len(occ) - 1, int(0.95 * len(occ)))]
-        else:
-            p95 = 0
         return {
             "events": float(events),
             "immediate_events": float(self._immediate_pops),
             "deferred_events": float(self._deferred_pops),
             "heap_events": float(heap_events),
-            "calendar_refills": float(self._refills),
-            "near_occupancy_p95": float(p95),
             "pool_hit_rate": (
                 self._pool_hits / allocs if allocs else 0.0
             ),

@@ -10,6 +10,7 @@ for bit; blade kills during the fan-out lose nothing.
 
 import dataclasses
 import json
+import math
 from collections import Counter
 
 import pytest
@@ -80,6 +81,20 @@ class TestWorkflowSpec:
             DagConfig(workflow=wf, blades=0)
         with pytest.raises(ValueError):
             DagConfig(workflow=wf, interarrival_s=-1.0)
+
+    @pytest.mark.parametrize("field", ["interarrival_s",
+                                       "dispatch_overhead_s"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_config_gaps_must_be_finite(self, field, value):
+        # Checked at construction only: such a config is never run.
+        with pytest.raises(ValueError, match=field):
+            DagConfig(workflow=raxml_workflow(replicates=4),
+                      **{field: value})
+
+    def test_zero_gaps_are_accepted(self):
+        cfg = DagConfig(workflow=raxml_workflow(replicates=4),
+                        interarrival_s=0.0, dispatch_overhead_s=0.0)
+        assert (cfg.interarrival_s, cfg.dispatch_overhead_s) == (0.0, 0.0)
 
 
 # -- replicate trees ----------------------------------------------------------

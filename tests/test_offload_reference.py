@@ -24,7 +24,8 @@ Faulted off-loads run the same execution body as clean ones, its fault
 hooks behind guards.  ``FaultyTwinEngine`` keeps the separate faulty
 body and its off-load path as they were; a faulted run must match it on every
 output and on its trace once the LLP worker rows, which the twin never
-wrote, are dropped.
+wrote, are dropped.  The twin still holds its SPE through
+``SPE.occupy``, whose body the shared execution inlines.
 """
 
 import math
@@ -251,6 +252,19 @@ class TestResidentCodeHit:
 
 # -- inline SPE execution ------------------------------------------------------
 
+def _acquire_spe(engine, ctx, task):
+    """SPE acquisition as the reference paths had it: one generator that
+    takes a free SPE at once or else counts the wait and parks on the
+    pool."""
+    spe = engine._pick_spe(ctx, task)
+    if spe is None:
+        engine.stats.offload_waits += 1
+        if engine._metrics_on:
+            engine._m_waits.inc()
+        spe = yield engine.machine.pool.acquire(prefer_cell=ctx.cell_id)
+    return spe
+
+
 class ProcessPerOffloadEngine(OffloadEngine):
     """The off-load path as it was: each SPE execution its own process.
 
@@ -284,7 +298,7 @@ class ProcessPerOffloadEngine(OffloadEngine):
             if pinned:
                 spe, workers, release = ctx.pinned_spe, [], False
             else:
-                spe = yield from self._acquire_spe(ctx, task)
+                spe = yield from _acquire_spe(self, ctx, task)
                 workers = self._acquire_workers(ctx, spe, task)
                 if self.tracer is not None:
                     sp.set(spe=spe.name, llp_degree=1 + len(workers))
@@ -608,7 +622,7 @@ class FaultyTwinEngine(OffloadEngine):
                     release = False
                 else:
                     yield ctx.thread.run(self.cell.dispatch_overhead)
-                    spe = yield from self._acquire_spe(ctx, task)
+                    spe = yield from _acquire_spe(self, ctx, task)
                     if spe is None:
                         # Capacity exhausted: every SPE dead or blacklisted.
                         break

@@ -124,6 +124,25 @@ class TestServeConfig:
         with pytest.raises(ValueError, match=field):
             TenantSpec("a", SMALL, **{field: value})
 
+    @pytest.mark.parametrize("value", [0.0, math.nan, math.inf, -math.inf])
+    def test_duration_must_be_finite_and_positive(self, value):
+        # A NaN or infinite horizon never ends the run: checked at
+        # construction only, never run.
+        with pytest.raises(ValueError, match="duration_s"):
+            ServeConfig(tenants=(TenantSpec("a", SMALL),), duration_s=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_dispatch_overhead_must_be_finite(self, value):
+        # NaN used to pass construction and fail mid-run in env.timeout.
+        with pytest.raises(ValueError, match="dispatch_overhead_s"):
+            ServeConfig(tenants=(TenantSpec("a", SMALL),),
+                        dispatch_overhead_s=value)
+
+    def test_zero_dispatch_overhead_is_accepted(self):
+        cfg = ServeConfig(tenants=(TenantSpec("a", SMALL),),
+                          dispatch_overhead_s=0.0)
+        assert cfg.dispatch_overhead_s == 0.0
+
     def test_rejects_bad_blade_bounds(self):
         with pytest.raises(ValueError):
             ServeConfig(tenants=(TenantSpec("a", SMALL),), min_blades=3,

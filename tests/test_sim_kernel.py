@@ -496,13 +496,12 @@ class TestRngStreams:
 
 
 class TestCalendarKernel:
-    """Edge cases of the bucketed calendar, Timeout pool and batched loop."""
+    """Edge cases of the three-lane calendar, Timeout pool and batched loop."""
 
-    def test_bucket_seam_preserves_order_across_refills(self):
-        # 200 far-heap entries with 40-way timestamp ties: the refill
-        # batch boundary (64 entries) falls *inside* a tie group, so the
-        # tie-extension rule must pull the rest of the group across the
-        # seam for (time, seq) FIFO order to survive the promotion.
+    def test_timer_ties_keep_schedule_order(self):
+        # 200 timed entries in five 40-way timestamp ties, scheduled
+        # interleaved: each tie group must fire in (time, seq) FIFO
+        # order, all of it through the timed heap.
         env = Environment()
         fired = []
         n = 200
@@ -513,7 +512,7 @@ class TestCalendarKernel:
         expected = sorted(range(n), key=lambda i: ((i % 5) + 1, i))
         assert [i for _, i in fired] == expected
         assert all(now == float((i % 5) + 1) for now, i in fired)
-        assert env.kernel_stats()["calendar_refills"] >= 2
+        assert env.kernel_stats()["heap_events"] == n
 
     def test_timeout_pool_reincarnation_is_clean(self):
         env = Environment()
