@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..validation import require_finite
+
 __all__ = ["CellParams", "BladeParams", "DEFAULT_CELL", "DEFAULT_BLADE"]
 
 KB = 1024
@@ -18,6 +20,15 @@ MB = 1024 * 1024
 GB = 1024 * 1024 * 1024
 US = 1e-6
 MS = 1e-3
+
+
+# The latencies and overheads a Cell may set to zero, and the bandwidths
+# it divides by; ``os_quantum`` must be positive too.
+_CELL_TIMES = (
+    "context_switch", "ppe_spe_signal", "spe_spe_signal",
+    "dispatch_overhead", "completion_overhead", "dma_startup",
+)
+_CELL_BANDWIDTHS = ("spe_dma_bandwidth", "eib_bandwidth", "memory_bandwidth")
 
 
 @dataclass(frozen=True)
@@ -110,6 +121,11 @@ class CellParams:
             raise ValueError("PPE needs at least one SMT context")
         if self.dma_max_request <= 0 or self.dma_alignment <= 0:
             raise ValueError("DMA geometry must be positive")
+        require_finite("os_quantum", self.os_quantum, positive=True)
+        for name in _CELL_TIMES:
+            require_finite(name, getattr(self, name))
+        for name in _CELL_BANDWIDTHS:
+            require_finite(name, getattr(self, name), positive=True)
 
 
 @dataclass(frozen=True)
@@ -130,6 +146,10 @@ class BladeParams:
     def __post_init__(self) -> None:
         if self.n_cells < 1:
             raise ValueError("blade needs at least one Cell")
+        require_finite("cross_cell_signal_penalty",
+                       self.cross_cell_signal_penalty)
+        require_finite("cross_cell_bandwidth", self.cross_cell_bandwidth,
+                       positive=True)
 
     @property
     def total_spes(self) -> int:

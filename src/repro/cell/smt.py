@@ -49,6 +49,7 @@ from typing import Deque, List, Optional
 
 from ..sim.engine import Environment
 from ..sim.events import Event, URGENT
+from ..validation import require_finite
 
 __all__ = ["SMTCore", "CoreThread"]
 
@@ -110,7 +111,7 @@ class CoreThread:
 
     def run(self, work: float) -> Event:
         """Request ``work`` seconds of computation; returns a done event."""
-        return self.core._submit(self, _WORK, work=work)
+        return self.core._submit(self, _WORK, work, None)
 
     def spin_until(self, event: Event) -> Event:
         """Busy-wait on ``event``; returns a done event.
@@ -119,7 +120,7 @@ class CoreThread:
         sibling SMT thread) and completes only when the thread is
         scheduled *and* the target has fired.
         """
-        return self.core._submit(self, _SPIN, target=event)
+        return self.core._submit(self, _SPIN, 0.0, event)
 
     def _spin_notice(self, ev: Event) -> None:
         # Guard: the thread may have moved on to a different request.
@@ -150,10 +151,8 @@ class SMTCore:
             raise ValueError("smt_efficiency must be in (0, 1]")
         if not (0.0 <= spin_contention <= 1.0):
             raise ValueError("spin_contention must be in [0, 1]")
-        if quantum <= 0:
-            raise ValueError("quantum must be positive")
-        if switch_cost < 0:
-            raise ValueError("switch_cost must be non-negative")
+        require_finite("quantum", quantum, positive=True)
+        require_finite("switch_cost", switch_cost)
         self.env = env
         self.name = name
         self.n_contexts = n_contexts
@@ -179,6 +178,9 @@ class SMTCore:
         self._running: List[CoreThread] = []
         self._slot_last: List[Optional[CoreThread]] = [None] * n_contexts
         self._slot_free: List[int] = list(range(n_contexts - 1, -1, -1))
+        # Threads waiting in ``_ready`` and ``_ready_aff`` together; only
+        # ``_enqueue`` and the fill loop in ``_wake`` change the queues.
+        self._n_queued = 0
         self._last_ts = env.now
         self._version = 0
         # Timer and linger callbacks, bound once for the per-wake timeouts.
@@ -205,12 +207,20 @@ class SMTCore:
         return self.busy_context_seconds / (window * self.n_contexts)
 
     # -- request submission -------------------------------------------------
-    def _submit(self, thread: CoreThread, kind: str, work: float = 0.0,
-                target: Optional[Event] = None) -> Event:
+    def _submit(self, thread: CoreThread, kind: str, work: float,
+                target: Optional[Event]) -> Event:
+        """Queue ``thread``'s request and wake the core.
+
+        Only ``CoreThread.run`` and ``spin_until`` call this, on the
+        thread's own core, so ownership needs no check.  Time is
+        accounted before the request changes the thread, and only when
+        the clock has moved since the last account: at an unchanged
+        clock ``_advance`` would find ``dt == 0`` and only re-store
+        ``_last_ts``, so skipping it is exact.  The closing ``_wake``
+        then finds the clock accounted and skips it as well.
+        """
         # Validate everything before touching the thread or the clock: a
         # rejected request must leave the thread exactly as it was.
-        if thread.core is not self:
-            raise ValueError(f"thread {thread.name!r} belongs to another core")
         if thread.state not in (_IDLE, _LINGER):
             raise RuntimeError(
                 f"thread {thread.name!r} submitted a request while {thread.state}"
@@ -222,8 +232,10 @@ class SMTCore:
         elif target is None:
             raise ValueError("spin requires a target event")
 
-        self._advance()
-        done = Event(self.env)
+        env = self.env
+        if env.now != self._last_ts:
+            self._advance()
+        done = Event(env)
         thread.kind = kind
         thread.remaining = work
         thread.done_event = done
@@ -242,7 +254,7 @@ class SMTCore:
                 linger = thread.linger
                 if linger._cb0 is not None:
                     linger._cb0 = None
-                    self.env._withdraw(linger)
+                    env._withdraw(linger)
         else:
             thread.state = _READY
             self._enqueue(thread)
@@ -257,6 +269,7 @@ class SMTCore:
         return done
 
     def _enqueue(self, thread: CoreThread) -> None:
+        self._n_queued += 1
         if thread.affinity is None:
             self._ready.append(thread)
         else:
@@ -321,7 +334,14 @@ class SMTCore:
             t.quantum_left -= dt
 
     def _complete(self, thread: CoreThread) -> None:
-        """Finish the thread's current request; it lingers on its slot."""
+        """Finish the thread's current request; it lingers on its slot.
+
+        The done event is triggered without ``Event.succeed``'s checks:
+        it is the fresh event ``_submit`` made for this request, which
+        nothing else triggers, and its ``_ok`` is already True.  It is
+        still scheduled through ``env._schedule``, so a kernel that
+        overrides the calendar sees it like any other event.
+        """
         done = thread.done_event
         thread.done_event = None
         thread.kind = None
@@ -332,14 +352,16 @@ class SMTCore:
         # The thread's own reusable event carries it; only when that one
         # is still pending (a second completion at this instant) does a
         # pooled timeout stand in.
+        env = self.env
         linger = thread.linger
         if linger._cb0 is None:
             linger._cb0 = self._linger_cb
             linger._scheduled = False
-            self.env._schedule(linger)
+            env._schedule(linger)
         else:
-            self.env.timeout(0.0, thread)._cb0 = self._linger_cb
-        done.succeed(None, priority=URGENT)
+            env.timeout(0.0, thread)._cb0 = self._linger_cb
+        done._value = None
+        env._schedule(done, URGENT)
 
     def _on_linger_expire(self, ev: Event) -> None:
         thread = ev._value
@@ -365,7 +387,11 @@ class SMTCore:
 
         Time is accounted only when the clock has moved since the last
         account: at an unchanged clock ``_advance`` would only re-store
-        ``_last_ts``, so skipping it is exact.
+        ``_last_ts``, so skipping it is exact.  ``_n_queued`` stands in
+        for ``bool(_ready) or any(_ready_aff)``: ``_enqueue`` counts every
+        thread into a queue and the fill loop counts every thread out,
+        and nothing else touches the queues, so the count is zero exactly
+        when every queue is empty.
         """
         self._version += 1
         if self.env.now != self._last_ts:
@@ -395,7 +421,7 @@ class SMTCore:
         # successor when ``ready_aff[slot] or ready`` is non-empty.
         ready = self._ready
         ready_aff = self._ready_aff
-        waiting = bool(ready) or any(ready_aff)
+        waiting = self._n_queued
         if waiting:
             preempted = None
             for t in running:
@@ -417,11 +443,13 @@ class SMTCore:
             # Fill free contexts in free-list order: each takes the head
             # of its affinity queue, else the head of the shared queue.
             # Filling only drains the queues, so one pass leaves nothing
-            # a second pass could place.
+            # a second pass could place, and the pass ends early once the
+            # queues are empty.  Preemption may have queued more threads.
             slot_free = self._slot_free
             slot_last = self._slot_last
+            waiting = self._n_queued
             i, n_free = 0, len(slot_free)
-            while i < n_free:
+            while i < n_free and waiting:
                 slot = slot_free[i]
                 if ready_aff[slot]:
                     t = ready_aff[slot].popleft()
@@ -432,6 +460,7 @@ class SMTCore:
                     continue
                 del slot_free[i]
                 n_free -= 1
+                waiting -= 1
                 t.slot = slot
                 t.state = _RUNNING
                 last = slot_last[slot]
@@ -443,7 +472,7 @@ class SMTCore:
                 t.quantum_left = self.quantum
                 slot_last[slot] = t
                 running.append(t)
-            waiting = bool(ready) or any(ready_aff)
+            self._n_queued = waiting
 
         # A wake that completed a thread arms nothing: before any timer
         # it armed could fire, the completed thread's linger expiry or

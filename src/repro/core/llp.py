@@ -26,12 +26,13 @@ worker SPE *occupancy* is still realized in simulated time by the runtime
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..cell.mfc import MFC
 from ..cell.params import CellParams
 from ..obs.metrics import NULL_REGISTRY, registry_of
 from ..sim.trace import Sinks, tracer_of
+from ..validation import require_finite
 from ..workloads.taskspec import TaskSpec
 
 __all__ = [
@@ -115,8 +116,7 @@ class LLPConfig:
         if not (0.0 <= self.alpha <= 1.0):
             raise ValueError("alpha must be within [0, 1]")
         for fieldname in ("signal_issue", "pass_process", "setup"):
-            if getattr(self, fieldname) < 0:
-                raise ValueError(f"{fieldname} must be non-negative")
+            require_finite(fieldname, getattr(self, fieldname))
         if self.chunk_size < 0:
             raise ValueError("chunk_size must be non-negative")
         resolve_loop_schedule(self.schedule)  # unknown names raise here
@@ -354,6 +354,9 @@ class LoopParallelModel:
         self._schedule = resolve_loop_schedule(self.config.schedule)
         self._fraction: Dict[Tuple[str, int], float] = {}
         self._ratios: Dict[Tuple[str, int], List[float]] = {}
+        # Static-split geometry, keyed (loop, k, cross_cell_workers,
+        # chunks); see ``_split_geometry``.
+        self._splits: Dict[tuple, tuple] = {}
         self.invocations = 0
         self.total_join_idle = 0.0
         m = registry_of(sinks)
@@ -408,8 +411,8 @@ class LoopParallelModel:
         actor: str,
         base: float,
         master_end: float,
-        worker_starts: List[float],
-        worker_ends: List[float],
+        worker_starts: Sequence[float],
+        worker_ends: Sequence[float],
         inv: LLPInvocation,
     ) -> None:
         """Chunk fan-out/join detail for the causal span layer.
@@ -474,7 +477,7 @@ class LoopParallelModel:
         t_iter = loop_total / loop.iterations
 
         f = self.master_fraction(task.function, k)
-        chunks = split_iterations(loop.iterations, k, f)
+        chunks = tuple(split_iterations(loop.iterations, k, f))
 
         # Master: issue k-1 signals back to back, then compute its chunk.
         t_send = (k - 1) * cfg.signal_issue
@@ -483,27 +486,17 @@ class LoopParallelModel:
 
         # Workers: signal latency (+ cross-cell penalty for some), input
         # DMA (concurrent streams share the EIB), compute, Pass back.
-        # The DMA timings are memoized by the MFC per byte count.
-        transfer_time = self.mfc.transfer_time
-        issue = cfg.signal_issue
+        # Everything but the compute term is fixed by the split, so it
+        # comes from the per-split geometry memo.
+        key = (loop, k, cross_cell_workers, chunks)
+        geometry = self._splits.get(key)
+        if geometry is None:
+            geometry = self._splits[key] = self._split_geometry(
+                loop, k, cross_cell_workers, chunks)
+        workers, start_delays, d_mean = geometry
         spe_sig = p.spe_spe_signal
-        hop_sig = spe_sig + 0.5 * US  # inter-chip hop
-        first_cross = (k - 1) - cross_cell_workers
-        in_bytes = loop.bytes_per_iteration
-        out_bytes = max(16, in_bytes // 2)
-        reduction_loop = loop.reduction
-        worker_ends: List[float] = []
-        start_delays: List[float] = []
-        for j, w_iters in enumerate(chunks[1:]):
-            sig = hop_sig if j >= first_cross else spe_sig
-            fetch = transfer_time(max(16, w_iters * in_bytes), k - 1)
-            start = (j + 1) * issue + sig + fetch
-            end = start + w_iters * t_iter + spe_sig + (
-                0.0 if reduction_loop
-                else transfer_time(max(16, w_iters * out_bytes), k - 1)
-            )
-            worker_ends.append(end)
-            start_delays.append(start)
+        worker_ends = [start + w_iters * t_iter + spe_sig + back
+                       for w_iters, start, back in workers]
 
         last_worker = max(worker_ends)
         join = max(master_end, last_worker)
@@ -518,7 +511,6 @@ class LoopParallelModel:
         # the master (master idled at the join) -> the master should take
         # more iterations.  Moving x iterations to the master changes the
         # finish-time gap by x * t_iter * (1 + 1/(k-1)).
-        d_mean = sum(start_delays) / len(start_delays)
         imbalance = last_worker - master_end
         delta_iters = imbalance / (t_iter * (1.0 + 1.0 / (k - 1)))
         self._update_fraction(
@@ -537,7 +529,7 @@ class LoopParallelModel:
         inv = LLPInvocation(
             duration=duration,
             k=k,
-            chunks=tuple(chunks),
+            chunks=chunks,
             master_compute=master_compute,
             worker_start_delay=d_mean,
             join_idle=join_idle,
@@ -550,6 +542,40 @@ class LoopParallelModel:
             self._emit_fanout(task, actor, cfg.setup + serial, master_end,
                               start_delays, worker_ends, inv)
         return inv
+
+    def _split_geometry(
+        self, loop, k: int, cross_cell_workers: int, chunks: Tuple[int, ...]
+    ) -> Tuple[Tuple[Tuple[int, float, float], ...], Tuple[float, ...], float]:
+        """The parts of a static split's timing that ``t_iter`` leaves alone.
+
+        Returns one ``(iterations, start, back)`` triple per worker, the
+        worker start delays, and their mean.  ``start`` is the signal
+        issue slot, signal latency (+ inter-chip hop for the last
+        ``cross_cell_workers``) and input DMA; ``back`` is the result
+        DMA, 0.0 for a reduction loop.  Every term depends only on the
+        memo key ``(loop, k, cross_cell_workers, chunks)`` and on the
+        model's fixed params, config and MFC.  The caller sums them left
+        to right as ``start + w * t_iter + sig + back``, so every float
+        equals the one computed without the memo.  The DMA timings are
+        memoized by the MFC per byte count.
+        """
+        transfer_time = self.mfc.transfer_time
+        issue = self.config.signal_issue
+        spe_sig = self.params.spe_spe_signal
+        hop_sig = spe_sig + 0.5 * US  # inter-chip hop
+        first_cross = (k - 1) - cross_cell_workers
+        in_bytes = loop.bytes_per_iteration
+        out_bytes = max(16, in_bytes // 2)
+        workers = []
+        for j, w_iters in enumerate(chunks[1:]):
+            sig = hop_sig if j >= first_cross else spe_sig
+            fetch = transfer_time(max(16, w_iters * in_bytes), k - 1)
+            start = (j + 1) * issue + sig + fetch
+            back = (0.0 if loop.reduction
+                    else transfer_time(max(16, w_iters * out_bytes), k - 1))
+            workers.append((w_iters, start, back))
+        starts = tuple(start for _, start, _ in workers)
+        return tuple(workers), starts, sum(starts) / len(starts)
 
     def _invoke_scheduled(
         self,

@@ -71,7 +71,7 @@ def _publish_run_metrics(
     g("run.kernel.pool_hit_rate",
       "Timeout free-list hit rate over the run").set(ks["pool_hit_rate"])
     g("run.kernel.batch_advance_fraction",
-      "fraction of events served from the O(1) calendar lanes").set(
+      "fraction of events dispatched by the batched run loops").set(
         ks["batch_advance_fraction"])
     # Per-SPE utilization gauges: idle SPEs never appear in the trace
     # (no task records), so the starvation detector needs the full

@@ -34,7 +34,6 @@ and bootstop savings.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -45,6 +44,7 @@ from ..phylo.consensus import majority_rule_consensus
 from ..phylo.tree import Tree
 from ..sim.engine import Environment
 from ..sim.rng import RngStreams
+from ..validation import require_finite
 from .bootstop import BootstopConfig, BootstopMonitor
 from .cache import CacheEntry, ResultCache, content_key
 from .fleet import FleetFaultPlan
@@ -227,15 +227,11 @@ class DagConfig:
     def __post_init__(self) -> None:
         if self.submissions < 1:
             raise ValueError("submissions must be >= 1")
-        # ``not 0 <= x < inf`` also rejects NaN.
-        if self.interarrival_s is not None and not (
-            0 <= self.interarrival_s < math.inf
-        ):
-            raise ValueError("interarrival_s must be finite and >= 0 when set")
+        if self.interarrival_s is not None:
+            require_finite("interarrival_s", self.interarrival_s)
         if self.blades < 1:
             raise ValueError("blades must be >= 1")
-        if not 0 <= self.dispatch_overhead_s < math.inf:
-            raise ValueError("dispatch_overhead_s must be finite and >= 0")
+        require_finite("dispatch_overhead_s", self.dispatch_overhead_s)
 
 
 @dataclass

@@ -13,9 +13,10 @@ once no matter how many requests reference it.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
+
+from ..validation import require_finite
 
 __all__ = ["JobTemplate", "TenantSpec", "Job", "job_seed"]
 
@@ -88,12 +89,11 @@ class TenantSpec:
                 f"unknown arrival model {self.arrival!r}; "
                 f"known models: bursty, closed, poisson"
             )
-        # Written so that NaN fails every check.  A zero think time or
-        # arrival gap would let a shed client resubmit without simulated
-        # time ever advancing.
+        # A zero think time or arrival gap would let a shed client
+        # resubmit without simulated time ever advancing.
         for field_name in ("arrival_rate", "think_time_s", "burst_interval_s"):
-            if not 0 < getattr(self, field_name) < math.inf:
-                raise ValueError(f"{field_name} must be finite and positive")
+            require_finite(field_name, getattr(self, field_name),
+                           positive=True)
         if self.clients < 1:
             raise ValueError("closed-loop tenants need at least one client")
         if self.burst_size < 1:

@@ -28,7 +28,6 @@ identical event logs, identical percentiles, identical JSON.
 from __future__ import annotations
 
 import json
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import attrgetter
@@ -41,6 +40,7 @@ from ..obs.metrics import registry_of, stable_round
 from ..sim.engine import Environment
 from ..sim.rng import RngStreams
 from ..sim.trace import tracer_of
+from ..validation import require_finite
 from .admission import DispatchUnit, FrontEnd
 from .autoscaler import Autoscaler, AutoscalerConfig
 from .dispatch import resolve_dispatch
@@ -111,14 +111,11 @@ class ServeConfig:
         names = [t.name for t in self.tenants]
         if len(set(names)) != len(names):
             raise ValueError("tenant names must be unique")
-        # Written so that NaN fails too: a NaN or infinite horizon never
-        # ends the run.
-        if not 0 < self.duration_s < math.inf:
-            raise ValueError("duration_s must be finite and positive")
+        # A NaN or infinite horizon never ends the run.
+        require_finite("duration_s", self.duration_s, positive=True)
         if not (1 <= self.min_blades <= self.max_blades):
             raise ValueError("need 1 <= min_blades <= max_blades")
-        if not 0 <= self.dispatch_overhead_s < math.inf:
-            raise ValueError("dispatch_overhead_s must be finite and >= 0")
+        require_finite("dispatch_overhead_s", self.dispatch_overhead_s)
         if self.faults is not None:
             for blade in self.faults.blades:
                 if blade >= self.max_blades:

@@ -35,7 +35,7 @@ class Process(Event):
         Optional label used in traces and error messages.
     """
 
-    __slots__ = ("_generator", "_target", "name")
+    __slots__ = ("_generator", "_target", "name", "_resume_cb")
 
     def __init__(
         self,
@@ -49,10 +49,14 @@ class Process(Event):
         self._generator = generator
         self._target: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
+        # ``_resume`` bound once: each resume hands this one object to the
+        # awaited event instead of building a new bound method.  The cycle
+        # it makes through the process is cut when the generator ends.
+        self._resume_cb = self._resume
         # Bootstrap: resume the generator at the current simulation time.
         init = Event(env)
         init.succeed(None, priority=URGENT)
-        init.add_callback(self._resume)
+        init.add_callback(self._resume_cb)
 
     @property
     def is_alive(self) -> bool:
@@ -75,7 +79,7 @@ class Process(Event):
         # Detach from the awaited event and deliver the interrupt.
         target, self._target = self._target, None
         if not target._processed:
-            target.remove_callback(self._resume)
+            target.remove_callback(self._resume_cb)
         deliver = Event(self.env)
         deliver.fail(Interrupt(cause), priority=URGENT)
         deliver.add_callback(self._deliver)
@@ -91,7 +95,7 @@ class Process(Event):
             return
         target = self._target
         if target is not None and not target._processed:
-            target.remove_callback(self._resume)
+            target.remove_callback(self._resume_cb)
         self._resume(interrupt)
 
     # -- engine plumbing --------------------------------------------------
@@ -104,11 +108,13 @@ class Process(Event):
             else:
                 result = self._generator.throw(trigger._value)
         except StopIteration as stop:
+            self._resume_cb = None  # nothing resumes a finished process
             self.succeed(stop.value, priority=URGENT)
             return
         except BaseException as exc:
             if self.env.strict:
                 raise
+            self._resume_cb = None
             self.fail(exc, priority=URGENT)
             return
 
@@ -121,9 +127,9 @@ class Process(Event):
         self._target = result
         # ``add_callback`` inlined for the common single-waiter case.
         if result._cb0 is None and not result._processed:
-            result._cb0 = self._resume
+            result._cb0 = self._resume_cb
         else:
-            result.add_callback(self._resume)
+            result.add_callback(self._resume_cb)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Process {self.name!r} {'alive' if self.is_alive else 'done'}>"

@@ -221,3 +221,43 @@ class TestAdaptiveUnbalancing:
         # After convergence the join idle is below two iteration times.
         t_iter = task.spe_time * task.loop.coverage / task.loop.iterations
         assert inv.join_idle <= 2.5 * t_iter + 1e-9
+
+
+class TestSplitGeometryMemo:
+    """The static path's per-split memo against a computation per call.
+
+    ``LoopParallelModel.invoke`` keeps each worker's start delay and
+    result DMA per ``(loop, k, cross_cell_workers, chunks)``.  A model
+    whose memo is emptied before every call computes them afresh each
+    time; call for call it must give the very same invocation and
+    adaptive state as a model that reuses them.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        iterations=st.integers(2, 300),
+        coverage=st.floats(min_value=0.05, max_value=1.0),
+        reduction=st.booleans(),
+        bpi=st.integers(0, 4096),
+        k=st.integers(2, 8),
+        calls=st.lists(
+            st.tuples(st.floats(min_value=1.0, max_value=500.0),
+                      st.integers(0, 7)),
+            min_size=1, max_size=30,
+        ),
+    )
+    def test_memo_matches_fresh_geometry(self, iterations, coverage,
+                                         reduction, bpi, k, calls):
+        loop = LoopSpec(iterations=iterations, coverage=coverage,
+                        reduction=reduction, bytes_per_iteration=bpi)
+        long_lived = LoopParallelModel(CellParams())
+        fresh = LoopParallelModel(CellParams())
+        for spe_us, cross in calls:
+            task = TaskSpec(function="newview", spe_time=spe_us * US,
+                            ppe_time=1.38 * spe_us * US,
+                            naive_spe_time=1.85 * spe_us * US, loop=loop)
+            fresh._splits.clear()
+            got = long_lived.invoke(task, k, cross_cell_workers=cross)
+            want = fresh.invoke(task, k, cross_cell_workers=cross)
+            assert repr(got) == repr(want)
+            assert repr(long_lived._fraction) == repr(fresh._fraction)

@@ -2,6 +2,9 @@
 
 import pytest
 
+import repro.core.runner as runner_mod
+from repro.core.runner import run_experiment
+from repro.core.schedulers import linux, mgps, static_hybrid
 from repro.sim import (
     AllOf,
     AnyOf,
@@ -12,6 +15,7 @@ from repro.sim import (
     RngStreams,
     Store,
 )
+from repro.workloads import Workload
 
 
 def test_clock_starts_at_zero():
@@ -645,3 +649,39 @@ class TestGcSettlement:
         assert True not in log
         assert seen == [False]
         assert gc.isenabled()
+
+
+class TestLanePins:
+    """Which calendar lane serves each event of small whole blade runs.
+
+    ``run.kernel.batch_advance_fraction`` reads 1.0 on any run that
+    never calls ``step``, wherever its events were queued, so it cannot
+    see a change that moves events between lanes.  These pins can: a
+    completion or linger expiry scheduled through the timed heap
+    instead of the immediate or deferred lane changes the split.
+    """
+
+    @pytest.mark.parametrize("name, events, immediate, deferred, heap", [
+        ("fig8", 1241, 370, 123, 748),
+        ("llp4", 1238, 370, 123, 745),
+        ("linux", 1476, 610, 123, 743),
+    ])
+    def test_lane_split_of_small_runs(self, monkeypatch, name, events,
+                                      immediate, deferred, heap):
+        envs = []
+
+        class Recorded(Environment):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                envs.append(self)
+
+        monkeypatch.setattr(runner_mod, "Environment", Recorded)
+        spec = {"fig8": mgps, "llp4": lambda: static_hybrid(4),
+                "linux": linux}[name]()
+        r = run_experiment(spec, Workload(bootstraps=2, tasks_per_bootstrap=60,
+                                          seed=0), seed=0)
+        stats = envs[0].kernel_stats()
+        assert r.events_processed == events
+        assert (stats["immediate_events"], stats["deferred_events"],
+                stats["heap_events"]) == (immediate, deferred, heap)
+        assert stats["batch_advance_fraction"] == 1.0

@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 import repro.cell.machine as machine_mod
 from repro.cell.smt import SMTCore, _EPS, _LINGER, _READY, _RUNNING, _SPIN, _WORK
 from repro.core.runner import run_experiment
-from repro.core.schedulers import edtlp, linux, mgps
+from repro.core.schedulers import edtlp, linux, mgps, static_hybrid
 from repro.sim.engine import Environment
 from repro.sim.events import URGENT, Timeout
 from repro.workloads import Workload
@@ -192,6 +192,19 @@ class ReferenceSMTCore(SMTCore):
             self._on_skipped_timer if skipped else self._on_timer)
 
 
+class CheckedSMTCore(SMTCore):
+    """The real core, checking its queued-thread count after every wake.
+
+    ``_wake`` reads ``_n_queued`` in place of scanning the run queues;
+    this holds the count to the queues it stands for.
+    """
+
+    def _wake(self):
+        super()._wake()
+        assert self._n_queued == len(self._ready) + sum(
+            map(len, self._ready_aff))
+
+
 # -- random programs ----------------------------------------------------------
 
 _span = st.one_of(
@@ -270,7 +283,7 @@ def skipped_fired(cores):
 
 
 def assert_matches_reference(prog):
-    fast, _ = run_program(SMTCore, Environment, prog)
+    fast, _ = run_program(CheckedSMTCore, Environment, prog)
     slow, ref = run_program(ReferenceSMTCore, PlainEnvironment, prog)
     assert ref._withdrawn == set()  # every withdrawn linger fired
     assert fast.pop("events_processed") == (
@@ -329,6 +342,10 @@ class TestWholeRunsAgainstReference:
             cases += [(edtlp(n_processes=w), wl), (linux(n_processes=w), wl)]
         cases.append((mgps(), Workload(bootstraps=4, tasks_per_bootstrap=60,
                                        seed=0)))
+        # Loop-level parallelism on: LLP workers hold SPEs while the
+        # PPE threads submit, spin and linger.
+        cases.append((static_hybrid(4),
+                      Workload(bootstraps=1, tasks_per_bootstrap=60, seed=0)))
         fast = [self._run(s, wl) for s, wl in cases]
         cores = []
 
